@@ -17,7 +17,7 @@ from typing import Optional
 
 from .engine import execute_plan
 from .metrics import PolicyReport, compare, summarize
-from .model import POLICIES, Scenario, ValidationError
+from .model import POLICIES, CapacityError, Scenario, ValidationError
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -145,7 +145,7 @@ def cmd_run(config: RunConfig) -> int:
             raise UsageError("duplicate policies would overwrite each other's files")
         tables = [(policy, _run_one(policy, scenario)[1])
                   for policy, scenario in jobs]
-    except (UsageError, ValidationError, ValueError) as err:
+    except (UsageError, ValidationError, ValueError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
@@ -175,7 +175,7 @@ def cmd_compare(config: RunConfig) -> int:
             raise UsageError("need >= 2 policies to compare")
         reports = [_run_one(policy, scenario)[0] for policy, scenario in jobs]
         comparison = compare(reports)
-    except (UsageError, ValidationError, ValueError) as err:
+    except (UsageError, ValidationError, ValueError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -41,6 +41,13 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
     return binding
 
 
+def _vm_datacenters(scenario: Scenario) -> dict[int, int]:
+    """vm_id -> datacenter_id of the host provisioning binds the VM to."""
+    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
+    return {vm_id: datacenter_of[host_id]
+            for vm_id, host_id in provision_vms(scenario).items()}
+
+
 def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     """Finish times of jobs sharing one VM under egalitarian sharing.
 
@@ -76,7 +83,7 @@ def run_space_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResu
     cpu_times queued ahead on the same VM.
     """
     validate_plan(scenario, plan)
-    binding = provision_vms(scenario)
+    datacenter_of = _vm_datacenters(scenario)
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     queues = plan.vm_queues()
 
@@ -84,7 +91,7 @@ def run_space_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResu
     usage = []
     for vm in scenario.vms:
         clock = 0.0
-        datacenter_id = scenario.host_by_id(binding[vm.id]).datacenter_id
+        datacenter_id = datacenter_of[vm.id]
         for cloudlet_id in queues.get(vm.id, []):
             cpu_time = cloudlets[cloudlet_id].length / vm.mips
             records.append(CloudletRecord(
@@ -113,7 +120,7 @@ def run_time_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResul
     event order. Reported cpu_time is finish - start with start = 0.
     """
     validate_plan(scenario, plan)
-    binding = provision_vms(scenario)
+    datacenter_of = _vm_datacenters(scenario)
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     queues = plan.vm_queues()
 
@@ -121,7 +128,7 @@ def run_time_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResul
     usage = []
     for vm in scenario.vms:
         queue = queues.get(vm.id, [])
-        datacenter_id = scenario.host_by_id(binding[vm.id]).datacenter_id
+        datacenter_id = datacenter_of[vm.id]
         finishes = ps_finish_times([cloudlets[cid].length for cid in queue], vm.mips)
         for cloudlet_id, finish in zip(queue, finishes):
             records.append(CloudletRecord(

@@ -4,6 +4,7 @@ Everything here is an immutable value object: scenarios are validated once
 and can then be shared freely between policies, engine runs and reports.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -192,7 +193,9 @@ def scenario_violations(scenario: Scenario) -> list[str]:
                 problems.append(
                     f"host {host.id} declares datacenter {host.datacenter_id} "
                     f"but sits in datacenter {dc.id}")
-            if host.total_mips <= 0:
+            if not math.isfinite(host.total_mips):
+                problems.append(f"non-finite mips on host {host.id}")
+            elif host.total_mips <= 0:
                 problems.append(f"non-positive mips on host {host.id}")
             if host.ram_mb <= 0:
                 problems.append(f"non-positive ram on host {host.id}")
@@ -206,7 +209,9 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         if vm.id in seen_vm:
             problems.append(f"duplicate vm id {vm.id}")
         seen_vm.add(vm.id)
-        if vm.mips <= 0:
+        if not math.isfinite(vm.mips):
+            problems.append(f"non-finite mips on vm {vm.id}")
+        elif vm.mips <= 0:
             problems.append(f"non-positive mips on vm {vm.id}")
         if vm.ram_mb <= 0:
             problems.append(f"non-positive ram on vm {vm.id}")
@@ -223,7 +228,9 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         if cl.id in seen_cl:
             problems.append(f"duplicate cloudlet id {cl.id}")
         seen_cl.add(cl.id)
-        if cl.length <= 0:
+        if not math.isfinite(cl.length):
+            problems.append(f"non-finite length on cloudlet {cl.id}")
+        elif cl.length <= 0:
             problems.append(f"non-positive length on cloudlet {cl.id}")
         if cl.pe_count <= 0:
             problems.append(f"non-positive pe count on cloudlet {cl.id}")

@@ -11,6 +11,7 @@ All tie-breaks are total and documented, so each plan is deterministic.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .model import (
     AssignmentPlan,
@@ -87,21 +88,67 @@ def gpa_assign(scenario: Scenario) -> PolicyOutcome:
     (already assigned work + length) / mips, ties broken by higher MIPS
     then lower VM id, and the chosen VM's assigned work is updated. With
     every VM empty this sends the first cloudlet to the fastest VM.
+
+    The search looks at one candidate per distinct MIPS value, not at
+    every VM: O(n·(k + log m)) for n cloudlets on m VMs with k distinct
+    MIPS values, where a scan of every VM is O(n·m), and the same plan.
+    Within one MIPS class the float ratio never decreases as the work
+    grows (float addition and division round monotonically), so the
+    class minimum sits at its smallest work. Each class keeps a heap of
+    its distinct works and, per work, a heap of the VM ids carrying it.
+    Classes are visited fastest first and one displaces another only on
+    a strictly smaller ratio, which is the higher-MIPS tie rule. Two
+    works can round to the same ratio; such works form a subtree at the
+    root of the work heap, which is walked to find the lowest id among
+    them.
     """
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     ranked = rank_cloudlets_by_length(scenario.cloudlets)
-    assigned_work = {vm.id: 0.0 for vm in scenario.vms}
+
+    ids_by_mips: dict[float, list[int]] = {}
+    for vm in scenario.vms:
+        ids_by_mips.setdefault(vm.mips, []).append(vm.id)
+    # (mips, heap of distinct works, work -> heap of VM ids). A work whose
+    # id heap runs empty below the root (only after a tie pick) stays in
+    # the work heap until it reaches the root.
+    classes = []
+    for mips in sorted(ids_by_mips, reverse=True):
+        ids = ids_by_mips[mips]
+        heapify(ids)
+        classes.append((mips, [0.0], {0.0: ids}))
 
     entries = []
     for cloudlet_id in ranked:
         length = cloudlets[cloudlet_id].length
-        best = min(
-            scenario.vms,
-            key=lambda vm: ((assigned_work[vm.id] + length) / vm.mips,
-                            -vm.mips, vm.id),
-        )
-        entries.append((cloudlet_id, best.id))
-        assigned_work[best.id] += length
+        best = classes[0]
+        best_ratio = (best[1][0] + length) / best[0]
+        for cls in classes[1:]:
+            ratio = (cls[1][0] + length) / cls[0]
+            if ratio < best_ratio:
+                best, best_ratio = cls, ratio
+        mips, works, ids_at = best
+
+        work = works[0]
+        vm_id = ids_at[work][0]
+        pending = [1, 2]
+        while pending:
+            i = pending.pop()
+            if i < len(works) and (works[i] + length) / mips == best_ratio:
+                ids = ids_at[works[i]]
+                if ids and ids[0] < vm_id:
+                    work, vm_id = works[i], ids[0]
+                pending += (2 * i + 1, 2 * i + 2)
+
+        entries.append((cloudlet_id, vm_id))
+        heappop(ids_at[work])
+        new_work = work + length
+        if new_work in ids_at:
+            heappush(ids_at[new_work], vm_id)
+        else:
+            ids_at[new_work] = [vm_id]
+            heappush(works, new_work)
+        while not ids_at[works[0]]:
+            del ids_at[heappop(works)]
 
     return PolicyOutcome(
         plan=AssignmentPlan(tuple(entries)),

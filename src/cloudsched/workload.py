@@ -8,6 +8,7 @@ fail loudly.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -295,15 +296,44 @@ def load_scenario(source) -> Scenario:
     else:
         text = Path(source).read_text()
 
+    # JSON has no NaN/Infinity/-Infinity, but json.loads accepts the bare
+    # tokens; note that one was seen and search the document only then. A
+    # token under a key that a later duplicate key overrides is gone.
+    constants: list[str] = []
+
+    def parse_constant(token: str) -> float:
+        constants.append(token)
+        return float(token)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=parse_constant)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    if constants:
+        for where, value in _non_finite_numbers(doc, "document"):
+            raise ScenarioFormatError(
+                f"{where}: non-finite number {value} is not allowed")
 
     scenario = _scenario_from_doc(doc)
     return validate_scenario(scenario)
+
+
+def _non_finite_numbers(node, where: str):
+    """(location, value) of every NaN or infinite float in a parsed document.
+
+    Locations read like the other format errors: `cloudlets[2].length`.
+    """
+    if isinstance(node, float) and not math.isfinite(node):
+        yield where, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite_numbers(
+                value, key if where == "document" else f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _non_finite_numbers(value, f"{where}[{i}]")
 
 
 def _check_keys(obj: dict, where: str, required: tuple[str, ...],
@@ -331,7 +361,10 @@ def _as_number(obj: dict, where: str, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}.{key}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}.{key}: number out of range") from None
 
 
 def _scenario_from_doc(doc) -> Scenario:

@@ -2,8 +2,10 @@
 
 import math
 import random
+import signal
 
 import pytest
+from hypothesis import settings
 
 from cloudsched import (
     Cloudlet,
@@ -16,6 +18,12 @@ from cloudsched import (
 )
 
 MIPS_CHOICES = (250.0, 500.0, 750.0, 1000.0, 1250.0)
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a slow shared host neither fails nor reshuffles them.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=60)
+settings.load_profile("tier1")
 
 
 def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
@@ -89,3 +97,18 @@ def rr_scenario():
 @pytest.fixture
 def gpa_scenario():
     return builtin_scenario("paper12-gpa")
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test, instead of stalling the suite, if it runs over 10 s."""
+    def on_alarm(signum, frame):
+        pytest.fail("timed out after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from cloudsched import GeneratorSpec, generate, write_scenario
+from cloudsched import (
+    GeneratorSpec,
+    builtin_scenario,
+    generate,
+    save_scenario,
+    write_scenario,
+)
 from cloudsched.cli import main
 
 FCFS_GOLDEN = """\
@@ -102,6 +108,35 @@ def test_run_malformed_scenario_is_a_validation_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
     assert code == 1
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "rr", "gpa"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_run_rejects_non_finite_lengths_without_output(tmp_path, capsys,
+                                                       time_limit, policy,
+                                                       number):
+    # A NaN length that reached the rr kernel would never finish, and one
+    # that reached gpa would print nan; time_limit bounds the first case.
+    bad = tmp_path / "bad.json"
+    bad.write_text(save_scenario(builtin_scenario("paper12-fcfs")).replace(
+        '"length": 20000.0', f'"length": {number}', 1))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(bad), "--policy", policy,
+                 "--out", str(out)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_insufficient_capacity_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                           command):
+    bad = tmp_path / "small.json"
+    bad.write_text(save_scenario(builtin_scenario("paper12-fcfs")).replace(
+        '"ram_mb": 1024', '"ram_mb": 512', 1))
+    code = main([command, "--scenario", str(bad), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: insufficient capacity for vm 5\n"
 
 
 def test_run_scenario_file_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
 """Domain model: validation catalogue, lookups, plan checking."""
 
+from dataclasses import replace
+
 import pytest
 
 from cloudsched import (
@@ -94,6 +96,19 @@ def test_non_positive_quantities_are_flagged():
     problems = scenario_violations(scenario)
     assert "non-positive mips on vm 1" in problems
     assert "non-positive length on cloudlet 1" in problems
+
+
+def test_non_finite_quantities_are_flagged():
+    scenario = make_scenario([float("inf"), 250], [float("nan"), float("-inf")],
+                             check=False)
+    host = replace(scenario.datacenters[0].hosts[0], total_mips=float("nan"))
+    scenario = replace(scenario, datacenters=(Datacenter(id=1, hosts=(host,)),))
+    problems = scenario_violations(scenario)
+    assert "non-finite mips on vm 1" in problems
+    assert "non-finite length on cloudlet 1" in problems
+    assert "non-finite length on cloudlet 2" in problems
+    assert "non-finite mips on host 1" in problems
+    assert not any(p.startswith("non-positive") for p in problems)
 
 
 def test_arrival_indices_must_be_contiguous():

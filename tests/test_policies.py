@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudsched import (
     ExecutionMode,
@@ -40,6 +42,48 @@ def greedy_reference(scenario):
         entries.append((cl.id, best.id))
         work[best.id] += Fraction(cl.length)
     return tuple(entries)
+
+
+def linear_gpa_reference(scenario):
+    """The greedy scheduler as a float scan over every VM per cloudlet.
+
+    Same float arithmetic as gpa_assign, so the two plans must be equal
+    entry for entry, including where float sums round to a tie.
+    """
+    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
+    assigned_work = {vm.id: 0.0 for vm in scenario.vms}
+    entries = []
+    for cloudlet_id in rank_cloudlets_by_length(scenario.cloudlets):
+        length = cloudlets[cloudlet_id].length
+        best = min(
+            scenario.vms,
+            key=lambda vm: ((assigned_work[vm.id] + length) / vm.mips,
+                            -vm.mips, vm.id),
+        )
+        entries.append((cloudlet_id, best.id))
+        assigned_work[best.id] += length
+    return tuple(entries)
+
+
+# A few MIPS values shared by many VMs, and lengths whose float sums round
+# to ties: 0.1 + 0.2 != 0.3, 1e16 + 1.0 == 1e16, and lengths all equal.
+_TIE_PRONE_LENGTHS = (0.1, 0.2, 0.3, 1.0, 3.0, 1e16)
+
+
+@st.composite
+def _tie_prone_gpa_scenarios(draw):
+    mips_pool = draw(st.lists(
+        st.sampled_from((0.3, 3.0, 7.0, 250.0, 300.0, 1000.0)),
+        min_size=1, max_size=4))
+    vm_mips = draw(st.lists(st.sampled_from(mips_pool), min_size=1, max_size=60))
+    length = st.one_of(st.sampled_from(_TIE_PRONE_LENGTHS),
+                       st.floats(min_value=0.001, max_value=1e6))
+    n = draw(st.integers(min_value=1, max_value=80))
+    if draw(st.booleans()):
+        lengths = [draw(length)] * n
+    else:
+        lengths = draw(st.lists(length, min_size=n, max_size=n))
+    return make_scenario(vm_mips, lengths, policy="gpa")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +170,21 @@ def test_gpa_matches_exact_arithmetic_reference():
     for _ in range(300):
         scenario = make_random_scenario(rng, policy="gpa")
         assert gpa_assign(scenario).plan.entries == greedy_reference(scenario)
+
+
+@given(_tie_prone_gpa_scenarios())
+def test_gpa_matches_the_linear_scan_on_tie_prone_scenarios(scenario):
+    assert gpa_assign(scenario).plan.entries == linear_gpa_reference(scenario)
+
+
+def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
+    # 1,000 cloudlets on 400 VMs in 4 MIPS classes: the shape where the
+    # per-class search replaces a 400-VM scan.
+    rng = random.Random(7)
+    scenario = make_scenario(
+        [(250, 500, 1000, 2000)[i % 4] for i in range(400)],
+        [rng.randint(1000, 50000) for _ in range(1000)], policy="gpa")
+    assert gpa_assign(scenario).plan.entries == linear_gpa_reference(scenario)
 
 
 def test_gpa_plan_is_invariant_under_uniform_mips_scaling():

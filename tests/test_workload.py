@@ -1,6 +1,7 @@
 """Workload generation, the pinned PRNG, and scenario (de)serialization."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -240,6 +241,40 @@ def test_load_delegates_semantic_checks_to_validation():
     doc["vms"][0]["mips"] = -5
     with pytest.raises(ValidationError, match="non-positive mips"):
         load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit, location", [
+    (lambda d: d["cloudlets"][2].update(length=float("nan")),
+     "cloudlets[2].length"),
+    (lambda d: d["vms"][1].update(mips=float("inf")), "vms[1].mips"),
+    (lambda d: d["datacenters"][0]["hosts"][0].update(total_mips=float("-inf")),
+     "datacenters[0].hosts[0].total_mips"),
+    (lambda d: d["cloudlets"][0].update(file_size=float("nan")),
+     "cloudlets[0].file_size"),
+], ids=["nan-length", "inf-mips", "minus-inf-host-mips", "nan-ignored-key"])
+def test_load_rejects_non_finite_tokens_with_location(edit, location):
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    edit(doc)
+    text = json.dumps(doc)            # writes the bare NaN/Infinity token
+    with pytest.raises(ScenarioFormatError,
+                       match=re.escape(f"{location}: non-finite number")):
+        load_scenario(text)
+
+
+def test_load_drops_a_non_finite_token_that_a_duplicate_key_overrides():
+    text = save_scenario(builtin_scenario("paper12-fcfs"))
+    text = text.replace('"policy": "fcfs"', '"policy": NaN, "policy": "fcfs"', 1)
+    assert load_scenario(text) == builtin_scenario("paper12-fcfs")
+
+
+def test_load_rejects_numbers_beyond_float_range():
+    text = save_scenario(builtin_scenario("paper12-fcfs"))
+    with pytest.raises(ValidationError, match="non-finite length on cloudlet 1"):
+        load_scenario(text.replace('"length": 20000.0', '"length": 1e400', 1))
+    text = text.replace('"length": 20000.0', '"length": 1' + "0" * 400, 1)
+    with pytest.raises(ScenarioFormatError,
+                       match=r"cloudlets\[0\].length: number out of range"):
+        load_scenario(text)
 
 
 def test_load_ignores_cloudlet_size_metadata():
