@@ -10,14 +10,10 @@ from .engine import (
     execute_plan,
     provision_vms,
     ps_finish_times,
-    run_space_shared,
-    run_time_shared,
 )
 from .metrics import (
     PolicyReport,
-    VmLoad,
     compare,
-    mean_cpu_from_plan,
     summarize,
 )
 from .model import (
@@ -41,11 +37,7 @@ from .model import (
 from .policies import (
     PolicyOutcome,
     assign,
-    fcfs_assign,
-    gpa_assign,
     rank_cloudlets_by_length,
-    rank_vms_by_mips,
-    rr_assign,
 )
 from .workload import (
     BUILTIN_NAMES,
@@ -81,25 +73,17 @@ __all__ = [
     "SimulationResult",
     "ValidationError",
     "Vm",
-    "VmLoad",
     "VmUsage",
     "assign",
     "builtin_scenario",
     "compare",
     "derive_seed",
     "execute_plan",
-    "fcfs_assign",
     "generate",
-    "gpa_assign",
     "load_scenario",
-    "mean_cpu_from_plan",
     "provision_vms",
     "ps_finish_times",
     "rank_cloudlets_by_length",
-    "rank_vms_by_mips",
-    "rr_assign",
-    "run_space_shared",
-    "run_time_shared",
     "save_scenario",
     "scenario_violations",
     "summarize",

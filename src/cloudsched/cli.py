@@ -8,6 +8,7 @@ go to a separate sweep_timing.csv so sweep.csv stays deterministic.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -16,8 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import execute_plan
-from .metrics import PolicyReport, compare, summarize
-from .model import POLICIES, CapacityError, Scenario, ValidationError
+from .metrics import compare, summarize
+from .model import POLICIES, CapacityError, Scenario, SimulationResult
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -51,8 +52,13 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # table formatting
 
-def _t(x: float) -> str:
-    return f"{x:.2f}"
+def _t(x: float, digits: int = 2) -> str:
+    """`x` with `digits` decimals. Every number written goes through here,
+    so a result that overflowed a float is an error, not an `inf` cell."""
+    if not math.isfinite(x):
+        raise ValueError(f"result {x} is not a finite number "
+                         f"(the scenario overflows a float)")
+    return "%.*f" % (digits, x)
 
 
 def _write_table(out_dir: Path, stem: str, fmt: str,
@@ -87,26 +93,21 @@ def _emit(config: RunConfig, stem: str, header: list[str],
 # ---------------------------------------------------------------------------
 # scenario resolution
 
-def _resolve_jobs(config: RunConfig) -> list[tuple[str, Scenario]]:
-    """Turn the config's source + policy flags into (policy, scenario) runs."""
+def _resolve_jobs(config: RunConfig) -> list[Scenario]:
+    """Turn the config's source + policy flags into one scenario per run,
+    each bound to the policy it runs under."""
     picked = sum([bool(config.builtins),
                   config.scenario_path is not None,
                   config.generate_n is not None])
     if picked != 1:
         raise UsageError("choose exactly one of --builtin, --scenario, --generate")
 
-    for policy in config.policies:
-        if policy not in POLICIES:
-            raise UsageError(f"unknown policy {policy!r} "
-                             f"(choose from {', '.join(POLICIES)})")
-
     if len(config.builtins) > 1:
         # Several builtins: each carries its own policy; --policy would be
         # ambiguous about which scenario it applies to.
         if config.policies:
             raise UsageError("--policy cannot be combined with multiple builtins")
-        return [(sc.policy, sc)
-                for sc in (builtin_scenario(name) for name in config.builtins)]
+        return [builtin_scenario(name) for name in config.builtins]
 
     if config.builtins:
         base = builtin_scenario(config.builtins[0])
@@ -114,20 +115,12 @@ def _resolve_jobs(config: RunConfig) -> list[tuple[str, Scenario]]:
         base = load_scenario(Path(config.scenario_path))
     else:
         base = generate(GeneratorSpec(n_tasks=config.generate_n, seed=config.seed))
-
-    policies = config.policies or POLICIES
-    return [(policy, base.with_policy(policy)) for policy in policies]
+    return [base.with_policy(policy) for policy in config.policies or POLICIES]
 
 
-def _run_one(policy: str, scenario: Scenario) -> tuple[PolicyReport, list[list[str]]]:
+def _simulate(scenario: Scenario) -> SimulationResult:
     outcome = assign(scenario)
-    result = execute_plan(scenario, outcome.plan, outcome.mode)
-    report = summarize(result, policy=policy)
-    rows = [[str(r.cloudlet_id), str(r.datacenter_id), str(r.vm_id),
-             _t(r.cpu_time), _t(r.start_time), _t(r.finish_time)]
-            for r in result.records]
-    rows.append(["mean", "", "", _t(report.mean_cpu_time), "", ""])
-    return report, rows
+    return execute_plan(scenario, outcome.plan, outcome.mode)
 
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
@@ -136,30 +129,24 @@ _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "fi
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(config: RunConfig) -> None:
     """Run each requested policy and write one <policy>.csv per run."""
-    try:
-        jobs = _resolve_jobs(config)
-        names = [policy for policy, _ in jobs]
-        if len(set(names)) != len(names):
-            raise UsageError("duplicate policies would overwrite each other's files")
-        tables = [(policy, _run_one(policy, scenario)[1])
-                  for policy, scenario in jobs]
-    except (UsageError, ValidationError, ValueError, CapacityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    jobs = _resolve_jobs(config)
+    names = [scenario.policy for scenario in jobs]
+    if len(set(names)) != len(names):
+        raise UsageError("duplicate policies would overwrite each other's files")
+    tables = []
+    for scenario in jobs:
+        result = _simulate(scenario)
+        rows = [[str(r.cloudlet_id), str(r.datacenter_id), str(r.vm_id),
+                 _t(r.cpu_time), _t(r.start_time), _t(r.finish_time)]
+                for r in result.records]
+        rows.append(["mean", "", "", _t(result.mean_cpu_time), "", ""])
+        tables.append((scenario.policy, rows))
 
-    try:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        for policy, rows in tables:
-            _emit(config, policy, _RUN_HEADER, rows)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 0
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    for policy, rows in tables:
+        _emit(config, policy, _RUN_HEADER, rows)
 
 
 _COMPARE_HEADER = ["policy", "mode", "n_cloudlets", "mean_cpu_time",
@@ -167,86 +154,59 @@ _COMPARE_HEADER = ["policy", "mode", "n_cloudlets", "mean_cpu_time",
                    "mean_utilization", "improvement_pct"]
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(config: RunConfig) -> None:
     """Summarize >= 2 policy runs side by side (compare.csv + compare.dat)."""
-    try:
-        jobs = _resolve_jobs(config)
-        if len(jobs) < 2:
-            raise UsageError("need >= 2 policies to compare")
-        reports = [_run_one(policy, scenario)[0] for policy, scenario in jobs]
-        comparison = compare(reports)
-    except (UsageError, ValidationError, ValueError, CapacityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
+    jobs = _resolve_jobs(config)
+    if len(jobs) < 2:
+        raise UsageError("need >= 2 policies to compare")
+    comparison = compare([summarize(_simulate(sc), policy=sc.policy)
+                          for sc in jobs])
     rows = [[c["policy"], c["mode"], str(c["n_cloudlets"]),
              _t(c["mean_cpu_time"]), _t(c["mean_completion_time"]),
              _t(c["headline_mean"]), _t(c["makespan"]),
-             f"{c['mean_utilization']:.3f}", f"{c['improvement_pct']:.1f}"]
+             _t(c["mean_utilization"], 3), _t(c["improvement_pct"], 1)]
+            for c in comparison]
+    # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
+    dat = ["# policy headline_mean makespan"]
+    dat += [f"{c['policy']} {_t(c['headline_mean'])} {_t(c['makespan'])}"
             for c in comparison]
 
-    try:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _emit(config, "compare", _COMPARE_HEADER, rows)
-        # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
-        dat = ["# policy headline_mean makespan"]
-        dat += [f"{c['policy']} {_t(c['headline_mean'])} {_t(c['makespan'])}"
-                for c in comparison]
-        (out_dir / "compare.dat").write_text("\n".join(dat) + "\n")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 0
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _emit(config, "compare", _COMPARE_HEADER, rows)
+    (out_dir / "compare.dat").write_text("\n".join(dat) + "\n")
 
 
-def cmd_sweep(config: RunConfig, task_counts: tuple[int, ...]) -> int:
+def cmd_sweep(config: RunConfig, task_counts: tuple[int, ...]) -> None:
     """Generate-and-run every (task count, policy) pair; write sweep.csv.
 
     Each count gets its own derived seed so adding counts never perturbs
     the others. Timings land in sweep_timing.csv, kept out of sweep.csv
     so the latter is byte-deterministic.
     """
-    try:
-        if not task_counts:
-            raise UsageError("no task counts given")
-        if any(n < 1 for n in task_counts):
-            raise UsageError("task counts must be >= 1")
-        policies = config.policies or POLICIES
+    if not task_counts:
+        raise UsageError("no task counts given")
+    if any(n < 1 for n in task_counts):
+        raise UsageError("task counts must be >= 1")
+    policies = config.policies or POLICIES
+    rows, timing_rows = [], []
+    for n in task_counts:
+        spec = GeneratorSpec(n_tasks=n, seed=derive_seed(config.seed, n))
+        scenario = generate(spec)
         for policy in policies:
-            if policy not in POLICIES:
-                raise UsageError(f"unknown policy {policy!r} "
-                                 f"(choose from {', '.join(POLICIES)})")
+            started = time.perf_counter()
+            report = summarize(_simulate(scenario.with_policy(policy)),
+                               policy=policy)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            rows.append([str(n), policy, _t(report.mean_cpu_time),
+                         _t(report.makespan)])
+            timing_rows.append([str(n), policy, _t(elapsed_ms, 3)])
 
-        rows, timing_rows = [], []
-        for n in task_counts:
-            spec = GeneratorSpec(n_tasks=n, seed=derive_seed(config.seed, n))
-            scenario = generate(spec)
-            for policy in policies:
-                started = time.perf_counter()
-                report, _ = _run_one(policy, scenario.with_policy(policy))
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                rows.append([str(n), policy, _t(report.mean_cpu_time),
-                             _t(report.makespan)])
-                timing_rows.append([str(n), policy, f"{elapsed_ms:.3f}"])
-    except (UsageError, ValidationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-    try:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _emit(config, "sweep",
-              ["n", "policy", "mean_cpu_time", "makespan"], rows)
-        _write_table(out_dir, "sweep_timing", "csv",
-                     ["n", "policy", "wall_clock_ms"], timing_rows)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 0
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _emit(config, "sweep", ["n", "policy", "mean_cpu_time", "makespan"], rows)
+    _write_table(out_dir, "sweep_timing", "csv",
+                 ["n", "policy", "wall_clock_ms"], timing_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +274,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if fmt not in FORMATS:
             raise UsageError(f"unknown format {fmt!r} "
                              f"(choose from {', '.join(FORMATS)})")
+    for policy in args.policy:
+        if policy not in POLICIES:
+            raise UsageError(f"unknown policy {policy!r} "
+                             f"(choose from {', '.join(POLICIES)})")
     generate_n = getattr(args, "generate", None)
     if generate_n is not None and generate_n < 1:
         raise UsageError("--generate needs at least one cloudlet")
@@ -329,18 +293,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit code says how it ended.
+
+    0 success; 1 usage, format, validation, capacity or overflow error;
+    2 I/O error. Each error is one `error: ...` line on stderr.
+    """
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except UsageError as err:
+        if args.command == "run":
+            cmd_run(config)
+        elif args.command == "compare":
+            cmd_compare(config)
+        else:
+            cmd_sweep(config, args.counts)
+    except (ValueError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    if args.command == "run":
-        return cmd_run(config)
-    if args.command == "compare":
-        return cmd_compare(config)
-    return cmd_sweep(config, args.counts)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def entrypoint() -> None:

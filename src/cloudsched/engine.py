@@ -41,13 +41,6 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
     return binding
 
 
-def _vm_datacenters(scenario: Scenario) -> dict[int, int]:
-    """vm_id -> datacenter_id of the host provisioning binds the VM to."""
-    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
-    return {vm_id: datacenter_of[host_id]
-            for vm_id, host_id in provision_vms(scenario).items()}
-
-
 def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     """Finish times of jobs sharing one VM under egalitarian sharing.
 
@@ -58,8 +51,6 @@ def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     length L all finish at exactly n*L/mips.
     """
     n = len(lengths)
-    if n == 0:
-        return []
     order = sorted(range(n), key=lambda i: (lengths[i], i))
     finish = [0.0] * n
     clock = 0.0
@@ -70,91 +61,70 @@ def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
         target = lengths[order[i]]
         clock += (target - served) * active / mips
         served = target
-        while i < n and lengths[order[i]] == target:
+        # Each group retires at least one job, so a NaN (equal to nothing,
+        # itself included) cannot stall the loop.
+        while True:
             finish[order[i]] = clock
             i += 1
+            if i == n or lengths[order[i]] != target:
+                break
     return finish
 
 
-def run_space_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResult:
-    """Execute the plan with one cloudlet at a time per VM, in plan order.
+def _space_shared(lengths: list[float], mips: float) -> list[tuple[float, float, float]]:
+    """One job at a time in queue order: each starts when the one ahead ends."""
+    times = []
+    clock = 0.0
+    for length in lengths:
+        cpu_time = length / mips
+        times.append((cpu_time, clock, clock + cpu_time))
+        clock += cpu_time
+    return times
 
-    cpu_time is pure service time (length / mips); start is the sum of the
-    cpu_times queued ahead on the same VM.
+
+def _time_shared(lengths: list[float], mips: float) -> list[tuple[float, float, float]]:
+    """Every job active from t = 0; cpu_time is the completion time."""
+    return [(finish, 0.0, finish) for finish in ps_finish_times(lengths, mips)]
+
+
+# mode -> per-VM kernel: (lengths in queue order, mips) -> (cpu_time, start,
+# finish) per job, the order of CloudletRecord's time fields. VMs do not
+# interact, so a run is the kernel applied to each VM's queue.
+_KERNELS = {
+    ExecutionMode.SPACE_SHARED: _space_shared,
+    ExecutionMode.TIME_SHARED: _time_shared,
+}
+
+
+def execute_plan(scenario: Scenario, plan: AssignmentPlan,
+                 mode: ExecutionMode) -> SimulationResult:
+    """Run `plan` under `mode`; records come back in arrival order.
+
+    A VM's busy time is its last finish, 0.0 when nothing was assigned.
     """
     validate_plan(scenario, plan)
-    datacenter_of = _vm_datacenters(scenario)
-    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
-    queues = plan.vm_queues()
-
-    records = []
-    usage = []
-    for vm in scenario.vms:
-        clock = 0.0
-        datacenter_id = datacenter_of[vm.id]
-        for cloudlet_id in queues.get(vm.id, []):
-            cpu_time = cloudlets[cloudlet_id].length / vm.mips
-            records.append(CloudletRecord(
-                cloudlet_id=cloudlet_id,
-                vm_id=vm.id,
-                datacenter_id=datacenter_id,
-                cpu_time=cpu_time,
-                start_time=clock,
-                finish_time=clock + cpu_time,
-            ))
-            clock += cpu_time
-        usage.append(VmUsage(vm.id, datacenter_id, vm.mips, busy_time=clock))
-
-    return SimulationResult(
-        mode=ExecutionMode.SPACE_SHARED,
-        records=_in_arrival_order(scenario, records),
-        vm_usage=tuple(usage),
-    )
-
-
-def run_time_shared(scenario: Scenario, plan: AssignmentPlan) -> SimulationResult:
-    """Execute the plan with all of a VM's cloudlets simultaneously active.
-
-    Per VM this is the processor-sharing kernel (ps_finish_times); VMs do
-    not interact, so merging the per-VM event streams gives the global
-    event order. Reported cpu_time is finish - start with start = 0.
-    """
-    validate_plan(scenario, plan)
-    datacenter_of = _vm_datacenters(scenario)
-    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
+    kernel = _KERNELS[mode]
+    host_of = provision_vms(scenario)
+    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
+    lengths = {cl.id: cl.length for cl in scenario.cloudlets}
     queues = plan.vm_queues()
 
     records = []
     usage = []
     for vm in scenario.vms:
         queue = queues.get(vm.id, [])
-        datacenter_id = datacenter_of[vm.id]
-        finishes = ps_finish_times([cloudlets[cid].length for cid in queue], vm.mips)
-        for cloudlet_id, finish in zip(queue, finishes):
-            records.append(CloudletRecord(
-                cloudlet_id=cloudlet_id,
-                vm_id=vm.id,
-                datacenter_id=datacenter_id,
-                cpu_time=finish,
-                start_time=0.0,
-                finish_time=finish,
-            ))
+        datacenter_id = datacenter_of[host_of[vm.id]]
+        times = kernel([lengths[cid] for cid in queue], vm.mips)
+        records += [CloudletRecord(cloudlet_id, vm.id, datacenter_id, *span)
+                    for cloudlet_id, span in zip(queue, times)]
         usage.append(VmUsage(vm.id, datacenter_id, vm.mips,
-                             busy_time=max(finishes, default=0.0)))
+                             busy_time=max((t[2] for t in times), default=0.0)))
 
     return SimulationResult(
-        mode=ExecutionMode.TIME_SHARED,
+        mode=mode,
         records=_in_arrival_order(scenario, records),
         vm_usage=tuple(usage),
     )
-
-
-def execute_plan(scenario: Scenario, plan: AssignmentPlan,
-                 mode: ExecutionMode) -> SimulationResult:
-    """Run `plan` under `mode`."""
-    if mode is ExecutionMode.SPACE_SHARED:
-        return run_space_shared(scenario, plan)
-    return run_time_shared(scenario, plan)
 
 
 def _in_arrival_order(scenario: Scenario,

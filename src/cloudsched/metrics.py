@@ -7,14 +7,7 @@ read off directly. Nothing here rounds - formatting happens at output.
 
 from dataclasses import dataclass
 
-from .model import AssignmentPlan, ExecutionMode, Scenario, SimulationResult
-
-
-@dataclass(frozen=True)
-class VmLoad:
-    vm_id: int
-    busy_time: float
-    utilization: float
+from .model import ExecutionMode, SimulationResult, VmUsage
 
 
 @dataclass(frozen=True)
@@ -25,7 +18,7 @@ class PolicyReport:
     mean_cpu_time: float
     mean_completion_time: float
     makespan: float
-    vm_loads: tuple[VmLoad, ...]
+    vm_usage: tuple[VmUsage, ...]
     total_work: float
 
     @property
@@ -38,7 +31,9 @@ class PolicyReport:
 
     @property
     def mean_utilization(self) -> float:
-        return sum(v.utilization for v in self.vm_loads) / len(self.vm_loads)
+        """Mean over VMs of busy time / makespan."""
+        return (sum(u.busy_time / self.makespan for u in self.vm_usage)
+                / len(self.vm_usage))
 
 
 def summarize(result: SimulationResult, policy: str = "") -> PolicyReport:
@@ -46,30 +41,16 @@ def summarize(result: SimulationResult, policy: str = "") -> PolicyReport:
     if not result.records:
         raise ValueError("empty result")
     n = len(result.records)
-    makespan = result.makespan
-    loads = tuple(
-        VmLoad(u.vm_id, u.busy_time, u.busy_time / makespan)
-        for u in result.vm_usage
-    )
     return PolicyReport(
         policy=policy,
         mode=result.mode,
         n_cloudlets=n,
         mean_cpu_time=result.mean_cpu_time,
         mean_completion_time=sum(r.finish_time for r in result.records) / n,
-        makespan=makespan,
-        vm_loads=loads,
+        makespan=result.makespan,
+        vm_usage=result.vm_usage,
         total_work=sum(u.busy_time * u.mips for u in result.vm_usage),
     )
-
-
-def mean_cpu_from_plan(scenario: Scenario, plan: AssignmentPlan) -> float:
-    """Mean service time computed straight from the plan, bypassing the
-    engine; cross-checks record-derived means for space-shared policies."""
-    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
-    mips = {vm.id: vm.mips for vm in scenario.vms}
-    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan.entries)
-    return total / len(plan.entries)
 
 
 def compare(reports: list[PolicyReport]) -> list[dict]:

@@ -38,18 +38,15 @@ class Cloudlet:
     id: int
     length: float
     arrival_index: int
-    pe_count: int = 1
 
 
 @dataclass(frozen=True)
 class Vm:
-    """A virtual machine rated in MIPS; `host_id` is set by provisioning."""
+    """A virtual machine rated in MIPS."""
 
     id: int
     mips: float
     ram_mb: int
-    pe_count: int = 1
-    host_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -215,10 +212,6 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             problems.append(f"non-positive mips on vm {vm.id}")
         if vm.ram_mb <= 0:
             problems.append(f"non-positive ram on vm {vm.id}")
-        if vm.pe_count <= 0:
-            problems.append(f"non-positive pe count on vm {vm.id}")
-        if vm.host_id is not None and vm.host_id not in seen_host:
-            problems.append(f"vm {vm.id} references unknown host {vm.host_id}")
 
     seen_cl: set[int] = set()
     arrivals: list[int] = []
@@ -232,8 +225,6 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             problems.append(f"non-finite length on cloudlet {cl.id}")
         elif cl.length <= 0:
             problems.append(f"non-positive length on cloudlet {cl.id}")
-        if cl.pe_count <= 0:
-            problems.append(f"non-positive pe count on cloudlet {cl.id}")
         arrivals.append(cl.arrival_index)
 
     if arrivals and sorted(arrivals) != list(range(len(arrivals))):

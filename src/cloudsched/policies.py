@@ -13,28 +13,15 @@ All tie-breaks are total and documented, so each plan is deterministic.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .model import (
-    AssignmentPlan,
-    Cloudlet,
-    ExecutionMode,
-    Scenario,
-    Vm,
-)
+from .model import AssignmentPlan, Cloudlet, ExecutionMode, Scenario
 
 
 @dataclass(frozen=True)
 class PolicyOutcome:
-    """A plan plus its execution mode and the priority orders behind it."""
+    """A plan plus the mode it executes in."""
 
     plan: AssignmentPlan
     mode: ExecutionMode
-    vm_ranking: tuple[int, ...]
-    cloudlet_ranking: tuple[int, ...]
-
-
-def rank_vms_by_mips(vms: tuple[Vm, ...]) -> list[int]:
-    """VM ids by descending MIPS; ties broken by ascending id."""
-    return [vm.id for vm in sorted(vms, key=lambda v: (-v.mips, v.id))]
 
 
 def rank_cloudlets_by_length(cloudlets: tuple[Cloudlet, ...]) -> list[int]:
@@ -43,45 +30,19 @@ def rank_cloudlets_by_length(cloudlets: tuple[Cloudlet, ...]) -> list[int]:
     return [cl.id for cl in ranked]
 
 
-def _by_arrival(scenario: Scenario) -> list[Cloudlet]:
-    return sorted(scenario.cloudlets, key=lambda c: c.arrival_index)
-
-
 def _cyclic_plan(scenario: Scenario) -> AssignmentPlan:
-    """Cloudlet k (arrival order) -> VM k mod m (declared VM order)."""
-    vms = scenario.vms
-    entries = tuple(
-        (cl.id, vms[k % len(vms)].id)
-        for k, cl in enumerate(_by_arrival(scenario))
-    )
-    return AssignmentPlan(entries)
+    """Cloudlet k (arrival order) -> VM k mod m (declared VM order).
 
-
-def fcfs_assign(scenario: Scenario) -> PolicyOutcome:
-    """First-come-first-serve: cyclic deal in creation order, space-shared."""
-    return PolicyOutcome(
-        plan=_cyclic_plan(scenario),
-        mode=ExecutionMode.SPACE_SHARED,
-        vm_ranking=tuple(vm.id for vm in scenario.vms),
-        cloudlet_ranking=tuple(cl.id for cl in _by_arrival(scenario)),
-    )
-
-
-def rr_assign(scenario: Scenario) -> PolicyOutcome:
-    """Round robin: cyclic deal over the VM ring, time-shared.
-
-    The ring is the scenario's declared VM order; reorder the VMs in the
-    scenario to change the ring.
+    fcfs and rr share this plan; the declared VM order is rr's ring, so
+    reorder the VMs in the scenario to change the ring.
     """
-    return PolicyOutcome(
-        plan=_cyclic_plan(scenario),
-        mode=ExecutionMode.TIME_SHARED,
-        vm_ranking=tuple(vm.id for vm in scenario.vms),
-        cloudlet_ranking=tuple(cl.id for cl in _by_arrival(scenario)),
-    )
+    vms = scenario.vms
+    by_arrival = sorted(scenario.cloudlets, key=lambda c: c.arrival_index)
+    return AssignmentPlan(tuple(
+        (cl.id, vms[k % len(vms)].id) for k, cl in enumerate(by_arrival)))
 
 
-def gpa_assign(scenario: Scenario) -> PolicyOutcome:
+def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
     Cloudlets are processed longest-first; each goes to the VM minimizing
@@ -150,29 +111,23 @@ def gpa_assign(scenario: Scenario) -> PolicyOutcome:
         while not ids_at[works[0]]:
             del ids_at[heappop(works)]
 
-    return PolicyOutcome(
-        plan=AssignmentPlan(tuple(entries)),
-        mode=ExecutionMode.SPACE_SHARED,
-        vm_ranking=tuple(rank_vms_by_mips(scenario.vms)),
-        cloudlet_ranking=tuple(ranked),
-    )
+    return AssignmentPlan(tuple(entries))
 
 
-_POLICY_FNS = {
-    "fcfs": fcfs_assign,
-    "rr": rr_assign,
-    "gpa": gpa_assign,
+# policy -> (plan builder, default execution mode).
+_POLICIES = {
+    "fcfs": (_cyclic_plan, ExecutionMode.SPACE_SHARED),
+    "rr": (_cyclic_plan, ExecutionMode.TIME_SHARED),
+    "gpa": (_gpa_plan, ExecutionMode.SPACE_SHARED),
 }
 
 
 def assign(scenario: Scenario) -> PolicyOutcome:
-    """Dispatch to the scenario's policy, applying any mode override."""
+    """The scenario's policy plan, in its execution mode (the scenario's
+    `execution_mode` when set, else the policy's default)."""
     try:
-        policy_fn = _POLICY_FNS[scenario.policy]
+        build_plan, default_mode = _POLICIES[scenario.policy]
     except KeyError:
         raise ValueError(f"unknown policy {scenario.policy!r}") from None
-    outcome = policy_fn(scenario)
-    if scenario.execution_mode is not None:
-        outcome = PolicyOutcome(outcome.plan, scenario.execution_mode,
-                                outcome.vm_ranking, outcome.cloudlet_ranking)
-    return outcome
+    return PolicyOutcome(build_plan(scenario),
+                         scenario.execution_mode or default_mode)

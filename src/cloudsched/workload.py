@@ -266,14 +266,12 @@ def save_scenario(scenario: Scenario) -> str:
         }
         for dc in scenario.datacenters
     ]
-    doc["vms"] = []
-    for vm in scenario.vms:
-        entry: dict = {"id": vm.id, "mips": vm.mips, "ram_mb": vm.ram_mb,
-                       "pe_count": vm.pe_count}
-        doc["vms"].append(entry)
+    doc["vms"] = [
+        {"id": vm.id, "mips": vm.mips, "ram_mb": vm.ram_mb}
+        for vm in scenario.vms
+    ]
     doc["cloudlets"] = [
-        {"id": cl.id, "length": cl.length, "arrival_index": cl.arrival_index,
-         "pe_count": cl.pe_count}
+        {"id": cl.id, "length": cl.length, "arrival_index": cl.arrival_index}
         for cl in scenario.cloudlets
     ]
     return json.dumps(doc, indent=2) + "\n"
@@ -307,14 +305,17 @@ def load_scenario(source) -> Scenario:
 
     try:
         doc = json.loads(text, parse_constant=parse_constant)
+        non_finite = (next(_non_finite_numbers(doc, "document"), None)
+                      if constants else None)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
-    if constants:
-        for where, value in _non_finite_numbers(doc, "document"):
-            raise ScenarioFormatError(
-                f"{where}: non-finite number {value} is not allowed")
+    except RecursionError:
+        raise ScenarioFormatError("document nested too deeply") from None
+    if non_finite:
+        where, value = non_finite
+        raise ScenarioFormatError(f"{where}: non-finite number {value} is not allowed")
 
     scenario = _scenario_from_doc(doc)
     return validate_scenario(scenario)
@@ -355,6 +356,13 @@ def _as_int(obj: dict, where: str, key: str, default=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"{where}.{key}: expected an integer")
     return value
+
+
+def _check_pe_count(obj: dict, where: str) -> None:
+    """`pe_count` is accepted for compatibility and ignored, but a value
+    that no processor count could have is still an error."""
+    if _as_int(obj, where, "pe_count", default=1) < 1:
+        raise ScenarioFormatError(f"{where}.pe_count: expected a positive integer")
 
 
 def _as_number(obj: dict, where: str, key: str) -> float:
@@ -419,22 +427,22 @@ def _scenario_from_doc(doc) -> Scenario:
             id=_as_int(vm_doc, where, "id"),
             mips=_as_number(vm_doc, where, "mips"),
             ram_mb=_as_int(vm_doc, where, "ram_mb"),
-            pe_count=_as_int(vm_doc, where, "pe_count", default=1),
         ))
+        _check_pe_count(vm_doc, where)
 
     cloudlets = []
     for i, cl_doc in enumerate(doc["cloudlets"]):
         where = f"cloudlets[{i}]"
-        # file_size/output_size are accepted for compatibility and ignored:
-        # execution depends only on length and MIPS.
+        # pe_count/file_size/output_size are accepted for compatibility and
+        # ignored: execution depends only on length and MIPS.
         _check_keys(cl_doc, where, required=("id", "length", "arrival_index"),
                     optional=("pe_count", "file_size", "output_size"))
         cloudlets.append(Cloudlet(
             id=_as_int(cl_doc, where, "id"),
             length=_as_number(cl_doc, where, "length"),
             arrival_index=_as_int(cl_doc, where, "arrival_index"),
-            pe_count=_as_int(cl_doc, where, "pe_count", default=1),
         ))
+        _check_pe_count(cl_doc, where)
 
     return Scenario(
         datacenters=tuple(datacenters),

@@ -10,15 +10,11 @@ import time
 
 from cloudsched import (
     POLICIES,
+    ExecutionMode,
     assign,
     builtin_scenario,
     execute_plan,
-    fcfs_assign,
-    gpa_assign,
     ps_finish_times,
-    rr_assign,
-    run_space_shared,
-    run_time_shared,
 )
 from cloudsched.cli import main
 from cloudsched.model import AssignmentPlan
@@ -105,14 +101,12 @@ def test_criterion_5_ps_kernel_matches_integrator():
 
 
 def test_criterion_6_property_suite():
-    assigners = {"fcfs": fcfs_assign, "rr": rr_assign, "gpa": gpa_assign}
-
     # Plan coverage: every cloudlet appears exactly once, on a known VM.
     rng = random.Random(601)
     for _ in range(500):
         scenario = make_random_scenario(rng)
-        for assigner in assigners.values():
-            plan = assigner(scenario).plan
+        for policy in POLICIES:
+            plan = assign(scenario.with_policy(policy)).plan
             assert sorted(cl_id for cl_id, _ in plan.entries) == \
                 sorted(cl.id for cl in scenario.cloudlets)
             vm_ids = {vm.id for vm in scenario.vms}
@@ -122,7 +116,7 @@ def test_criterion_6_property_suite():
     rng = random.Random(602)
     for _ in range(500):
         scenario = make_random_scenario(rng)
-        outcome = assigners[scenario.policy](scenario)
+        outcome = assign(scenario)
         result = execute_plan(scenario, outcome.plan, outcome.mode)
         assigned = {vm.id: 0.0 for vm in scenario.vms}
         for cl_id, vm_id in outcome.plan.entries:
@@ -146,26 +140,27 @@ def test_criterion_6_property_suite():
         rng.shuffle(vm_ids)
         plan = AssignmentPlan(entries=tuple(
             (cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets)))
-        assert run_space_shared(scenario, plan).records == \
-            run_time_shared(scenario, plan).records
+        space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
+        shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
+        assert space.records == shared.records
 
     # Greedy argmin choices are invariant under uniform MIPS scaling.
     rng = random.Random(604)
     for _ in range(500):
         scenario = make_random_scenario(rng, policy="gpa")
-        baseline = gpa_assign(scenario).plan
+        baseline = assign(scenario).plan
         factor = rng.choice((0.5, 2.0, 4.0))
         scaled = make_scenario([vm.mips * factor for vm in scenario.vms],
                                [cl.length for cl in scenario.cloudlets],
                                policy="gpa")
-        assert gpa_assign(scaled).plan == baseline
+        assert assign(scaled).plan == baseline
 
     # Cyclic dispatch keeps queue sizes within one of each other.
     rng = random.Random(605)
     for _ in range(500):
         scenario = make_random_scenario(rng, policy="fcfs")
-        for assigner in (fcfs_assign, rr_assign):
-            queues = assigner(scenario).plan.vm_queues()
+        for policy in ("fcfs", "rr"):
+            queues = assign(scenario.with_policy(policy)).plan.vm_queues()
             sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
             assert max(sizes) - min(sizes) <= 1
 

@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import json
+
 import pytest
 
 from cloudsched import (
@@ -10,6 +12,7 @@ from cloudsched import (
     write_scenario,
 )
 from cloudsched.cli import main
+from conftest import make_scenario
 
 FCFS_GOLDEN = """\
 cloudlet_id,datacenter_id,vm_id,cpu_time,start,finish
@@ -137,6 +140,46 @@ def test_insufficient_capacity_is_an_error_not_a_traceback(tmp_path, capsys,
     code = main([command, "--scenario", str(bad), "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == "error: insufficient capacity for vm 5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "fcfs"], ["run", "--policy", "rr"],
+    ["run", "--policy", "gpa"], ["compare"]], ids=" ".join)
+@pytest.mark.parametrize("vm_mips", [[1], [1, 1]], ids=["one-vm", "two-vms"])
+def test_overflowing_results_are_an_error_not_inf(tmp_path, capsys, argv,
+                                                  vm_mips):
+    # Each length is a finite float, but on one VM the finish (or the
+    # processor-sharing clock) overflows; on two, every record is finite
+    # and only the mean overflows.
+    path = tmp_path / "huge.json"
+    write_scenario(make_scenario(vm_mips, [1e308, 1e308]), path)
+    out = tmp_path / "out"
+    code = main(argv + ["--scenario", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: result inf is not a finite number")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_deeply_nested_document_is_a_format_error(tmp_path, capsys,
+                                                  time_limit):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"policy": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code = main(["run", "--scenario", str(deep), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: document nested too deeply\n"
+
+
+def test_run_rejects_a_bad_pe_count_with_its_location(tmp_path, capsys):
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    doc["cloudlets"][2]["pe_count"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: cloudlets[2].pe_count: expected a positive integer\n"
 
 
 def test_run_scenario_file_roundtrip(tmp_path):

@@ -18,8 +18,6 @@ from cloudsched import (
     execute_plan,
     provision_vms,
     ps_finish_times,
-    run_space_shared,
-    run_time_shared,
 )
 from conftest import integrate_ps, make_random_scenario, make_scenario
 
@@ -181,6 +179,12 @@ def test_ps_sharing_never_beats_running_alone():
                 assert value > solo
 
 
+def test_ps_terminates_on_nan(time_limit):
+    # NaN equals nothing, so a group keyed on it must still retire a job.
+    assert len(ps_finish_times([math.nan, 5.0], 1000.0)) == 2
+    assert len(ps_finish_times([5.0, math.nan, 5.0], 1000.0)) == 3
+
+
 def test_ps_matches_fixed_timestep_integrator():
     rng = random.Random(23)
     for _ in range(50):
@@ -199,7 +203,7 @@ def test_ps_matches_fixed_timestep_integrator():
 def test_space_shared_golden_run(fcfs_scenario):
     plan = AssignmentPlan(entries=tuple(
         (k + 1, (k % 5) + 1) for k in range(12)))
-    result = run_space_shared(fcfs_scenario, plan)
+    result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     assert result.mode is ExecutionMode.SPACE_SHARED
     assert [r.cpu_time for r in result.records] == [
         80.0, 10.0, 80.0, 20.0, 40.0, 80.0, 10.0, 80.0, 20.0, 40.0, 80.0, 10.0]
@@ -213,7 +217,7 @@ def test_space_shared_golden_run(fcfs_scenario):
 def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
     plan = AssignmentPlan(entries=tuple(
         (k + 1, (k % 5) + 1) for k in range(12)))
-    result = run_space_shared(fcfs_scenario, plan)
+    result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     busy = {u.vm_id: u.busy_time for u in result.vm_usage}
     assert busy == {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
 
@@ -221,7 +225,7 @@ def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
 def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
     plan = AssignmentPlan(entries=tuple(
         (k + 1, (k % 5) + 1) for k in range(12)))
-    result = run_space_shared(fcfs_scenario, plan)
+    result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     dc_of_vm = {r.vm_id: r.datacenter_id for r in result.records}
     assert dc_of_vm == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
 
@@ -232,7 +236,7 @@ def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
 def test_time_shared_golden_run(rr_scenario):
     plan = AssignmentPlan(entries=tuple(
         (k + 1, (k % 5) + 1) for k in range(12)))
-    result = run_time_shared(rr_scenario, plan)
+    result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     assert result.mode is ExecutionMode.TIME_SHARED
     assert [r.finish_time for r in result.records] == [
         240.0, 120.0, 160.0, 40.0, 20.0, 240.0, 120.0, 160.0, 40.0, 20.0,
@@ -245,7 +249,7 @@ def test_time_shared_golden_run(rr_scenario):
 def test_time_shared_busy_time_is_last_finish(rr_scenario):
     plan = AssignmentPlan(entries=tuple(
         (k + 1, (k % 5) + 1) for k in range(12)))
-    result = run_time_shared(rr_scenario, plan)
+    result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     busy = {u.vm_id: u.busy_time for u in result.vm_usage}
     assert busy == {1: 240.0, 2: 120.0, 3: 160.0, 4: 40.0, 5: 20.0}
 
@@ -262,8 +266,8 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
         rng.shuffle(vm_ids)
         plan = AssignmentPlan(entries=tuple(
             (cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets)))
-        space = run_space_shared(scenario, plan)
-        shared = run_time_shared(scenario, plan)
+        space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
+        shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
         assert space.records == shared.records
         assert [u.busy_time for u in space.vm_usage] == \
                [u.busy_time for u in shared.vm_usage]
@@ -272,15 +276,16 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
 def test_unassigned_vm_still_reports_zero_busy_time():
     scenario = make_scenario([250, 500], [1000])
     plan = AssignmentPlan(entries=((1, 1),))
-    for result in (run_space_shared(scenario, plan),
-                   run_time_shared(scenario, plan)):
+    for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
+                   execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
         busy = {u.vm_id: u.busy_time for u in result.vm_usage}
         assert busy[2] == 0.0
 
 
 def test_space_shared_unit_case():
     scenario = make_scenario([7500], [7500], policy="fcfs")
-    result = run_space_shared(scenario, AssignmentPlan(entries=((1, 1),)))
+    result = execute_plan(scenario, AssignmentPlan(entries=((1, 1),)),
+                          ExecutionMode.SPACE_SHARED)
     record = result.records[0]
     assert record.cpu_time == 1.0
     assert result.makespan == 1.0
@@ -290,8 +295,9 @@ def test_identical_runs_are_identical():
     scenario = make_scenario([250, 1000, 500], [9000, 4000, 22000, 100],
                              policy="fcfs")
     plan = AssignmentPlan(entries=((1, 2), (2, 1), (3, 3), (4, 2)))
-    assert run_space_shared(scenario, plan) == run_space_shared(scenario, plan)
-    assert run_time_shared(scenario, plan) == run_time_shared(scenario, plan)
+    for mode in ExecutionMode:
+        assert execute_plan(scenario, plan, mode) == \
+            execute_plan(scenario, plan, mode)
 
 
 def test_execute_plan_dispatches_on_mode(fcfs_scenario):
@@ -305,9 +311,11 @@ def test_execute_plan_dispatches_on_mode(fcfs_scenario):
 
 def test_runs_reject_invalid_plans(fcfs_scenario):
     with pytest.raises(ValidationError):
-        run_space_shared(fcfs_scenario, AssignmentPlan(entries=((1, 1),)))
+        execute_plan(fcfs_scenario, AssignmentPlan(entries=((1, 1),)),
+                     ExecutionMode.SPACE_SHARED)
     with pytest.raises(ValidationError):
-        run_time_shared(fcfs_scenario, AssignmentPlan(entries=((1, 1),)))
+        execute_plan(fcfs_scenario, AssignmentPlan(entries=((1, 1),)),
+                     ExecutionMode.TIME_SHARED)
 
 
 def test_work_conservation_per_vm_both_modes():
@@ -321,8 +329,8 @@ def test_work_conservation_per_vm_both_modes():
         expected = {vm.id: 0.0 for vm in scenario.vms}
         for cl_id, vm_id in plan.entries:
             expected[vm_id] += scenario.cloudlet_by_id(cl_id).length
-        for result in (run_space_shared(scenario, plan),
-                       run_time_shared(scenario, plan)):
+        for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
+                       execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
             for usage in result.vm_usage:
                 work = expected[usage.vm_id] / usage.mips
                 assert math.isclose(usage.busy_time, work,

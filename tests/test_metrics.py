@@ -9,10 +9,18 @@ from cloudsched import (
     assign,
     compare,
     execute_plan,
-    mean_cpu_from_plan,
     summarize,
 )
 from conftest import make_scenario
+
+
+def mean_cpu_from_plan(scenario, plan):
+    """Mean service time computed straight from the plan, bypassing the
+    engine; cross-checks record-derived means for space-shared policies."""
+    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
+    mips = {vm.id: vm.mips for vm in scenario.vms}
+    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan.entries)
+    return total / len(plan.entries)
 
 
 def run_policy(scenario):
@@ -33,7 +41,7 @@ def test_summarize_fcfs_benchmark(fcfs_scenario):
 
 def test_summarize_utilization_per_vm(fcfs_scenario):
     report = summarize(run_policy(fcfs_scenario), policy="fcfs")
-    util = {load.vm_id: load.utilization for load in report.vm_loads}
+    util = {u.vm_id: u.busy_time / report.makespan for u in report.vm_usage}
     assert util[1] == 1.0                      # busy 240 of makespan 240
     assert math.isclose(util[2], 30.0 / 240.0, rel_tol=1e-12)
     assert all(0.0 <= u <= 1.0 for u in util.values())

@@ -9,16 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import (
+    POLICIES,
     ExecutionMode,
     Scenario,
     Vm,
     assign,
     execute_plan,
-    fcfs_assign,
-    gpa_assign,
     rank_cloudlets_by_length,
-    rank_vms_by_mips,
-    rr_assign,
 )
 from conftest import make_random_scenario, make_scenario
 
@@ -47,7 +44,7 @@ def greedy_reference(scenario):
 def linear_gpa_reference(scenario):
     """The greedy scheduler as a float scan over every VM per cloudlet.
 
-    Same float arithmetic as gpa_assign, so the two plans must be equal
+    Same float arithmetic as the gpa policy, so the two plans must be equal
     entry for entry, including where float sums round to a tie.
     """
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
@@ -90,19 +87,20 @@ def _tie_prone_gpa_scenarios(draw):
 # cyclic policies
 
 def test_fcfs_deals_cloudlets_cyclically(fcfs_scenario):
-    outcome = fcfs_assign(fcfs_scenario)
+    outcome = assign(fcfs_scenario)
     assert outcome.mode is ExecutionMode.SPACE_SHARED
     assert outcome.plan.entries == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
 
 
 def test_rr_uses_declared_vm_order_as_ring(rr_scenario):
-    outcome = rr_assign(rr_scenario)
+    outcome = assign(rr_scenario)
     assert outcome.mode is ExecutionMode.TIME_SHARED
     assert outcome.plan.entries == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
     # The builtin declares the ring MIPS-ascending.
-    assert [rr_scenario.vm_by_id(i).mips for i in outcome.vm_ranking] == \
+    ring = [vm_id for _, vm_id in outcome.plan.entries[:5]]
+    assert [rr_scenario.vm_by_id(i).mips for i in ring] == \
         [250.0, 250.0, 250.0, 500.0, 1000.0]
 
 
@@ -110,7 +108,7 @@ def test_cyclic_queue_sizes_differ_by_at_most_one():
     rng = random.Random(43)
     for _ in range(200):
         scenario = make_random_scenario(rng, policy="fcfs")
-        queues = fcfs_assign(scenario).plan.vm_queues()
+        queues = assign(scenario).plan.vm_queues()
         sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
         assert max(sizes) - min(sizes) <= 1
 
@@ -119,14 +117,15 @@ def test_fcfs_and_rr_share_the_same_plan():
     rng = random.Random(47)
     for _ in range(50):
         scenario = make_random_scenario(rng, policy="fcfs")
-        assert fcfs_assign(scenario).plan == rr_assign(scenario).plan
+        assert assign(scenario.with_policy("fcfs")).plan == \
+            assign(scenario.with_policy("rr")).plan
 
 
 # ---------------------------------------------------------------------------
 # greedy priority policy
 
 def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
-    outcome = gpa_assign(gpa_scenario)
+    outcome = assign(gpa_scenario)
     queues = outcome.plan.vm_queues()
     length = {cl.id: cl.length for cl in gpa_scenario.cloudlets}
     by_vm = {vm_id: sorted(length[c] for c in ids)
@@ -140,41 +139,41 @@ def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
 
 def test_gpa_processes_longest_cloudlets_first():
     scenario = make_scenario([500], [100, 900, 500, 900], policy="gpa")
-    outcome = gpa_assign(scenario)
+    outcome = assign(scenario)
     # Descending length, ties by arrival: ids 2, 4 (both 900), 3, 1.
-    assert outcome.cloudlet_ranking == (2, 4, 3, 1)
+    assert rank_cloudlets_by_length(scenario.cloudlets) == [2, 4, 3, 1]
     assert [cl_id for cl_id, _ in outcome.plan.entries] == [2, 4, 3, 1]
 
 
 def test_gpa_first_pick_is_the_fastest_vm():
     scenario = make_scenario([250, 1000, 500], [8000], policy="gpa")
-    assert gpa_assign(scenario).plan.entries == ((1, 2),)
+    assert assign(scenario).plan.entries == ((1, 2),)
 
 
 def test_gpa_ratio_tie_prefers_higher_mips():
     # After two 1000s on the 500-MIPS VM its ratio for a third equals the
     # idle 250-MIPS VM's ratio exactly; the faster VM must win the tie.
     scenario = make_scenario([500, 250], [1000, 1000, 1000], policy="gpa")
-    queues = gpa_assign(scenario).plan.vm_queues()
+    queues = assign(scenario).plan.vm_queues()
     assert queues[1] == [1, 2]
     assert queues[2] == [3]
 
 
 def test_gpa_mips_tie_prefers_lower_vm_id():
     scenario = make_scenario([250, 250], [1000], policy="gpa")
-    assert gpa_assign(scenario).plan.entries == ((1, 1),)
+    assert assign(scenario).plan.entries == ((1, 1),)
 
 
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
     for _ in range(300):
         scenario = make_random_scenario(rng, policy="gpa")
-        assert gpa_assign(scenario).plan.entries == greedy_reference(scenario)
+        assert assign(scenario).plan.entries == greedy_reference(scenario)
 
 
 @given(_tie_prone_gpa_scenarios())
 def test_gpa_matches_the_linear_scan_on_tie_prone_scenarios(scenario):
-    assert gpa_assign(scenario).plan.entries == linear_gpa_reference(scenario)
+    assert assign(scenario).plan.entries == linear_gpa_reference(scenario)
 
 
 def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
@@ -184,14 +183,14 @@ def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
     scenario = make_scenario(
         [(250, 500, 1000, 2000)[i % 4] for i in range(400)],
         [rng.randint(1000, 50000) for _ in range(1000)], policy="gpa")
-    assert gpa_assign(scenario).plan.entries == linear_gpa_reference(scenario)
+    assert assign(scenario).plan.entries == linear_gpa_reference(scenario)
 
 
 def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
     rng = random.Random(59)
     for _ in range(100):
         scenario = make_random_scenario(rng, policy="gpa")
-        baseline = gpa_assign(scenario).plan
+        baseline = assign(scenario).plan
         for factor in (0.5, 2.0, 4.0):
             scaled = Scenario(
                 datacenters=tuple(
@@ -203,23 +202,32 @@ def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
                           for vm in scenario.vms),
                 cloudlets=scenario.cloudlets,
                 policy="gpa")
-            assert gpa_assign(scaled).plan == baseline
+            assert assign(scaled).plan == baseline
+
+
+def gpa_vm_order(vms, lengths):
+    """VM ids in gpa's pick order for `lengths` (given longest first) on
+    `vms`. With each length short enough that no busy VM beats an idle
+    one, the picks walk the VMs by descending MIPS, then ascending id."""
+    scenario = replace(make_scenario([250], lengths, policy="gpa", check=False),
+                       vms=tuple(vms))
+    return [vm_id for _, vm_id in assign(scenario).plan.entries]
 
 
 def test_rank_helpers_break_ties_deterministically():
     scenario = make_scenario([500, 1000, 500], [10, 20, 20, 5])
-    assert rank_vms_by_mips(scenario.vms) == [2, 1, 3]
+    assert gpa_vm_order(scenario.vms, [20, 10, 10]) == [2, 1, 3]
     assert rank_cloudlets_by_length(scenario.cloudlets) == [2, 3, 1, 4]
 
 
 def test_rank_vms_handles_zero_based_ids():
-    # Ranking is a pure function of (mips, id); it works on any id scheme.
+    # The tie rule is a pure function of (mips, id); it works on any id scheme.
     vms = tuple(Vm(id=i, mips=m, ram_mb=512)
                 for i, m in enumerate((250.0, 1000.0, 250.0, 500.0, 250.0)))
-    assert rank_vms_by_mips(vms) == [1, 3, 0, 2, 4]
-    assert rank_vms_by_mips(vms[:1]) == [0]
+    assert gpa_vm_order(vms, [100, 40, 10, 10, 10]) == [1, 3, 0, 2, 4]
+    assert gpa_vm_order(vms[:1], [100]) == [0]
     equal = tuple(Vm(id=i, mips=250.0, ram_mb=512) for i in (3, 1, 2))
-    assert rank_vms_by_mips(equal) == [1, 2, 3]
+    assert gpa_vm_order(equal, [10, 10, 10]) == [1, 2, 3]
 
 
 def test_rank_cloudlets_on_the_benchmark_workload(fcfs_scenario):
@@ -230,19 +238,19 @@ def test_rank_cloudlets_on_the_benchmark_workload(fcfs_scenario):
 
 def test_fcfs_single_vm_keeps_arrival_order():
     scenario = make_scenario([250], [100, 200, 300], policy="fcfs")
-    assert fcfs_assign(scenario).plan.entries == ((1, 1), (2, 1), (3, 1))
+    assert assign(scenario).plan.entries == ((1, 1), (2, 1), (3, 1))
 
 
 def test_fcfs_equal_counts_give_a_bijection():
     scenario = make_scenario([250, 500, 1000], [100, 200, 300], policy="fcfs")
-    assert fcfs_assign(scenario).plan.entries == ((1, 1), (2, 2), (3, 3))
+    assert assign(scenario).plan.entries == ((1, 1), (2, 2), (3, 3))
 
 
 def test_rr_with_fewer_cloudlets_than_vms_matches_fcfs_times():
     scenario = make_scenario([250, 500, 1000], [5000, 8000], policy="rr")
-    rr_outcome = rr_assign(scenario)
+    rr_outcome = assign(scenario)
     rr_result = execute_plan(scenario, rr_outcome.plan, rr_outcome.mode)
-    fcfs_outcome = fcfs_assign(scenario)
+    fcfs_outcome = assign(scenario.with_policy("fcfs"))
     fcfs_result = execute_plan(scenario, fcfs_outcome.plan, fcfs_outcome.mode)
     assert [r.cpu_time for r in rr_result.records] == \
         [r.cpu_time for r in fcfs_result.records]
@@ -252,8 +260,9 @@ def test_policies_are_stable():
     rng = random.Random(61)
     for _ in range(30):
         scenario = make_random_scenario(rng)
-        for policy_fn in (fcfs_assign, rr_assign, gpa_assign):
-            assert policy_fn(scenario) == policy_fn(scenario)
+        for policy in POLICIES:
+            rebound = scenario.with_policy(policy)
+            assert assign(rebound) == assign(rebound)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +272,7 @@ def test_assign_routes_by_scenario_policy(fcfs_scenario, rr_scenario,
                                           gpa_scenario):
     assert assign(fcfs_scenario).mode is ExecutionMode.SPACE_SHARED
     assert assign(rr_scenario).mode is ExecutionMode.TIME_SHARED
-    assert assign(gpa_scenario).plan == gpa_assign(gpa_scenario).plan
+    assert assign(gpa_scenario).plan.entries == greedy_reference(gpa_scenario)
 
 
 def test_assign_rejects_unknown_policy():

@@ -284,6 +284,23 @@ def test_load_ignores_cloudlet_size_metadata():
     assert load_scenario(json.dumps(doc)) == builtin_scenario("paper12-fcfs")
 
 
+def test_load_accepts_legacy_pe_count_and_rejects_a_bad_one():
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    assert "pe_count" not in json.dumps(doc)
+    for entry in doc["vms"] + doc["cloudlets"]:
+        entry["pe_count"] = 1
+    assert load_scenario(json.dumps(doc)) == builtin_scenario("paper12-fcfs")
+    doc["vms"][0]["pe_count"] = 0
+    with pytest.raises(ScenarioFormatError,
+                       match=re.escape("vms[0].pe_count: expected a positive")):
+        load_scenario(json.dumps(doc))
+    doc["vms"][0]["pe_count"] = 1
+    doc["cloudlets"][1]["pe_count"] = 1.5
+    with pytest.raises(ScenarioFormatError,
+                       match=re.escape("cloudlets[1].pe_count: expected an integer")):
+        load_scenario(json.dumps(doc))
+
+
 def test_load_roundtrips_execution_mode():
     scenario = generate(GeneratorSpec(n_tasks=2, seed=0))
     doc = json.loads(save_scenario(scenario))
