@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -61,14 +62,21 @@ def _t(x: float, digits: int = 2) -> str:
     return "%.*f" % (digits, x)
 
 
+def _t_column(values) -> list[str]:
+    """`_t(x)` for each x, with one finiteness check for the whole column."""
+    if all(map(math.isfinite, values)):
+        return list(map("%.2f".__mod__, values))
+    return [_t(x) for x in values]  # raises at the first non-finite value
+
+
 def _write_table(out_dir: Path, stem: str, fmt: str,
-                 header: list[str], rows: list[list[str]]) -> None:
+                 header: list[str], rows: list[Sequence[str]]) -> None:
     delim = "," if fmt == "csv" else "\t"
     lines = [delim.join(header)] + [delim.join(row) for row in rows]
     (out_dir / f"{stem}.{fmt}").write_text("\n".join(lines) + "\n")
 
 
-def _print_pretty(title: str, header: list[str], rows: list[list[str]]) -> None:
+def _print_pretty(title: str, header: list[str], rows: list[Sequence[str]]) -> None:
     widths = [len(col) for col in header]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
@@ -81,7 +89,7 @@ def _print_pretty(title: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _emit(config: RunConfig, stem: str, header: list[str],
-          rows: list[list[str]]) -> None:
+          rows: list[Sequence[str]]) -> None:
     out_dir = Path(config.out_dir)
     for fmt in config.formats:
         if fmt == "pretty":
@@ -138,10 +146,12 @@ def cmd_run(config: RunConfig) -> None:
     tables = []
     for scenario in jobs:
         result = _simulate(scenario)
-        rows = [[str(r.cloudlet_id), str(r.datacenter_id), str(r.vm_id),
-                 _t(r.cpu_time), _t(r.start_time), _t(r.finish_time)]
-                for r in result.records]
-        rows.append(["mean", "", "", _t(result.mean_cpu_time), "", ""])
+        # Records are tuples in CloudletRecord field order: transpose them
+        # to format whole columns at a time.
+        cloudlet_ids, vm_ids, dc_ids, cpu, start, finish = zip(*result.records)
+        rows = list(zip(map(str, cloudlet_ids), map(str, dc_ids), map(str, vm_ids),
+                        _t_column(cpu), _t_column(start), _t_column(finish)))
+        rows.append(("mean", "", "", _t(result.mean_cpu_time), "", ""))
         tables.append((scenario.policy, rows))
 
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)

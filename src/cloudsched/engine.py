@@ -6,6 +6,8 @@ processor sharing, the quantum->0 limit of round-robin). All cloudlets
 arrive at t = 0; a run is a pure function of (scenario, plan).
 """
 
+from operator import attrgetter
+
 from .model import (
     AssignmentPlan,
     CapacityError,
@@ -106,28 +108,24 @@ def execute_plan(scenario: Scenario, plan: AssignmentPlan,
     kernel = _KERNELS[mode]
     host_of = provision_vms(scenario)
     datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
-    lengths = {cl.id: cl.length for cl in scenario.cloudlets}
+    by_arrival = sorted(scenario.cloudlets, key=attrgetter("arrival_index"))
+    # Each record is written straight into its cloudlet's arrival slot.
+    slot_of = {cl.id: slot for slot, cl in enumerate(by_arrival)}
+    length_of = {cl.id: cl.length for cl in by_arrival}
     queues = plan.vm_queues()
 
-    records = []
+    records: list = [None] * len(by_arrival)
     usage = []
     for vm in scenario.vms:
-        queue = queues.get(vm.id, [])
-        datacenter_id = datacenter_of[host_of[vm.id]]
-        times = kernel([lengths[cid] for cid in queue], vm.mips)
-        records += [CloudletRecord(cloudlet_id, vm.id, datacenter_id, *span)
-                    for cloudlet_id, span in zip(queue, times)]
-        usage.append(VmUsage(vm.id, datacenter_id, vm.mips,
+        vm_id = vm.id
+        queue = queues.get(vm_id, [])
+        datacenter_id = datacenter_of[host_of[vm_id]]
+        times = kernel([length_of[cid] for cid in queue], vm.mips)
+        for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):
+            records[slot_of[cloudlet_id]] = CloudletRecord(
+                cloudlet_id, vm_id, datacenter_id, cpu_time, start, finish)
+        usage.append(VmUsage(vm_id, vm.mips,
                              busy_time=max((t[2] for t in times), default=0.0)))
 
-    return SimulationResult(
-        mode=mode,
-        records=_in_arrival_order(scenario, records),
-        vm_usage=tuple(usage),
-    )
-
-
-def _in_arrival_order(scenario: Scenario,
-                      records: list[CloudletRecord]) -> tuple[CloudletRecord, ...]:
-    arrival = {cl.id: cl.arrival_index for cl in scenario.cloudlets}
-    return tuple(sorted(records, key=lambda r: arrival[r.cloudlet_id]))
+    return SimulationResult(mode=mode, records=tuple(records),
+                            vm_usage=tuple(usage))

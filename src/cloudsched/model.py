@@ -7,7 +7,8 @@ and can then be shared freely between policies, engine runs and reports.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 POLICIES = ("fcfs", "rr", "gpa")
 
@@ -121,9 +122,12 @@ class AssignmentPlan:
         return queues
 
 
-@dataclass(frozen=True)
-class CloudletRecord:
-    """Execution outcome of one cloudlet (all times in seconds)."""
+class CloudletRecord(NamedTuple):
+    """Execution outcome of one cloudlet (all times in seconds).
+
+    A named tuple, not a dataclass: a run builds one per cloudlet, and a
+    tuple costs about a third of a frozen dataclass to build.
+    """
 
     cloudlet_id: int
     vm_id: int
@@ -138,7 +142,6 @@ class VmUsage:
     """Per-VM accounting attached to a result."""
 
     vm_id: int
-    datacenter_id: int
     mips: float
     busy_time: float
 
@@ -244,14 +247,18 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> AssignmentPlan:
     """Check a plan covers every cloudlet exactly once on existing VMs."""
     problems: list[str] = []
-    vm_ids = {vm.id for vm in scenario.vms}
-    planned = [cid for cid, _ in plan.entries]
-    expected = sorted(cl.id for cl in scenario.cloudlets)
-    if sorted(planned) != expected:
+    entries = plan.entries
+    planned = set(map(itemgetter(0), entries))
+    expected = {cl.id for cl in scenario.cloudlets}
+    # One entry per cloudlet, over distinct ids that are the cloudlets' ids.
+    # A scenario that repeats a cloudlet id therefore has no valid plan.
+    if not (len(entries) == len(scenario.cloudlets) == len(planned)
+            and planned == expected):
         problems.append("plan entries are not a permutation of the cloudlets")
-    for cloudlet_id, vm_id in plan.entries:
-        if vm_id not in vm_ids:
-            problems.append(f"plan assigns cloudlet {cloudlet_id} to unknown vm {vm_id}")
+    vm_ids = {vm.id for vm in scenario.vms}
+    if not vm_ids.issuperset(map(itemgetter(1), entries)):
+        problems += [f"plan assigns cloudlet {cloudlet_id} to unknown vm {vm_id}"
+                     for cloudlet_id, vm_id in entries if vm_id not in vm_ids]
     if problems:
         raise ValidationError(problems)
     return plan

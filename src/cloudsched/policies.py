@@ -13,7 +13,7 @@ All tie-breaks are total and documented, so each plan is deterministic.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .model import AssignmentPlan, Cloudlet, ExecutionMode, Scenario
+from .model import POLICIES, AssignmentPlan, Cloudlet, ExecutionMode, Scenario
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,17 @@ def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
     return AssignmentPlan(tuple(entries))
 
 
-# policy -> (plan builder, default execution mode).
+# policy -> (plan builder, default execution mode). model.POLICIES lists the
+# names that validation, the CLI and the default run order use; a name in
+# one and not the other fails the import instead of a later run.
 _POLICIES = {
     "fcfs": (_cyclic_plan, ExecutionMode.SPACE_SHARED),
     "rr": (_cyclic_plan, ExecutionMode.TIME_SHARED),
     "gpa": (_gpa_plan, ExecutionMode.SPACE_SHARED),
 }
+if _POLICIES.keys() != set(POLICIES):
+    raise ImportError(f"policy table {sorted(_POLICIES)} does not match "
+                      f"model.POLICIES {sorted(POLICIES)}")
 
 
 def assign(scenario: Scenario) -> PolicyOutcome:

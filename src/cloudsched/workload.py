@@ -337,49 +337,80 @@ def _non_finite_numbers(node, where: str):
             yield from _non_finite_numbers(value, f"{where}[{i}]")
 
 
-def _check_keys(obj: dict, where: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
+def _where(path: tuple) -> str:
+    """Location text of an element from its path of (list name, index)
+    pairs: () is "document", ("datacenters", 0, "hosts", 1) is
+    "datacenters[0].hosts[1]". Built only for an error message."""
+    if not path:
+        return "document"
+    return ".".join(f"{name}[{i}]" for name, i in zip(path[::2], path[1::2]))
+
+
+def _keys(required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """(required keys in the order a missing one is reported, the same as a
+    set, every allowed key) for `_check_keys`."""
+    return required, frozenset(required), frozenset(required + optional)
+
+
+_DOCUMENT_KEYS = _keys(("policy", "datacenters", "vms", "cloudlets"),
+                       ("execution_mode",))
+_DATACENTER_KEYS = _keys(("id", "hosts"))
+_HOST_KEYS = _keys(("id", "total_mips", "ram_mb", "storage_mb"),
+                   ("datacenter_id",))
+_VM_KEYS = _keys(("id", "mips", "ram_mb"), ("pe_count",))
+# pe_count/file_size/output_size are accepted for compatibility and
+# ignored: execution depends only on length and MIPS.
+_CLOUDLET_KEYS = _keys(("id", "length", "arrival_index"),
+                       ("pe_count", "file_size", "output_size"))
+
+# json.loads builds exact dicts, lists, strs, ints, floats and bools, so the
+# checks below compare exact types: a bool is not an int here.
+
+
+def _check_keys(obj, path: tuple, keys) -> None:
+    required, required_set, allowed = keys
+    if type(obj) is dict and required_set <= obj.keys() <= allowed:
+        return
+    if type(obj) is not dict:
+        raise ScenarioFormatError(f"{_where(path)}: expected an object")
     for key in obj:
-        if key not in required and key not in optional:
-            raise ScenarioFormatError(f"{where}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ScenarioFormatError(f"{where}: missing key {key!r}")
+        if key not in allowed:
+            raise ScenarioFormatError(f"{_where(path)}: unknown key {key!r}")
+    key = next(k for k in required if k not in obj)
+    raise ScenarioFormatError(f"{_where(path)}: missing key {key!r}")
 
 
-def _as_int(obj: dict, where: str, key: str, default=None):
-    if key not in obj:
-        return default
+def _int(obj: dict, path: tuple, key: str) -> int:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFormatError(f"{where}.{key}: expected an integer")
+    if type(value) is not int:
+        raise ScenarioFormatError(f"{_where(path)}.{key}: expected an integer")
     return value
 
 
-def _check_pe_count(obj: dict, where: str) -> None:
-    """`pe_count` is accepted for compatibility and ignored, but a value
-    that no processor count could have is still an error."""
-    if _as_int(obj, where, "pe_count", default=1) < 1:
-        raise ScenarioFormatError(f"{where}.pe_count: expected a positive integer")
-
-
-def _as_number(obj: dict, where: str, key: str) -> float:
+def _number(obj: dict, path: tuple, key: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where}.{key}: expected a number")
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ScenarioFormatError(f"{_where(path)}.{key}: expected a number")
     try:
         return float(value)
     except OverflowError:
-        raise ScenarioFormatError(f"{where}.{key}: number out of range") from None
+        raise ScenarioFormatError(
+            f"{_where(path)}.{key}: number out of range") from None
+
+
+def _check_pe_count(obj: dict, path: tuple) -> None:
+    """`pe_count` is accepted for compatibility and ignored, but a value
+    that no processor count could have is still an error."""
+    if "pe_count" in obj and _int(obj, path, "pe_count") < 1:
+        raise ScenarioFormatError(
+            f"{_where(path)}.pe_count: expected a positive integer")
 
 
 def _scenario_from_doc(doc) -> Scenario:
-    _check_keys(doc, "document",
-                required=("policy", "datacenters", "vms", "cloudlets"),
-                optional=("execution_mode",))
-    if not isinstance(doc["policy"], str):
+    _check_keys(doc, (), _DOCUMENT_KEYS)
+    if type(doc["policy"]) is not str:
         raise ScenarioFormatError("document.policy: expected a string")
 
     mode = None
@@ -392,57 +423,49 @@ def _scenario_from_doc(doc) -> Scenario:
                 f"{[m.value for m in ExecutionMode]}") from None
 
     for key in ("datacenters", "vms", "cloudlets"):
-        if not isinstance(doc[key], list):
+        if type(doc[key]) is not list:
             raise ScenarioFormatError(f"document.{key}: expected a list")
 
     datacenters = []
     for i, dc_doc in enumerate(doc["datacenters"]):
-        where = f"datacenters[{i}]"
-        _check_keys(dc_doc, where, required=("id", "hosts"))
-        dc_id = _as_int(dc_doc, where, "id")
-        if not isinstance(dc_doc["hosts"], list):
-            raise ScenarioFormatError(f"{where}.hosts: expected a list")
+        path = ("datacenters", i)
+        _check_keys(dc_doc, path, _DATACENTER_KEYS)
+        dc_id = _int(dc_doc, path, "id")
+        if type(dc_doc["hosts"]) is not list:
+            raise ScenarioFormatError(f"{_where(path)}.hosts: expected a list")
         hosts = []
         for j, host_doc in enumerate(dc_doc["hosts"]):
-            hwhere = f"{where}.hosts[{j}]"
-            _check_keys(host_doc, hwhere,
-                        required=("id", "total_mips", "ram_mb", "storage_mb"),
-                        optional=("datacenter_id",))
+            hpath = path + ("hosts", j)
+            _check_keys(host_doc, hpath, _HOST_KEYS)
             hosts.append(Host(
-                id=_as_int(host_doc, hwhere, "id"),
-                datacenter_id=_as_int(host_doc, hwhere, "datacenter_id",
-                                      default=dc_id),
-                total_mips=_as_number(host_doc, hwhere, "total_mips"),
-                ram_mb=_as_int(host_doc, hwhere, "ram_mb"),
-                storage_mb=_as_int(host_doc, hwhere, "storage_mb"),
+                id=_int(host_doc, hpath, "id"),
+                datacenter_id=(_int(host_doc, hpath, "datacenter_id")
+                               if "datacenter_id" in host_doc else dc_id),
+                total_mips=_number(host_doc, hpath, "total_mips"),
+                ram_mb=_int(host_doc, hpath, "ram_mb"),
+                storage_mb=_int(host_doc, hpath, "storage_mb"),
             ))
         datacenters.append(Datacenter(id=dc_id, hosts=tuple(hosts)))
 
     vms = []
     for i, vm_doc in enumerate(doc["vms"]):
-        where = f"vms[{i}]"
-        _check_keys(vm_doc, where, required=("id", "mips", "ram_mb"),
-                    optional=("pe_count",))
+        path = ("vms", i)
+        _check_keys(vm_doc, path, _VM_KEYS)
         vms.append(Vm(
-            id=_as_int(vm_doc, where, "id"),
-            mips=_as_number(vm_doc, where, "mips"),
-            ram_mb=_as_int(vm_doc, where, "ram_mb"),
+            id=_int(vm_doc, path, "id"),
+            mips=_number(vm_doc, path, "mips"),
+            ram_mb=_int(vm_doc, path, "ram_mb"),
         ))
-        _check_pe_count(vm_doc, where)
+        _check_pe_count(vm_doc, path)
 
     cloudlets = []
     for i, cl_doc in enumerate(doc["cloudlets"]):
-        where = f"cloudlets[{i}]"
-        # pe_count/file_size/output_size are accepted for compatibility and
-        # ignored: execution depends only on length and MIPS.
-        _check_keys(cl_doc, where, required=("id", "length", "arrival_index"),
-                    optional=("pe_count", "file_size", "output_size"))
-        cloudlets.append(Cloudlet(
-            id=_as_int(cl_doc, where, "id"),
-            length=_as_number(cl_doc, where, "length"),
-            arrival_index=_as_int(cl_doc, where, "arrival_index"),
-        ))
-        _check_pe_count(cl_doc, where)
+        path = ("cloudlets", i)
+        _check_keys(cl_doc, path, _CLOUDLET_KEYS)
+        cloudlets.append(Cloudlet(_int(cl_doc, path, "id"),
+                                  _number(cl_doc, path, "length"),
+                                  _int(cl_doc, path, "arrival_index")))
+        _check_pe_count(cl_doc, path)
 
     return Scenario(
         datacenters=tuple(datacenters),

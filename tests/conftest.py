@@ -43,6 +43,20 @@ def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
     return validate_scenario(scenario) if check else scenario
 
 
+def make_shuffled_arrival_scenario(seed=3, n=12):
+    """Scenario whose arrival order is a shuffle of its tuple order, so code
+    that confuses the two puts records or rows in the wrong order."""
+    rng = random.Random(seed)
+    arrivals = list(range(n))
+    rng.shuffle(arrivals)
+    base = make_scenario([250, 500, 1000], [1000 * (k + 1) for k in range(n)],
+                         check=False)
+    cloudlets = tuple(Cloudlet(id=cl.id, length=cl.length, arrival_index=a)
+                      for cl, a in zip(base.cloudlets, arrivals))
+    return validate_scenario(Scenario(base.datacenters, base.vms, cloudlets,
+                                      base.policy))
+
+
 def make_random_scenario(rng: random.Random, policy=None, n_cloudlets=None,
                          max_vms=6, max_cloudlets=16):
     """Small random scenario; ids stay dense and 1-based."""

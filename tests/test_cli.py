@@ -12,7 +12,7 @@ from cloudsched import (
     write_scenario,
 )
 from cloudsched.cli import main
-from conftest import make_scenario
+from conftest import make_scenario, make_shuffled_arrival_scenario
 
 FCFS_GOLDEN = """\
 cloudlet_id,datacenter_id,vm_id,cpu_time,start,finish
@@ -180,6 +180,20 @@ def test_run_rejects_a_bad_pe_count_with_its_location(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         "error: cloudlets[2].pe_count: expected a positive integer\n"
+
+
+def test_run_writes_rows_in_arrival_order(tmp_path):
+    scenario = make_shuffled_arrival_scenario()
+    path = tmp_path / "shuffled.json"
+    write_scenario(scenario, path)
+    assert main(["run", "--scenario", str(path), "--policy", "fcfs,rr",
+                 "--out", str(tmp_path)]) == 0
+    expected = [str(cl.id) for cl in sorted(scenario.cloudlets,
+                                            key=lambda cl: cl.arrival_index)]
+    assert expected != [str(cl.id) for cl in scenario.cloudlets]
+    for policy in ("fcfs", "rr"):
+        lines = (tmp_path / f"{policy}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:-1]] == expected
 
 
 def test_run_scenario_file_roundtrip(tmp_path):

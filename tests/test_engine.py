@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cloudsched import (
+    POLICIES,
     AssignmentPlan,
     CapacityError,
     Cloudlet,
@@ -15,11 +16,17 @@ from cloudsched import (
     Scenario,
     ValidationError,
     Vm,
+    assign,
     execute_plan,
     provision_vms,
     ps_finish_times,
 )
-from conftest import integrate_ps, make_random_scenario, make_scenario
+from conftest import (
+    integrate_ps,
+    make_random_scenario,
+    make_scenario,
+    make_shuffled_arrival_scenario,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +314,20 @@ def test_execute_plan_dispatches_on_mode(fcfs_scenario):
                         ExecutionMode.SPACE_SHARED).mode is ExecutionMode.SPACE_SHARED
     assert execute_plan(fcfs_scenario, plan,
                         ExecutionMode.TIME_SHARED).mode is ExecutionMode.TIME_SHARED
+
+
+def test_records_come_back_in_arrival_order_not_tuple_order():
+    scenario = make_shuffled_arrival_scenario()
+    by_arrival = [cl.id for cl in sorted(scenario.cloudlets,
+                                         key=lambda cl: cl.arrival_index)]
+    assert by_arrival != [cl.id for cl in scenario.cloudlets]
+    for policy in POLICIES:
+        plan = assign(scenario.with_policy(policy)).plan
+        for mode in ExecutionMode:
+            result = execute_plan(scenario, plan, mode)
+            assert [r.cloudlet_id for r in result.records] == by_arrival
+            assert {r.cloudlet_id: r.vm_id for r in result.records} == \
+                dict(plan.entries)
 
 
 def test_runs_reject_invalid_plans(fcfs_scenario):

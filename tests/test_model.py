@@ -165,6 +165,18 @@ def test_validate_plan_rejects_missing_and_duplicate_cloudlets():
     with pytest.raises(ValidationError, match="permutation"):
         validate_plan(scenario,
                       AssignmentPlan(entries=((1, 1), (2, 2), (2, 1), (3, 2))))
+    with pytest.raises(ValidationError, match="permutation"):
+        validate_plan(scenario, AssignmentPlan(entries=((1, 1), (2, 2), (2, 1))))
+
+
+def test_validate_plan_rejects_any_plan_for_repeated_cloudlet_ids():
+    # Records are placed by cloudlet id, so a scenario that repeats one
+    # (which validate_scenario rejects) cannot run under any plan.
+    scenario = make_scenario([250], [1000, 2000], check=False)
+    twin = replace(scenario.cloudlets[1], id=1)
+    scenario = replace(scenario, cloudlets=(scenario.cloudlets[0], twin))
+    with pytest.raises(ValidationError, match="permutation"):
+        validate_plan(scenario, AssignmentPlan(entries=((1, 1), (1, 1))))
 
 
 def test_validate_plan_rejects_unknown_vm():

@@ -1,6 +1,8 @@
 """Broker policies: cyclic dispatch, the greedy scheduler, dispatching."""
 
+import importlib
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,6 +281,18 @@ def test_assign_rejects_unknown_policy():
     scenario = make_scenario([250], [1000], policy="sjf", check=False)
     with pytest.raises(ValueError, match="sjf"):
         assign(scenario)
+
+
+@pytest.mark.parametrize("names", [POLICIES + ("sjf",), POLICIES[:-1]],
+                         ids=["name-without-a-plan", "plan-without-a-name"])
+def test_policy_names_and_the_plan_table_must_agree(monkeypatch, names):
+    # A policy listed in model.POLICIES but missing from the plan table, or
+    # the reverse, fails the import instead of a run with "unknown policy".
+    import cloudsched.model
+    monkeypatch.setattr(cloudsched.model, "POLICIES", names)
+    monkeypatch.delitem(sys.modules, "cloudsched.policies")
+    with pytest.raises(ImportError, match="does not match"):
+        importlib.import_module("cloudsched.policies")
 
 
 def test_execution_mode_override_turns_fcfs_into_rr():

@@ -5,9 +5,12 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudsched import (
     BUILTIN_NAMES,
+    POLICIES,
     GeneratorSpec,
     Lcg64,
     ScenarioFormatError,
@@ -17,8 +20,10 @@ from cloudsched import (
     generate,
     load_scenario,
     save_scenario,
+    scenario_violations,
     write_scenario,
 )
+from conftest import make_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +328,78 @@ def test_host_datacenter_mismatch_is_a_validation_error():
     doc["datacenters"][0]["hosts"][0]["datacenter_id"] = 3
     with pytest.raises(ValidationError, match="declares datacenter 3"):
         load_scenario(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# property: any JSON value loads to a valid scenario or a library error
+
+# Every key the format knows, plus one it does not.
+_KEYS = ("policy", "execution_mode", "datacenters", "vms", "cloudlets", "id",
+         "hosts", "datacenter_id", "total_mips", "ram_mb", "storage_mb", "mips",
+         "pe_count", "length", "arrival_index", "file_size", "output_size",
+         "bogus")
+
+# Values a field can be mixed up with: bools for ints, floats for ints,
+# numbers in strings, non-positive numbers, an int beyond float range, and
+# NaN and infinities (written as bare tokens).
+_MIXUPS = (None, True, False, 0, -1, 1, 1.5, 10 ** 400, 1e308, "", "1",
+           float("nan"), float("inf"), float("-inf"))
+
+_json_values = st.recursive(
+    st.sampled_from(_MIXUPS) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(_KEYS),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _containers(node):
+    """Every object and list in a parsed document, the document first."""
+    found = []
+    if isinstance(node, (dict, list)):
+        found.append(node)
+        for child in (node.values() if isinstance(node, dict) else node):
+            found += _containers(child)
+    return found
+
+
+@st.composite
+def _scenario_documents(draw):
+    """A valid scenario document with up to three edits anywhere in it:
+    a value swapped for any JSON value, a key or item dropped, or a known,
+    legacy or unknown key added."""
+    vm_mips = draw(st.lists(st.sampled_from([250, 500, 1000]), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
+    doc = json.loads(save_scenario(
+        make_scenario(vm_mips, lengths, policy=draw(st.sampled_from(POLICIES)))))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(_containers(doc)))
+        edit = draw(st.sampled_from(("swap", "drop", "add")))
+        if isinstance(node, dict):
+            if edit == "add" or not node:
+                node[draw(st.sampled_from(_KEYS))] = draw(_json_values)
+            elif edit == "drop":
+                del node[draw(st.sampled_from(sorted(node)))]
+            else:
+                node[draw(st.sampled_from(sorted(node)))] = draw(_json_values)
+        elif edit == "add" or not node:
+            node.insert(draw(st.integers(0, len(node))), draw(_json_values))
+        elif edit == "drop":
+            del node[draw(st.integers(0, len(node) - 1))]
+        else:
+            node[draw(st.integers(0, len(node) - 1))] = draw(_json_values)
+    return doc
+
+
+# Three scenario-shaped documents to one arbitrary value: most arbitrary
+# values fail at the top level.
+@given(doc=st.one_of(_scenario_documents(), _scenario_documents(),
+                     _scenario_documents(), _json_values))
+def test_any_json_value_loads_or_raises_a_library_error(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("load") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    try:
+        scenario = load_scenario(path)
+    except (ScenarioFormatError, ValidationError):
+        return
+    assert scenario_violations(scenario) == []
