@@ -13,9 +13,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .engine import execute_plan
 from .metrics import compare, summarize
@@ -37,17 +35,8 @@ class UsageError(ValueError):
     """Bad flag combination or value; reported on stderr with exit 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command configuration shared by run/compare/sweep."""
-
-    builtins: tuple[str, ...] = ()
-    scenario_path: Optional[str] = None
-    generate_n: Optional[int] = None
-    policies: tuple[str, ...] = ()       # empty = default (all three)
-    seed: int = 0
-    out_dir: str = "."
-    formats: tuple[str, ...] = ("csv",)
+# What a command produces: (file stem, header, rows of formatted cells).
+Table = tuple[str, list[str], list[Sequence[str]]]
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +58,8 @@ def _t_column(values) -> list[str]:
     return [_t(x) for x in values]  # raises at the first non-finite value
 
 
-def _write_table(out_dir: Path, stem: str, fmt: str,
-                 header: list[str], rows: list[Sequence[str]]) -> None:
-    delim = "," if fmt == "csv" else "\t"
-    lines = [delim.join(header)] + [delim.join(row) for row in rows]
-    (out_dir / f"{stem}.{fmt}").write_text("\n".join(lines) + "\n")
+def _table_text(delim: str, header: list[str], rows: list[Sequence[str]]) -> str:
+    return "\n".join(delim.join(row) for row in [header, *rows]) + "\n"
 
 
 def _print_pretty(title: str, header: list[str], rows: list[Sequence[str]]) -> None:
@@ -88,42 +74,32 @@ def _print_pretty(title: str, header: list[str], rows: list[Sequence[str]]) -> N
     print()
 
 
-def _emit(config: RunConfig, stem: str, header: list[str],
-          rows: list[Sequence[str]]) -> None:
-    out_dir = Path(config.out_dir)
-    for fmt in config.formats:
-        if fmt == "pretty":
-            _print_pretty(stem, header, rows)
-        else:
-            _write_table(out_dir, stem, fmt, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # scenario resolution
 
-def _resolve_jobs(config: RunConfig) -> list[Scenario]:
-    """Turn the config's source + policy flags into one scenario per run,
-    each bound to the policy it runs under."""
-    picked = sum([bool(config.builtins),
-                  config.scenario_path is not None,
-                  config.generate_n is not None])
+def _resolve_jobs(args: argparse.Namespace) -> list[Scenario]:
+    """Turn the source + policy flags into one scenario per run, each
+    bound to the policy it runs under."""
+    picked = sum([bool(args.builtin),
+                  args.scenario is not None,
+                  args.generate is not None])
     if picked != 1:
         raise UsageError("choose exactly one of --builtin, --scenario, --generate")
 
-    if len(config.builtins) > 1:
+    if len(args.builtin) > 1:
         # Several builtins: each carries its own policy; --policy would be
         # ambiguous about which scenario it applies to.
-        if config.policies:
+        if args.policy:
             raise UsageError("--policy cannot be combined with multiple builtins")
-        return [builtin_scenario(name) for name in config.builtins]
+        return [builtin_scenario(name) for name in args.builtin]
 
-    if config.builtins:
-        base = builtin_scenario(config.builtins[0])
-    elif config.scenario_path is not None:
-        base = load_scenario(Path(config.scenario_path))
+    if args.builtin:
+        base = builtin_scenario(args.builtin[0])
+    elif args.scenario is not None:
+        base = load_scenario(Path(args.scenario))
     else:
-        base = generate(GeneratorSpec(n_tasks=config.generate_n, seed=config.seed))
-    return [base.with_policy(policy) for policy in config.policies or POLICIES]
+        base = generate(GeneratorSpec(n_tasks=args.generate, seed=args.seed))
+    return [base.with_policy(policy) for policy in args.policy or POLICIES]
 
 
 def _simulate(scenario: Scenario) -> SimulationResult:
@@ -135,11 +111,11 @@ _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "fi
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its tables and its other files, and writes nothing
 
-def cmd_run(config: RunConfig) -> None:
-    """Run each requested policy and write one <policy>.csv per run."""
-    jobs = _resolve_jobs(config)
+def cmd_run(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+    """Run each requested policy: one <policy> table per run."""
+    jobs = _resolve_jobs(args)
     names = [scenario.policy for scenario in jobs]
     if len(set(names)) != len(names):
         raise UsageError("duplicate policies would overwrite each other's files")
@@ -152,11 +128,8 @@ def cmd_run(config: RunConfig) -> None:
         rows = list(zip(map(str, cloudlet_ids), map(str, dc_ids), map(str, vm_ids),
                         _t_column(cpu), _t_column(start), _t_column(finish)))
         rows.append(("mean", "", "", _t(result.mean_cpu_time), "", ""))
-        tables.append((scenario.policy, rows))
-
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    for policy, rows in tables:
-        _emit(config, policy, _RUN_HEADER, rows)
+        tables.append((scenario.policy, _RUN_HEADER, rows))
+    return tables, {}
 
 
 _COMPARE_HEADER = ["policy", "mode", "n_cloudlets", "mean_cpu_time",
@@ -164,9 +137,9 @@ _COMPARE_HEADER = ["policy", "mode", "n_cloudlets", "mean_cpu_time",
                    "mean_utilization", "improvement_pct"]
 
 
-def cmd_compare(config: RunConfig) -> None:
-    """Summarize >= 2 policy runs side by side (compare.csv + compare.dat)."""
-    jobs = _resolve_jobs(config)
+def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+    """Summarize >= 2 policy runs side by side (compare table + compare.dat)."""
+    jobs = _resolve_jobs(args)
     if len(jobs) < 2:
         raise UsageError("need >= 2 policies to compare")
     comparison = compare([summarize(_simulate(sc), policy=sc.policy)
@@ -180,28 +153,25 @@ def cmd_compare(config: RunConfig) -> None:
     dat = ["# policy headline_mean makespan"]
     dat += [f"{c['policy']} {_t(c['headline_mean'])} {_t(c['makespan'])}"
             for c in comparison]
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _emit(config, "compare", _COMPARE_HEADER, rows)
-    (out_dir / "compare.dat").write_text("\n".join(dat) + "\n")
+    return ([("compare", _COMPARE_HEADER, rows)],
+            {"compare.dat": "\n".join(dat) + "\n"})
 
 
-def cmd_sweep(config: RunConfig, task_counts: tuple[int, ...]) -> None:
-    """Generate-and-run every (task count, policy) pair; write sweep.csv.
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+    """Generate-and-run every (task count, policy) pair: one sweep table.
 
     Each count gets its own derived seed so adding counts never perturbs
-    the others. Timings land in sweep_timing.csv, kept out of sweep.csv
-    so the latter is byte-deterministic.
+    the others. Timings go to sweep_timing.csv, kept out of the sweep
+    table so its files are byte-deterministic.
     """
-    if not task_counts:
+    if not args.counts:
         raise UsageError("no task counts given")
-    if any(n < 1 for n in task_counts):
+    if any(n < 1 for n in args.counts):
         raise UsageError("task counts must be >= 1")
-    policies = config.policies or POLICIES
+    policies = args.policy or POLICIES
     rows, timing_rows = [], []
-    for n in task_counts:
-        spec = GeneratorSpec(n_tasks=n, seed=derive_seed(config.seed, n))
+    for n in args.counts:
+        spec = GeneratorSpec(n_tasks=n, seed=derive_seed(args.seed, n))
         scenario = generate(spec)
         for policy in policies:
             started = time.perf_counter()
@@ -211,16 +181,21 @@ def cmd_sweep(config: RunConfig, task_counts: tuple[int, ...]) -> None:
             rows.append([str(n), policy, _t(report.mean_cpu_time),
                          _t(report.makespan)])
             timing_rows.append([str(n), policy, _t(elapsed_ms, 3)])
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _emit(config, "sweep", ["n", "policy", "mean_cpu_time", "makespan"], rows)
-    _write_table(out_dir, "sweep_timing", "csv",
-                 ["n", "policy", "wall_clock_ms"], timing_rows)
+    timing = _table_text(",", ["n", "policy", "wall_clock_ms"], timing_rows)
+    return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"], rows)],
+            {"sweep_timing.csv": timing})
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is one `error: ...` line and exit 1, like any
+    other usage error (argparse's own default is a usage dump and exit 2)."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
@@ -255,7 +230,7 @@ def _add_common(sub: argparse.ArgumentParser, with_source: bool) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudsched",
         description="Deterministic cloud task-scheduling simulator "
                     "(fcfs / rr / gpa brokers).")
@@ -263,24 +238,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="run policies, one table per policy")
     _add_common(run, with_source=True)
+    run.set_defaults(command_fn=cmd_run)
 
     cmp_ = subs.add_parser("compare", help="side-by-side policy summary")
     _add_common(cmp_, with_source=True)
+    cmp_.set_defaults(command_fn=cmd_compare)
 
     sweep = subs.add_parser("sweep", help="task-count sweep on generated workloads")
     sweep.add_argument("--counts", type=_int_list, required=True,
                        metavar="N[,N...]", help="task counts, e.g. 100,200,300")
     _add_common(sweep, with_source=False)
+    sweep.set_defaults(command_fn=cmd_sweep)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if not 0 <= seed < 2 ** 64:
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject the flag values argparse lets through."""
+    if not 0 <= args.seed < 2 ** 64:
         raise UsageError("--seed must fit in an unsigned 64-bit integer")
-    formats = tuple(args.format)
-    for fmt in formats:
+    for fmt in args.format:
         if fmt not in FORMATS:
             raise UsageError(f"unknown format {fmt!r} "
                              f"(choose from {', '.join(FORMATS)})")
@@ -291,32 +268,32 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     generate_n = getattr(args, "generate", None)
     if generate_n is not None and generate_n < 1:
         raise UsageError("--generate needs at least one cloudlet")
-    return RunConfig(
-        builtins=tuple(getattr(args, "builtin", ())),
-        scenario_path=getattr(args, "scenario", None),
-        generate_n=generate_n,
-        policies=tuple(args.policy),
-        seed=seed,
-        out_dir=args.out or os.environ.get("CLOUDSCHED_OUT") or ".",
-        formats=formats,
-    )
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the exit code says how it ended.
+    """Run one subcommand and write what it produced; the exit code says
+    how it ended.
 
-    0 success; 1 usage, format, validation, capacity or overflow error;
-    2 I/O error. Each error is one `error: ...` line on stderr.
+    0 success; 1 usage, format, validation, capacity or overflow error
+    (a command line argparse rejects raises SystemExit(1)); 2 I/O error.
+    Each error is one `error: ...` line on stderr. This is the only
+    function that writes, and it writes only after the command succeeded.
     """
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "run":
-            cmd_run(config)
-        elif args.command == "compare":
-            cmd_compare(config)
-        else:
-            cmd_sweep(config, args.counts)
+        _check_args(args)
+        tables, files = args.command_fn(args)
+        out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for stem, header, rows in tables:
+            for fmt in args.format:
+                if fmt == "pretty":
+                    _print_pretty(stem, header, rows)
+                else:
+                    text = _table_text("," if fmt == "csv" else "\t", header, rows)
+                    (out_dir / f"{stem}.{fmt}").write_text(text)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
     except (ValueError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ class PolicyReport:
     mean_completion_time: float
     makespan: float
     vm_usage: tuple[VmUsage, ...]
-    total_work: float
 
     @property
     def headline_mean(self) -> float:
@@ -49,7 +48,6 @@ def summarize(result: SimulationResult, policy: str = "") -> PolicyReport:
         mean_completion_time=sum(r.finish_time for r in result.records) / n,
         makespan=result.makespan,
         vm_usage=result.vm_usage,
-        total_work=sum(u.busy_time * u.mips for u in result.vm_usage),
     )
 
 

@@ -84,24 +84,6 @@ class Scenario:
         """All hosts, in datacenter order then host order."""
         return tuple(h for dc in self.datacenters for h in dc.hosts)
 
-    def vm_by_id(self, vm_id: int) -> Vm:
-        for vm in self.vms:
-            if vm.id == vm_id:
-                return vm
-        raise KeyError(f"unknown vm id {vm_id}")
-
-    def cloudlet_by_id(self, cloudlet_id: int) -> Cloudlet:
-        for cl in self.cloudlets:
-            if cl.id == cloudlet_id:
-                return cl
-        raise KeyError(f"unknown cloudlet id {cloudlet_id}")
-
-    def host_by_id(self, host_id: int) -> Host:
-        for host in self.hosts():
-            if host.id == host_id:
-                return host
-        raise KeyError(f"unknown host id {host_id}")
-
     def with_policy(self, policy: str) -> "Scenario":
         """Same scenario rebound to another policy."""
         return Scenario(self.datacenters, self.vms, self.cloudlets,

@@ -29,7 +29,17 @@ BENCH_LENGTHS = (20000.0, 10000.0, 20000.0, 10000.0, 10000.0, 20000.0,
 BENCH_VM_MIPS = (250.0, 1000.0, 250.0, 500.0, 250.0)
 BENCH_LENGTH_MIX = ((20000.0, 5.0), (10000.0, 7.0))
 
-BUILTIN_NAMES = ("paper12-fcfs", "paper12-rr", "paper12-gpa")
+# The shipped scenarios: name -> (VM MIPS in declaration order, policy,
+# RAM of the two hosts).
+_BUILTINS = {
+    "paper12-fcfs": ((250.0, 1000.0, 250.0, 500.0, 250.0), "fcfs",
+                     (3 * VM_RAM_MB, 2 * VM_RAM_MB)),
+    "paper12-rr": ((250.0, 250.0, 250.0, 500.0, 1000.0), "rr",
+                   (4 * VM_RAM_MB, 1 * VM_RAM_MB)),
+    "paper12-gpa": ((1000.0, 500.0, 250.0, 250.0, 250.0), "gpa",
+                    (3 * VM_RAM_MB, 2 * VM_RAM_MB)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 class ScenarioFormatError(ValueError):
@@ -228,18 +238,9 @@ def builtin_scenario(name: str) -> Scenario:
     they differ in VM declaration order (which fixes cyclic dispatch and
     the round-robin ring) and in the bound policy.
     """
-    if name == "paper12-fcfs":
-        scenario = _two_dc_scenario((250.0, 1000.0, 250.0, 500.0, 250.0),
-                                    "fcfs", ram_split=(3 * VM_RAM_MB, 2 * VM_RAM_MB))
-    elif name == "paper12-rr":
-        scenario = _two_dc_scenario((250.0, 250.0, 250.0, 500.0, 1000.0),
-                                    "rr", ram_split=(4 * VM_RAM_MB, 1 * VM_RAM_MB))
-    elif name == "paper12-gpa":
-        scenario = _two_dc_scenario((1000.0, 500.0, 250.0, 250.0, 250.0),
-                                    "gpa", ram_split=(3 * VM_RAM_MB, 2 * VM_RAM_MB))
-    else:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin scenario {name!r}")
-    return validate_scenario(scenario)
+    return validate_scenario(_two_dc_scenario(*_BUILTINS[name]))
 
 
 # ---------------------------------------------------------------------------

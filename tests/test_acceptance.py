@@ -119,8 +119,9 @@ def test_criterion_6_property_suite():
         outcome = assign(scenario)
         result = execute_plan(scenario, outcome.plan, outcome.mode)
         assigned = {vm.id: 0.0 for vm in scenario.vms}
+        lengths = {cl.id: cl.length for cl in scenario.cloudlets}
         for cl_id, vm_id in outcome.plan.entries:
-            assigned[vm_id] += scenario.cloudlet_by_id(cl_id).length
+            assigned[vm_id] += lengths[cl_id]
         for usage in result.vm_usage:
             expected = assigned[usage.vm_id] / usage.mips
             assert abs(usage.busy_time - expected) <= 1e-9 * max(1.0, expected)

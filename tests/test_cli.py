@@ -1,18 +1,25 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cloudsched import (
+    BUILTIN_NAMES,
+    POLICIES,
     GeneratorSpec,
     builtin_scenario,
     generate,
     save_scenario,
     write_scenario,
 )
-from cloudsched.cli import main
+from cloudsched.cli import FORMATS, main
 from conftest import make_scenario, make_shuffled_arrival_scenario
+from test_workload import _scenario_documents
 
 FCFS_GOLDEN = """\
 cloudlet_id,datacenter_id,vm_id,cpu_time,start,finish
@@ -356,3 +363,106 @@ def test_missing_subcommand_exits_via_argparse():
 def test_sweep_requires_counts_flag():
     with pytest.raises(SystemExit):
         main(["sweep"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--counts", "a,b"],
+    ["run", "--bogus"],
+    ["run", "--generate", "x"],
+    ["sweep"],
+    ["bogus"],
+], ids=" ".join)
+def test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# property: main ends in 0, 1 or 2, and a failure writes nothing
+
+# Values each flag takes on a working command line. Scenario documents
+# carry their own edits, and half of the paths have no file behind them.
+_VALUES = {
+    "--builtin": st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1,
+                          max_size=3).map(",".join),
+    "--scenario": st.none() | _scenario_documents(),
+    "--generate": st.sampled_from(("1", "7", "40")),
+    "--policy": st.lists(st.sampled_from(POLICIES), unique=True,
+                         max_size=3).map(",".join),
+    "--seed": st.sampled_from(("0", "7", str(2 ** 64 - 1))),
+    "--format": st.lists(st.sampled_from(FORMATS), min_size=1,
+                         max_size=2).map(",".join),
+    "--counts": st.lists(st.sampled_from(("1", "5", "30")), min_size=1,
+                         max_size=3).map(",".join),
+}
+
+# What each flag's value can be mixed up with.
+_MIXUPS = {
+    "--builtin": st.sampled_from(("paper13", "")),
+    "--scenario": st.none(),
+    "--generate": st.sampled_from(("0", "-3", "x")),
+    "--policy": st.sampled_from(("sjf", "fcfs,fcfs")),
+    "--seed": st.sampled_from((str(2 ** 64), "-1", "x")),
+    "--format": st.sampled_from(("xml", "")),
+    "--counts": st.sampled_from(("", "0", "-2", "x")),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A working command line with up to two edits: the command swapped
+    (for an unknown one too), a flag dropped, or any flag set to a valid
+    value or a mix-up, flags the command does not take included."""
+    command = draw(st.sampled_from(("run", "compare", "sweep")))
+    if command == "sweep":
+        flags = ["--counts"]
+    else:
+        flags = [draw(st.sampled_from(("--builtin", "--scenario", "--generate")))]
+    flags += draw(st.lists(st.sampled_from(("--policy", "--seed", "--format")),
+                           unique=True))
+    values = {flag: draw(_VALUES[flag]) for flag in flags}
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("command", "drop", "set")))
+        if edit == "command":
+            command = draw(st.sampled_from(("run", "compare", "sweep", "bogus")))
+        elif edit == "drop" and values:
+            del values[draw(st.sampled_from(sorted(values)))]
+        else:
+            flag = draw(st.sampled_from(sorted(_VALUES)))
+            values[flag] = draw(_VALUES[flag] | _MIXUPS[flag])
+    return command, list(values.items())
+
+
+# time_limit bounds the whole property, so it is meant to span every example.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_command_lines())
+def test_main_ends_in_0_1_or_2_and_a_failure_writes_nothing(call, tmp_path_factory,
+                                                            time_limit):
+    command, flags = call
+    work = tmp_path_factory.mktemp("main")
+    out = work / "out"
+    argv = [command, "--out", str(out)]
+    for flag, value in flags:
+        if flag == "--scenario":
+            path = work / "scenario.json"
+            if value is not None:
+                path.write_text(json.dumps(value))
+            value = str(path)
+        argv += [flag, value]
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            assert exit_.code == 1
+            code = exit_.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.is_dir() and stderr.getvalue() == ""
+    else:
+        assert not out.exists()
+        assert stderr.getvalue().startswith("error: ")
+        assert stderr.getvalue().count("\n") == 1

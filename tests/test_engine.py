@@ -348,8 +348,9 @@ def test_work_conservation_per_vm_both_modes():
             (cl.id, scenario.vms[k % m].id)
             for k, cl in enumerate(scenario.cloudlets)))
         expected = {vm.id: 0.0 for vm in scenario.vms}
+        lengths = {cl.id: cl.length for cl in scenario.cloudlets}
         for cl_id, vm_id in plan.entries:
-            expected[vm_id] += scenario.cloudlet_by_id(cl_id).length
+            expected[vm_id] += lengths[cl_id]
         for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                        execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
             for usage in result.vm_usage:

@@ -36,7 +36,8 @@ def test_summarize_fcfs_benchmark(fcfs_scenario):
     assert math.isclose(report.mean_cpu_time, 550.0 / 12, rel_tol=1e-12)
     assert report.makespan == 240.0
     # 5 x 20000 + 7 x 10000 MI spread across the park.
-    assert math.isclose(report.total_work, 170000.0, rel_tol=1e-12)
+    assert math.isclose(sum(u.busy_time * u.mips for u in report.vm_usage),
+                        170000.0, rel_tol=1e-12)
 
 
 def test_summarize_utilization_per_vm(fcfs_scenario):
@@ -127,7 +128,7 @@ def test_total_work_is_conserved_across_policies(fcfs_scenario, rr_scenario,
                                                  gpa_scenario):
     for scenario in (fcfs_scenario, rr_scenario, gpa_scenario):
         report = summarize(run_policy(scenario), policy=scenario.policy)
-        assert math.isclose(report.total_work,
+        assert math.isclose(sum(u.busy_time * u.mips for u in report.vm_usage),
                             sum(cl.length for cl in scenario.cloudlets),
                             rel_tol=1e-9)
 

@@ -136,15 +136,13 @@ def test_with_policy_changes_only_the_policy(fcfs_scenario):
 
 
 def test_lookup_helpers(fcfs_scenario):
-    assert fcfs_scenario.vm_by_id(2).mips == 1000.0
-    assert fcfs_scenario.cloudlet_by_id(1).length == 20000.0
-    assert fcfs_scenario.host_by_id(2).datacenter_id == 3
-    with pytest.raises(KeyError):
-        fcfs_scenario.vm_by_id(99)
-    with pytest.raises(KeyError):
-        fcfs_scenario.cloudlet_by_id(99)
-    with pytest.raises(KeyError):
-        fcfs_scenario.host_by_id(99)
+    vms = {vm.id: vm for vm in fcfs_scenario.vms}
+    cloudlets = {cl.id: cl for cl in fcfs_scenario.cloudlets}
+    hosts = {host.id: host for host in fcfs_scenario.hosts()}
+    assert vms[2].mips == 1000.0
+    assert cloudlets[1].length == 20000.0
+    assert hosts[2].datacenter_id == 3
+    assert 99 not in vms and 99 not in cloudlets and 99 not in hosts
 
 
 def test_vm_queues_preserve_entry_order():

@@ -102,7 +102,8 @@ def test_rr_uses_declared_vm_order_as_ring(rr_scenario):
         (k + 1, (k % 5) + 1) for k in range(12))
     # The builtin declares the ring MIPS-ascending.
     ring = [vm_id for _, vm_id in outcome.plan.entries[:5]]
-    assert [rr_scenario.vm_by_id(i).mips for i in ring] == \
+    mips = {vm.id: vm.mips for vm in rr_scenario.vms}
+    assert [mips[i] for i in ring] == \
         [250.0, 250.0, 250.0, 500.0, 1000.0]
 
 
