@@ -142,17 +142,16 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
     jobs = _resolve_jobs(args)
     if len(jobs) < 2:
         raise UsageError("need >= 2 policies to compare")
-    comparison = compare([summarize(_simulate(sc), policy=sc.policy)
-                          for sc in jobs])
-    rows = [[c["policy"], c["mode"], str(c["n_cloudlets"]),
-             _t(c["mean_cpu_time"]), _t(c["mean_completion_time"]),
-             _t(c["headline_mean"]), _t(c["makespan"]),
-             _t(c["mean_utilization"], 3), _t(c["improvement_pct"], 1)]
-            for c in comparison]
+    reports = [summarize(_simulate(sc), policy=sc.policy) for sc in jobs]
+    improvements = compare(reports)
+    rows = [[r.policy, r.mode.value, str(r.n_cloudlets),
+             _t(r.mean_cpu_time), _t(r.mean_completion_time),
+             _t(r.headline_mean), _t(r.makespan),
+             _t(r.mean_utilization, 3), _t(pct, 1)]
+            for r, pct in zip(reports, improvements)]
     # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
     dat = ["# policy headline_mean makespan"]
-    dat += [f"{c['policy']} {_t(c['headline_mean'])} {_t(c['makespan'])}"
-            for c in comparison]
+    dat += [f"{r.policy} {_t(r.headline_mean)} {_t(r.makespan)}" for r in reports]
     return ([("compare", _COMPARE_HEADER, rows)],
             {"compare.dat": "\n".join(dat) + "\n"})
 
@@ -164,8 +163,6 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
     the others. Timings go to sweep_timing.csv, kept out of the sweep
     table so its files are byte-deterministic.
     """
-    if not args.counts:
-        raise UsageError("no task counts given")
     if any(n < 1 for n in args.counts):
         raise UsageError("task counts must be >= 1")
     policies = args.policy or POLICIES
@@ -197,15 +194,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _str_list(text: str) -> tuple[str, ...]:
+    """The non-empty parts of a comma-separated list; a list with none
+    (`,` or the empty string) is an error, not a silent default."""
+    parts = tuple(part for part in text.split(",") if part)
+    if not parts:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return parts
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(map(int, _str_list(text)))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part for part in text.split(",") if part)
 
 
 def _add_common(sub: argparse.ArgumentParser, with_source: bool) -> None:

@@ -124,8 +124,7 @@ def execute_plan(scenario: Scenario, plan: AssignmentPlan,
         for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):
             records[slot_of[cloudlet_id]] = CloudletRecord(
                 cloudlet_id, vm_id, datacenter_id, cpu_time, start, finish)
-        usage.append(VmUsage(vm_id, vm.mips,
-                             busy_time=max((t[2] for t in times), default=0.0)))
+        usage.append(VmUsage(vm_id, max((t[2] for t in times), default=0.0)))
 
     return SimulationResult(mode=mode, records=tuple(records),
                             vm_usage=tuple(usage))

@@ -51,30 +51,25 @@ def summarize(result: SimulationResult, policy: str = "") -> PolicyReport:
     )
 
 
-def compare(reports: list[PolicyReport]) -> list[dict]:
-    """Side-by-side rows, with relative improvement vs the first report.
+def compare(reports: list[PolicyReport]) -> list[float]:
+    """Improvement of each report's headline mean over the first report's,
+    in percent: positive means that policy beat the first listed one.
 
-    Improvement is on the headline mean: positive means this policy beat
-    the first listed one.
+    The reports must cover the same number of cloudlets. A makespan of 0
+    (which `mean_utilization` divides by) or a baseline headline mean of 0
+    is an error: a length that small underflows a float.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 reports to compare")
     counts = {r.n_cloudlets for r in reports}
     if len(counts) > 1:
         raise ValueError(f"mismatched cloudlet counts: {sorted(counts)}")
-
-    baseline = reports[0].headline_mean
-    rows = []
     for report in reports:
-        rows.append({
-            "policy": report.policy,
-            "mode": report.mode.value,
-            "n_cloudlets": report.n_cloudlets,
-            "mean_cpu_time": report.mean_cpu_time,
-            "mean_completion_time": report.mean_completion_time,
-            "headline_mean": report.headline_mean,
-            "makespan": report.makespan,
-            "mean_utilization": report.mean_utilization,
-            "improvement_pct": 100.0 * (baseline - report.headline_mean) / baseline,
-        })
-    return rows
+        if report.makespan == 0:
+            raise ValueError(f"policy {report.policy!r} has a makespan of 0 "
+                             f"(the scenario underflows a float)")
+    baseline = reports[0].headline_mean
+    if baseline == 0:
+        raise ValueError(f"policy {reports[0].policy!r} has a headline mean of 0 "
+                         f"(the scenario underflows a float)")
+    return [100.0 * (baseline - r.headline_mean) / baseline for r in reports]

@@ -124,7 +124,6 @@ class VmUsage:
     """Per-VM accounting attached to a result."""
 
     vm_id: int
-    mips: float
     busy_time: float
 
 

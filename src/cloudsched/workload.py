@@ -27,7 +27,6 @@ VM_RAM_MB = 512
 BENCH_LENGTHS = (20000.0, 10000.0, 20000.0, 10000.0, 10000.0, 20000.0,
                  10000.0, 20000.0, 10000.0, 10000.0, 20000.0, 10000.0)
 BENCH_VM_MIPS = (250.0, 1000.0, 250.0, 500.0, 250.0)
-BENCH_LENGTH_MIX = ((20000.0, 5.0), (10000.0, 7.0))
 
 # The shipped scenarios: name -> (VM MIPS in declaration order, policy,
 # RAM of the two hosts).
@@ -84,12 +83,6 @@ class Lcg64:
         """Float in [0, 1) built from the top 53 bits."""
         return (self.next_u64() >> 11) / 9007199254740992.0
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, walking from the last element down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def derive_seed(seed: int, n: int) -> int:
     """Per-size sub-seed for sweeps: seed + n strides, mod 2**64."""
@@ -103,42 +96,26 @@ def derive_seed(seed: int, n: int) -> int:
 class GeneratorSpec:
     """Synthetic workload description.
 
-    Lengths come either from a weighted value set (`length_values`, the
-    default 20000/10000 benchmark mix) or a uniform integer range
-    `length_range` = (min_mi, max_mi). With `without_replacement` the
-    value-set weights are exact counts: each value appears
-    n_tasks * weight / total_weight times and the multiset is shuffled.
+    Lengths are either the benchmark mix (20000 MI with weight 5, 10000 MI
+    with weight 7, drawn independently per cloudlet) or, with
+    `length_range` = (min_mi, max_mi), uniform integers in that range.
     """
 
     n_tasks: int
-    length_values: Optional[tuple[tuple[float, float], ...]] = None
     length_range: Optional[tuple[int, int]] = None
     seed: int = 0
-    without_replacement: bool = False
 
 
 def _spec_problems(spec: GeneratorSpec) -> list[str]:
     problems = []
     if spec.n_tasks < 1:
         problems.append("n_tasks must be >= 1")
-    if spec.length_values is not None and spec.length_range is not None:
-        problems.append("give either length_values or length_range, not both")
-    if spec.length_values is not None:
-        if not spec.length_values:
-            problems.append("empty length value set")
-        for value, weight in spec.length_values:
-            if value <= 0:
-                problems.append(f"non-positive length value {value}")
-            if weight <= 0:
-                problems.append(f"non-positive weight {weight}")
     if spec.length_range is not None:
         lo, hi = spec.length_range
         if lo <= 0:
             problems.append("length_range minimum must be positive")
         if lo > hi:
             problems.append("length_range minimum exceeds maximum")
-        if spec.without_replacement:
-            problems.append("without_replacement needs a finite value set")
     return problems
 
 
@@ -146,66 +123,34 @@ def _draw_lengths(spec: GeneratorSpec, rng: Lcg64) -> list[float]:
     if spec.length_range is not None:
         lo, hi = spec.length_range
         return [float(lo + rng.below(hi - lo + 1)) for _ in range(spec.n_tasks)]
-
-    values = spec.length_values if spec.length_values is not None else BENCH_LENGTH_MIX
-    total = sum(w for _, w in values)
-
-    if spec.without_replacement:
-        lengths: list[float] = []
-        for value, weight in values:
-            count = spec.n_tasks * weight / total
-            if abs(count - round(count)) > 1e-9:
-                raise ValueError(
-                    f"without_replacement needs integral counts; "
-                    f"value {value} would appear {count} times")
-            lengths.extend([float(value)] * round(count))
-        rng.shuffle(lengths)
-        return lengths
-
-    lengths = []
-    for _ in range(spec.n_tasks):
-        u = rng.unit() * total
-        acc = 0.0
-        picked = values[-1][0]
-        for value, weight in values:
-            acc += weight
-            if u < acc:
-                picked = value
-                break
-        lengths.append(float(picked))
-    return lengths
+    return [20000.0 if rng.unit() * 12.0 < 5.0 else 10000.0
+            for _ in range(spec.n_tasks)]
 
 
-def generate(spec: GeneratorSpec,
-             vm_template: Optional[tuple[float, ...]] = None,
-             policy: str = "fcfs") -> Scenario:
-    """Deterministic scenario from (spec, vm_template): same seed, same bytes.
+def generate(spec: GeneratorSpec) -> Scenario:
+    """Deterministic fcfs scenario from `spec`: same seed, same bytes.
 
-    `vm_template` is the MIPS list in VM creation order (default the
-    five-VM benchmark set); all VMs get 512 MB RAM on a single exact-fit
-    host.
+    The VMs are the five-VM benchmark set (BENCH_VM_MIPS), each with
+    512 MB RAM, on a single exact-fit host.
     """
     problems = _spec_problems(spec)
     if problems:
         raise ValueError("; ".join(problems))
-    template = vm_template if vm_template is not None else BENCH_VM_MIPS
-    if not template or any(m <= 0 for m in template):
-        raise ValueError("vm_template must be a non-empty list of positive MIPS")
 
     rng = Lcg64(spec.seed)
     lengths = _draw_lengths(spec, rng)
 
     host = Host(id=1, datacenter_id=1,
-                total_mips=float(sum(template)),
-                ram_mb=VM_RAM_MB * len(template),
+                total_mips=float(sum(BENCH_VM_MIPS)),
+                ram_mb=VM_RAM_MB * len(BENCH_VM_MIPS),
                 storage_mb=1_000_000)
     scenario = Scenario(
         datacenters=(Datacenter(id=1, hosts=(host,)),),
-        vms=tuple(Vm(id=i + 1, mips=float(m), ram_mb=VM_RAM_MB)
-                  for i, m in enumerate(template)),
+        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
+                  for i, m in enumerate(BENCH_VM_MIPS)),
         cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
                         for i, length in enumerate(lengths)),
-        policy=policy,
+        policy="fcfs",
     )
     return validate_scenario(scenario)
 

@@ -119,11 +119,12 @@ def test_criterion_6_property_suite():
         outcome = assign(scenario)
         result = execute_plan(scenario, outcome.plan, outcome.mode)
         assigned = {vm.id: 0.0 for vm in scenario.vms}
+        mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
         for cl_id, vm_id in outcome.plan.entries:
             assigned[vm_id] += lengths[cl_id]
         for usage in result.vm_usage:
-            expected = assigned[usage.vm_id] / usage.mips
+            expected = assigned[usage.vm_id] / mips[usage.vm_id]
             assert abs(usage.busy_time - expected) <= 1e-9 * max(1.0, expected)
 
     # Mode equivalence: with at most one cloudlet per VM the two modes

@@ -169,6 +169,24 @@ def test_overflowing_results_are_an_error_not_inf(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_zero_makespan_is_an_error_in_compare_only(tmp_path, capsys, command):
+    # 5e-324 MI on a 1000-MIPS VM takes 0.0 s: the makespan underflows,
+    # and compare's utilization would divide by it.
+    path = tmp_path / "tiny.json"
+    write_scenario(make_scenario([1000], [5e-324]), path)
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "run":
+        assert code == 0 and err == ""
+        return
+    assert code == 1
+    assert err == ("error: policy 'fcfs' has a makespan of 0 "
+                   "(the scenario underflows a float)\n")
+    assert not out.exists()
+
+
 def test_deeply_nested_document_is_a_format_error(tmp_path, capsys,
                                                   time_limit):
     deep = tmp_path / "deep.json"
@@ -340,7 +358,10 @@ def test_sweep_seed_changes_the_workload(tmp_path):
 
 
 def test_sweep_rejects_empty_and_bad_counts(tmp_path, capsys):
-    assert main(["sweep", "--counts", "", "--out", str(tmp_path)]) == 1
+    # An empty list is rejected while argparse parses the command line.
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--counts", "", "--out", str(tmp_path)])
+    assert exit_.value.code == 1
     assert main(["sweep", "--counts", "0,10", "--out", str(tmp_path)]) == 1
 
 
@@ -380,6 +401,23 @@ def test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1(argv, caps
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--builtin", "paper12-gpa", "--format", ","],
+    ["run", "--builtin", "paper12-gpa", "--policy", ","],
+    ["sweep", "--counts", ","],
+], ids=" ".join)
+def test_an_empty_list_flag_is_one_error_line_and_writes_nothing(argv, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(out)])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "empty list: ','" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # property: main ends in 0, 1 or 2, and a failure writes nothing
 
@@ -390,7 +428,7 @@ _VALUES = {
                           max_size=3).map(",".join),
     "--scenario": st.none() | _scenario_documents(),
     "--generate": st.sampled_from(("1", "7", "40")),
-    "--policy": st.lists(st.sampled_from(POLICIES), unique=True,
+    "--policy": st.lists(st.sampled_from(POLICIES), min_size=1, unique=True,
                          max_size=3).map(",".join),
     "--seed": st.sampled_from(("0", "7", str(2 ** 64 - 1))),
     "--format": st.lists(st.sampled_from(FORMATS), min_size=1,
@@ -404,7 +442,7 @@ _MIXUPS = {
     "--builtin": st.sampled_from(("paper13", "")),
     "--scenario": st.none(),
     "--generate": st.sampled_from(("0", "-3", "x")),
-    "--policy": st.sampled_from(("sjf", "fcfs,fcfs")),
+    "--policy": st.sampled_from(("sjf", "fcfs,fcfs", "")),
     "--seed": st.sampled_from((str(2 ** 64), "-1", "x")),
     "--format": st.sampled_from(("xml", "")),
     "--counts": st.sampled_from(("", "0", "-2", "x")),

@@ -348,12 +348,13 @@ def test_work_conservation_per_vm_both_modes():
             (cl.id, scenario.vms[k % m].id)
             for k, cl in enumerate(scenario.cloudlets)))
         expected = {vm.id: 0.0 for vm in scenario.vms}
+        mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
         for cl_id, vm_id in plan.entries:
             expected[vm_id] += lengths[cl_id]
         for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                        execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
             for usage in result.vm_usage:
-                work = expected[usage.vm_id] / usage.mips
+                work = expected[usage.vm_id] / mips[usage.vm_id]
                 assert math.isclose(usage.busy_time, work,
                                     rel_tol=1e-9, abs_tol=1e-9)

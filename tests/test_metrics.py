@@ -36,7 +36,8 @@ def test_summarize_fcfs_benchmark(fcfs_scenario):
     assert math.isclose(report.mean_cpu_time, 550.0 / 12, rel_tol=1e-12)
     assert report.makespan == 240.0
     # 5 x 20000 + 7 x 10000 MI spread across the park.
-    assert math.isclose(sum(u.busy_time * u.mips for u in report.vm_usage),
+    mips = {vm.id: vm.mips for vm in fcfs_scenario.vms}
+    assert math.isclose(sum(u.busy_time * mips[u.vm_id] for u in report.vm_usage),
                         170000.0, rel_tol=1e-12)
 
 
@@ -79,19 +80,18 @@ def test_compare_improvement_is_relative_to_first(fcfs_scenario,
                                                   rr_scenario, gpa_scenario):
     reports = [summarize(run_policy(sc), policy=sc.policy)
                for sc in (fcfs_scenario, rr_scenario, gpa_scenario)]
-    rows = compare(reports)
-    assert [row["policy"] for row in rows] == ["fcfs", "rr", "gpa"]
-    assert rows[0]["improvement_pct"] == 0.0
+    improvements = compare(reports)
+    assert len(improvements) == 3
+    assert improvements[0] == 0.0
     base = reports[0].headline_mean
-    assert math.isclose(rows[2]["improvement_pct"],
-                        100.0 * (base - 30.0) / base, rel_tol=1e-12)
-    assert rows[1]["improvement_pct"] < 0.0    # rr is slower than fcfs here
+    assert math.isclose(improvements[2], 100.0 * (base - 30.0) / base,
+                        rel_tol=1e-12)
+    assert improvements[1] < 0.0    # rr is slower than fcfs here
 
 
 def test_compare_identical_policies_improve_zero(fcfs_scenario):
     report = summarize(run_policy(fcfs_scenario), policy="fcfs")
-    rows = compare([report, report])
-    assert rows[1]["improvement_pct"] == 0.0
+    assert compare([report, report])[1] == 0.0
 
 
 def test_compare_needs_two_reports(fcfs_scenario):
@@ -107,6 +107,20 @@ def test_compare_rejects_mismatched_workloads(fcfs_scenario):
                  summarize(run_policy(small), policy="fcfs")])
 
 
+def test_compare_rejects_a_zero_divisor():
+    # One VM: 5e-321 MI takes 5e-324 s and 5e-324 MI takes 0.0 s, so the
+    # makespan is 5e-324 and the mean CPU time underflows to 0.
+    mean_zero = make_scenario([1000], [5e-321, 5e-324], policy="fcfs")
+    report = summarize(run_policy(mean_zero), policy="fcfs")
+    assert report.makespan > 0.0 and report.headline_mean == 0.0
+    with pytest.raises(ValueError, match="headline mean of 0"):
+        compare([report, report])
+    both_zero = make_scenario([1000], [5e-324], policy="fcfs")
+    report = summarize(run_policy(both_zero), policy="fcfs")
+    with pytest.raises(ValueError, match="makespan of 0"):
+        compare([report, report])
+
+
 def test_summarize_single_record():
     scenario = make_scenario([1000], [10000], policy="fcfs")
     report = summarize(run_policy(scenario), policy="fcfs")
@@ -118,17 +132,18 @@ def test_summarize_single_record():
 def test_compare_improvement_with_rr_baseline(rr_scenario, gpa_scenario):
     rr_report = summarize(run_policy(rr_scenario), policy="rr")
     gpa_report = summarize(run_policy(gpa_scenario), policy="gpa")
-    rows = compare([rr_report, gpa_report])
+    improvement = compare([rr_report, gpa_report])[1]
     expected = 100.0 * (rr_report.headline_mean - 30.0) / rr_report.headline_mean
-    assert math.isclose(rows[1]["improvement_pct"], expected, rel_tol=1e-12)
-    assert round(rows[1]["improvement_pct"], 1) == 76.3
+    assert math.isclose(improvement, expected, rel_tol=1e-12)
+    assert round(improvement, 1) == 76.3
 
 
 def test_total_work_is_conserved_across_policies(fcfs_scenario, rr_scenario,
                                                  gpa_scenario):
     for scenario in (fcfs_scenario, rr_scenario, gpa_scenario):
         report = summarize(run_policy(scenario), policy=scenario.policy)
-        assert math.isclose(sum(u.busy_time * u.mips for u in report.vm_usage),
+        mips = {vm.id: vm.mips for vm in scenario.vms}
+        assert math.isclose(sum(u.busy_time * mips[u.vm_id] for u in report.vm_usage),
                             sum(cl.length for cl in scenario.cloudlets),
                             rel_tol=1e-9)
 
