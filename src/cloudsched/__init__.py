@@ -37,7 +37,6 @@ from .model import (
 from .policies import (
     PolicyOutcome,
     assign,
-    rank_cloudlets_by_length,
 )
 from .workload import (
     BUILTIN_NAMES,
@@ -83,7 +82,6 @@ __all__ = [
     "load_scenario",
     "provision_vms",
     "ps_finish_times",
-    "rank_cloudlets_by_length",
     "save_scenario",
     "scenario_violations",
     "summarize",

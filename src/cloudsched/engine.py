@@ -6,8 +6,6 @@ processor sharing, the quantum->0 limit of round-robin). All cloudlets
 arrive at t = 0; a run is a pure function of (scenario, plan).
 """
 
-from operator import attrgetter
-
 from .model import (
     AssignmentPlan,
     CapacityError,
@@ -100,7 +98,8 @@ _KERNELS = {
 
 def execute_plan(scenario: Scenario, plan: AssignmentPlan,
                  mode: ExecutionMode) -> SimulationResult:
-    """Run `plan` under `mode`; records come back in arrival order.
+    """Run `plan` under `mode`; records come back in `scenario.cloudlets`
+    order, which for a validated scenario is arrival order.
 
     A VM's busy time is its last finish, 0.0 when nothing was assigned.
     """
@@ -108,13 +107,13 @@ def execute_plan(scenario: Scenario, plan: AssignmentPlan,
     kernel = _KERNELS[mode]
     host_of = provision_vms(scenario)
     datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
-    by_arrival = sorted(scenario.cloudlets, key=attrgetter("arrival_index"))
-    # Each record is written straight into its cloudlet's arrival slot.
-    slot_of = {cl.id: slot for slot, cl in enumerate(by_arrival)}
-    length_of = {cl.id: cl.length for cl in by_arrival}
+    cloudlets = scenario.cloudlets
+    # Each record is written straight into its cloudlet's slot.
+    slot_of = {cl.id: slot for slot, cl in enumerate(cloudlets)}
+    length_of = {cl.id: cl.length for cl in cloudlets}
     queues = plan.vm_queues()
 
-    records: list = [None] * len(by_arrival)
+    records: list = [None] * len(cloudlets)
     usage = []
     for vm in scenario.vms:
         vm_id = vm.id

@@ -34,7 +34,9 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cloudlet:
-    """One task: `length` is total work in MI (millions of instructions)."""
+    """One task: `length` is total work in MI (millions of instructions);
+    `arrival_index` is its 0-based place in arrival order, which in a
+    valid scenario is its position in `Scenario.cloudlets`."""
 
     id: int
     length: float
@@ -71,6 +73,9 @@ class Scenario:
 
     `vms` are in creation order and `cloudlets` in arrival order; both
     orders are semantically meaningful (cyclic dispatch follows them).
+    Validation requires `cloudlets[k].arrival_index == k`: the loader
+    orders a document's cloudlets by `arrival_index`, and an API-built
+    scenario must list them that way itself.
     `execution_mode` overrides the policy's default mode when set.
     """
 
@@ -198,8 +203,8 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             problems.append(f"non-positive ram on vm {vm.id}")
 
     seen_cl: set[int] = set()
-    arrivals: list[int] = []
-    for cl in scenario.cloudlets:
+    in_arrival_order = True
+    for position, cl in enumerate(scenario.cloudlets):
         if cl.id <= 0:
             problems.append(f"non-positive cloudlet id {cl.id}")
         if cl.id in seen_cl:
@@ -209,9 +214,10 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             problems.append(f"non-finite length on cloudlet {cl.id}")
         elif cl.length <= 0:
             problems.append(f"non-positive length on cloudlet {cl.id}")
-        arrivals.append(cl.arrival_index)
+        if cl.arrival_index != position:
+            in_arrival_order = False
 
-    if arrivals and sorted(arrivals) != list(range(len(arrivals))):
+    if not in_arrival_order:
         problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
 
     return problems

@@ -13,7 +13,7 @@ All tie-breaks are total and documented, so each plan is deterministic.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .model import POLICIES, AssignmentPlan, Cloudlet, ExecutionMode, Scenario
+from .model import POLICIES, AssignmentPlan, ExecutionMode, Scenario
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,6 @@ class PolicyOutcome:
     mode: ExecutionMode
 
 
-def rank_cloudlets_by_length(cloudlets: tuple[Cloudlet, ...]) -> list[int]:
-    """Cloudlet ids by descending length; ties broken by arrival order."""
-    ranked = sorted(cloudlets, key=lambda c: (-c.length, c.arrival_index))
-    return [cl.id for cl in ranked]
-
-
 def _cyclic_plan(scenario: Scenario) -> AssignmentPlan:
     """Cloudlet k (arrival order) -> VM k mod m (declared VM order).
 
@@ -37,15 +31,15 @@ def _cyclic_plan(scenario: Scenario) -> AssignmentPlan:
     reorder the VMs in the scenario to change the ring.
     """
     vms = scenario.vms
-    by_arrival = sorted(scenario.cloudlets, key=lambda c: c.arrival_index)
     return AssignmentPlan(tuple(
-        (cl.id, vms[k % len(vms)].id) for k, cl in enumerate(by_arrival)))
+        (cl.id, vms[k % len(vms)].id) for k, cl in enumerate(scenario.cloudlets)))
 
 
 def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
-    Cloudlets are processed longest-first; each goes to the VM minimizing
+    Cloudlets are processed longest-first, equal lengths in arrival order
+    (a stable sort of the tuple); each goes to the VM minimizing
     (already assigned work + length) / mips, ties broken by higher MIPS
     then lower VM id, and the chosen VM's assigned work is updated. With
     every VM empty this sends the first cloudlet to the fastest VM.
@@ -63,8 +57,7 @@ def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
     root of the work heap, which is walked to find the lowest id among
     them.
     """
-    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
-    ranked = rank_cloudlets_by_length(scenario.cloudlets)
+    ranked = sorted(scenario.cloudlets, key=lambda cl: -cl.length)
 
     ids_by_mips: dict[float, list[int]] = {}
     for vm in scenario.vms:
@@ -79,8 +72,8 @@ def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
         classes.append((mips, [0.0], {0.0: ids}))
 
     entries = []
-    for cloudlet_id in ranked:
-        length = cloudlets[cloudlet_id].length
+    for cloudlet in ranked:
+        length = cloudlet.length
         best = classes[0]
         best_ratio = (best[1][0] + length) / best[0]
         for cls in classes[1:]:
@@ -100,7 +93,7 @@ def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
                     work, vm_id = works[i], ids[0]
                 pending += (2 * i + 1, 2 * i + 2)
 
-        entries.append((cloudlet_id, vm_id))
+        entries.append((cloudlet.id, vm_id))
         heappop(ids_at[work])
         new_work = work + length
         if new_work in ids_at:

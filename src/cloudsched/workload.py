@@ -10,6 +10,7 @@ fail loudly.
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -228,17 +229,13 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse and validate a scenario from a file path or raw JSON text.
+    """Parse and validate a scenario from JSON text or a file.
 
-    A string starting with '{' is treated as the document itself;
-    anything else is read as a path.
+    A `str` is always the document text itself; an `os.PathLike` (such as
+    a `pathlib.Path`) is the path of a file holding it. The scenario lists
+    its cloudlets in arrival order, whatever order the document has them in.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
+    text = source if isinstance(source, str) else Path(source).read_text()
 
     # JSON has no NaN/Infinity/-Infinity, but json.loads accepts the bare
     # tokens; note that one was seen and search the document only then. A
@@ -412,6 +409,8 @@ def _scenario_from_doc(doc) -> Scenario:
                                   _number(cl_doc, path, "length"),
                                   _int(cl_doc, path, "arrival_index")))
         _check_pe_count(cl_doc, path)
+    # Every later stage reads tuple order as arrival order.
+    cloudlets.sort(key=attrgetter("arrival_index"))
 
     return Scenario(
         datacenters=tuple(datacenters),

@@ -1,5 +1,6 @@
 """Shared test helpers: scenario builders and the PS reference integrator."""
 
+import json
 import math
 import random
 import signal
@@ -14,6 +15,7 @@ from cloudsched import (
     Scenario,
     Vm,
     builtin_scenario,
+    save_scenario,
     validate_scenario,
 )
 
@@ -43,18 +45,15 @@ def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
     return validate_scenario(scenario) if check else scenario
 
 
-def make_shuffled_arrival_scenario(seed=3, n=12):
-    """Scenario whose arrival order is a shuffle of its tuple order, so code
-    that confuses the two puts records or rows in the wrong order."""
-    rng = random.Random(seed)
-    arrivals = list(range(n))
-    rng.shuffle(arrivals)
-    base = make_scenario([250, 500, 1000], [1000 * (k + 1) for k in range(n)],
-                         check=False)
-    cloudlets = tuple(Cloudlet(id=cl.id, length=cl.length, arrival_index=a)
-                      for cl, a in zip(base.cloudlets, arrivals))
-    return validate_scenario(Scenario(base.datacenters, base.vms, cloudlets,
-                                      base.policy))
+def make_shuffled_arrival_document(seed=3, n=12):
+    """Scenario document whose `cloudlets` list is a shuffle of its arrival
+    order, so code that confuses the two puts records or rows in the wrong
+    order. Returns (document text, cloudlet ids in arrival order)."""
+    scenario = make_scenario([250, 500, 1000], [1000 * (k + 1) for k in range(n)])
+    doc = json.loads(save_scenario(scenario))
+    random.Random(seed).shuffle(doc["cloudlets"])
+    assert [cl["arrival_index"] for cl in doc["cloudlets"]] != list(range(n))
+    return json.dumps(doc), [cl.id for cl in scenario.cloudlets]
 
 
 def make_random_scenario(rng: random.Random, policy=None, n_cloudlets=None,

@@ -18,7 +18,7 @@ from cloudsched import (
     write_scenario,
 )
 from cloudsched.cli import FORMATS, main
-from conftest import make_scenario, make_shuffled_arrival_scenario
+from conftest import make_scenario, make_shuffled_arrival_document
 from test_workload import _scenario_documents
 
 FCFS_GOLDEN = """\
@@ -208,14 +208,12 @@ def test_run_rejects_a_bad_pe_count_with_its_location(tmp_path, capsys):
 
 
 def test_run_writes_rows_in_arrival_order(tmp_path):
-    scenario = make_shuffled_arrival_scenario()
+    text, by_arrival = make_shuffled_arrival_document()
     path = tmp_path / "shuffled.json"
-    write_scenario(scenario, path)
+    path.write_text(text)
     assert main(["run", "--scenario", str(path), "--policy", "fcfs,rr",
                  "--out", str(tmp_path)]) == 0
-    expected = [str(cl.id) for cl in sorted(scenario.cloudlets,
-                                            key=lambda cl: cl.arrival_index)]
-    assert expected != [str(cl.id) for cl in scenario.cloudlets]
+    expected = [str(cloudlet_id) for cloudlet_id in by_arrival]
     for policy in ("fcfs", "rr"):
         lines = (tmp_path / f"{policy}.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:-1]] == expected

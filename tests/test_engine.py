@@ -18,6 +18,7 @@ from cloudsched import (
     Vm,
     assign,
     execute_plan,
+    load_scenario,
     provision_vms,
     ps_finish_times,
 )
@@ -25,7 +26,7 @@ from conftest import (
     integrate_ps,
     make_random_scenario,
     make_scenario,
-    make_shuffled_arrival_scenario,
+    make_shuffled_arrival_document,
 )
 
 
@@ -317,10 +318,8 @@ def test_execute_plan_dispatches_on_mode(fcfs_scenario):
 
 
 def test_records_come_back_in_arrival_order_not_tuple_order():
-    scenario = make_shuffled_arrival_scenario()
-    by_arrival = [cl.id for cl in sorted(scenario.cloudlets,
-                                         key=lambda cl: cl.arrival_index)]
-    assert by_arrival != [cl.id for cl in scenario.cloudlets]
+    text, by_arrival = make_shuffled_arrival_document()
+    scenario = load_scenario(text)
     for policy in POLICIES:
         plan = assign(scenario.with_policy(policy)).plan
         for mode in ExecutionMode:

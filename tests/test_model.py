@@ -112,11 +112,14 @@ def test_non_finite_quantities_are_flagged():
 
 
 def test_arrival_indices_must_be_contiguous():
-    scenario = make_scenario([250], [1000, 2000], check=False)
-    gappy = Cloudlet(id=2, length=2000.0, arrival_index=5)
-    scenario = Scenario(scenario.datacenters, scenario.vms,
-                        (scenario.cloudlets[0], gappy), scenario.policy)
-    assert any("contiguous" in p for p in scenario_violations(scenario))
+    base = make_scenario([250], [1000, 2000], check=False)
+    first, second = base.cloudlets
+    gappy = (first, replace(second, arrival_index=5))
+    # A permutation, but not listed in arrival order.
+    swapped = (replace(first, arrival_index=1), replace(second, arrival_index=0))
+    for cloudlets in (gappy, swapped):
+        scenario = replace(base, cloudlets=cloudlets)
+        assert any("contiguous" in p for p in scenario_violations(scenario))
 
 
 def test_validation_error_carries_every_violation():

@@ -17,7 +17,6 @@ from cloudsched import (
     Vm,
     assign,
     execute_plan,
-    rank_cloudlets_by_length,
 )
 from conftest import make_random_scenario, make_scenario
 
@@ -49,17 +48,17 @@ def linear_gpa_reference(scenario):
     Same float arithmetic as the gpa policy, so the two plans must be equal
     entry for entry, including where float sums round to a tie.
     """
-    cloudlets = {cl.id: cl for cl in scenario.cloudlets}
+    ranked = sorted(scenario.cloudlets, key=lambda c: (-c.length, c.arrival_index))
     assigned_work = {vm.id: 0.0 for vm in scenario.vms}
     entries = []
-    for cloudlet_id in rank_cloudlets_by_length(scenario.cloudlets):
-        length = cloudlets[cloudlet_id].length
+    for cl in ranked:
+        length = cl.length
         best = min(
             scenario.vms,
             key=lambda vm: ((assigned_work[vm.id] + length) / vm.mips,
                             -vm.mips, vm.id),
         )
-        entries.append((cloudlet_id, best.id))
+        entries.append((cl.id, best.id))
         assigned_work[best.id] += length
     return tuple(entries)
 
@@ -144,7 +143,6 @@ def test_gpa_processes_longest_cloudlets_first():
     scenario = make_scenario([500], [100, 900, 500, 900], policy="gpa")
     outcome = assign(scenario)
     # Descending length, ties by arrival: ids 2, 4 (both 900), 3, 1.
-    assert rank_cloudlets_by_length(scenario.cloudlets) == [2, 4, 3, 1]
     assert [cl_id for cl_id, _ in outcome.plan.entries] == [2, 4, 3, 1]
 
 
@@ -217,10 +215,15 @@ def gpa_vm_order(vms, lengths):
     return [vm_id for _, vm_id in assign(scenario).plan.entries]
 
 
+def gpa_cloudlet_order(scenario):
+    """Cloudlet ids in the order gpa plans them."""
+    return [cl_id for cl_id, _ in assign(scenario.with_policy("gpa")).plan.entries]
+
+
 def test_rank_helpers_break_ties_deterministically():
     scenario = make_scenario([500, 1000, 500], [10, 20, 20, 5])
     assert gpa_vm_order(scenario.vms, [20, 10, 10]) == [2, 1, 3]
-    assert rank_cloudlets_by_length(scenario.cloudlets) == [2, 3, 1, 4]
+    assert gpa_cloudlet_order(scenario) == [2, 3, 1, 4]
 
 
 def test_rank_vms_handles_zero_based_ids():
@@ -234,7 +237,7 @@ def test_rank_vms_handles_zero_based_ids():
 
 
 def test_rank_cloudlets_on_the_benchmark_workload(fcfs_scenario):
-    ranked = rank_cloudlets_by_length(fcfs_scenario.cloudlets)
+    ranked = gpa_cloudlet_order(fcfs_scenario)
     assert ranked[:5] == [1, 3, 6, 8, 11]       # the 20000 MI cloudlets
     assert ranked[5:] == [2, 4, 5, 7, 9, 10, 12]
 

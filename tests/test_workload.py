@@ -168,10 +168,12 @@ def test_save_load_roundtrip_on_generated():
     assert load_scenario(save_scenario(scenario)) == scenario
 
 
-def test_load_accepts_a_path_string(tmp_path):
+def test_load_reads_every_str_as_document_text(tmp_path):
     path = tmp_path / "case.json"
     write_scenario(builtin_scenario("paper12-fcfs"), path)
-    assert load_scenario(str(path)) == builtin_scenario("paper12-fcfs")
+    for text in ("[]", "42", "", str(path)):
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(text)
 
 
 def test_load_reports_parse_position():
@@ -323,14 +325,20 @@ def _containers(node):
 
 
 @st.composite
+def _valid_documents(draw):
+    """A valid scenario document: 1-3 VMs, 1-4 cloudlets, any policy."""
+    vm_mips = draw(st.lists(st.sampled_from([250, 500, 1000]), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
+    return json.loads(save_scenario(
+        make_scenario(vm_mips, lengths, policy=draw(st.sampled_from(POLICIES)))))
+
+
+@st.composite
 def _scenario_documents(draw):
     """A valid scenario document with up to three edits anywhere in it:
     a value swapped for any JSON value, a key or item dropped, or a known,
     legacy or unknown key added."""
-    vm_mips = draw(st.lists(st.sampled_from([250, 500, 1000]), min_size=1, max_size=3))
-    lengths = draw(st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
-    doc = json.loads(save_scenario(
-        make_scenario(vm_mips, lengths, policy=draw(st.sampled_from(POLICIES)))))
+    doc = draw(_valid_documents())
     for _ in range(draw(st.integers(0, 3))):
         node = draw(st.sampled_from(_containers(doc)))
         edit = draw(st.sampled_from(("swap", "drop", "add")))
@@ -362,3 +370,13 @@ def test_any_json_value_loads_or_raises_a_library_error(doc, tmp_path_factory):
     except (ScenarioFormatError, ValidationError):
         return
     assert scenario_violations(scenario) == []
+
+
+# ---------------------------------------------------------------------------
+# property: the cloudlets' list order in a document is not their arrival order
+
+@given(doc=_valid_documents(), data=st.data())
+def test_cloudlet_list_order_does_not_change_the_loaded_scenario(doc, data):
+    scenario = load_scenario(json.dumps(doc))
+    doc["cloudlets"] = data.draw(st.permutations(doc["cloudlets"]))
+    assert load_scenario(json.dumps(doc)) == scenario
