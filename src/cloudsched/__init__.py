@@ -18,7 +18,6 @@ from .metrics import (
 )
 from .model import (
     POLICIES,
-    AssignmentPlan,
     CapacityError,
     Cloudlet,
     CloudletRecord,
@@ -34,10 +33,7 @@ from .model import (
     validate_plan,
     validate_scenario,
 )
-from .policies import (
-    PolicyOutcome,
-    assign,
-)
+from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
     GeneratorSpec,
@@ -54,7 +50,6 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentPlan",
     "BUILTIN_NAMES",
     "CapacityError",
     "Cloudlet",
@@ -65,7 +60,6 @@ __all__ = [
     "Host",
     "Lcg64",
     "POLICIES",
-    "PolicyOutcome",
     "PolicyReport",
     "Scenario",
     "ScenarioFormatError",

@@ -103,8 +103,8 @@ def _resolve_jobs(args: argparse.Namespace) -> list[Scenario]:
 
 
 def _simulate(scenario: Scenario) -> SimulationResult:
-    outcome = assign(scenario)
-    return execute_plan(scenario, outcome.plan, outcome.mode)
+    plan, mode = assign(scenario)
+    return execute_plan(scenario, plan, mode)
 
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
@@ -115,12 +115,8 @@ _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "fi
 
 def cmd_run(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
     """Run each requested policy: one <policy> table per run."""
-    jobs = _resolve_jobs(args)
-    names = [scenario.policy for scenario in jobs]
-    if len(set(names)) != len(names):
-        raise UsageError("duplicate policies would overwrite each other's files")
     tables = []
-    for scenario in jobs:
+    for scenario in _resolve_jobs(args):
         result = _simulate(scenario)
         # Records are tuples in CloudletRecord field order: transpose them
         # to format whole columns at a time.
@@ -257,6 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject the flag values argparse lets through."""
+    # A repeated entry would run twice and, in `run`, overwrite its own files.
+    for flag in ("builtin", "policy", "format", "counts"):
+        values = getattr(args, flag, ())
+        if len(set(values)) != len(values):
+            raise UsageError(f"duplicate entry in --{flag}: "
+                             f"{','.join(map(str, values))}")
     if not 0 <= args.seed < 2 ** 64:
         raise UsageError("--seed must fit in an unsigned 64-bit integer")
     for fmt in args.format:

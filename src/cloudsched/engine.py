@@ -7,10 +7,10 @@ arrive at t = 0; a run is a pure function of (scenario, plan).
 """
 
 from .model import (
-    AssignmentPlan,
     CapacityError,
     CloudletRecord,
     ExecutionMode,
+    Plan,
     Scenario,
     SimulationResult,
     VmUsage,
@@ -96,12 +96,15 @@ _KERNELS = {
 }
 
 
-def execute_plan(scenario: Scenario, plan: AssignmentPlan,
+def execute_plan(scenario: Scenario, plan: Plan,
                  mode: ExecutionMode) -> SimulationResult:
-    """Run `plan` under `mode`; records come back in `scenario.cloudlets`
-    order, which for a validated scenario is arrival order.
+    """Run `plan` under `mode`; each VM serves its cloudlets in plan
+    order, and records come back in `scenario.cloudlets` order.
 
-    A VM's busy time is its last finish, 0.0 when nothing was assigned.
+    Expects a validated scenario (`load_scenario`, `generate` and
+    `builtin_scenario` return one), whose tuple order is arrival order;
+    only the plan is checked here. A VM's busy time is its last finish,
+    0.0 when nothing was assigned.
     """
     validate_plan(scenario, plan)
     kernel = _KERNELS[mode]
@@ -111,13 +114,15 @@ def execute_plan(scenario: Scenario, plan: AssignmentPlan,
     # Each record is written straight into its cloudlet's slot.
     slot_of = {cl.id: slot for slot, cl in enumerate(cloudlets)}
     length_of = {cl.id: cl.length for cl in cloudlets}
-    queues = plan.vm_queues()
+    queues: dict[int, list[int]] = {vm.id: [] for vm in scenario.vms}
+    for cloudlet_id, vm_id in plan:
+        queues[vm_id].append(cloudlet_id)
 
     records: list = [None] * len(cloudlets)
     usage = []
     for vm in scenario.vms:
         vm_id = vm.id
-        queue = queues.get(vm_id, [])
+        queue = queues[vm_id]
         datacenter_id = datacenter_of[host_of[vm_id]]
         times = kernel([length_of[cid] for cid in queue], vm.mips)
         for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):

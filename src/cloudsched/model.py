@@ -95,18 +95,9 @@ class Scenario:
                         policy, self.execution_mode)
 
 
-@dataclass(frozen=True)
-class AssignmentPlan:
-    """Ordered cloudlet -> VM mapping; per-VM queue order follows entry order."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def vm_queues(self) -> dict[int, list[int]]:
-        """Cloudlet ids queued per VM, in plan order."""
-        queues: dict[int, list[int]] = {}
-        for cloudlet_id, vm_id in self.entries:
-            queues.setdefault(vm_id, []).append(cloudlet_id)
-        return queues
+# What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
+# VM serves its cloudlets in plan order.
+Plan = tuple[tuple[int, int], ...]
 
 
 class CloudletRecord(NamedTuple):
@@ -218,7 +209,11 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             in_arrival_order = False
 
     if not in_arrival_order:
-        problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
+        indices = sorted(cl.arrival_index for cl in scenario.cloudlets)
+        if indices == list(range(len(indices))):
+            problems.append("cloudlets are not listed in arrival order")
+        else:
+            problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
 
     return problems
 
@@ -231,21 +226,21 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> AssignmentPlan:
-    """Check a plan covers every cloudlet exactly once on existing VMs."""
+def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
+    """Check a plan covers every cloudlet exactly once on existing VMs;
+    return it unchanged."""
     problems: list[str] = []
-    entries = plan.entries
-    planned = set(map(itemgetter(0), entries))
+    planned = set(map(itemgetter(0), plan))
     expected = {cl.id for cl in scenario.cloudlets}
     # One entry per cloudlet, over distinct ids that are the cloudlets' ids.
     # A scenario that repeats a cloudlet id therefore has no valid plan.
-    if not (len(entries) == len(scenario.cloudlets) == len(planned)
+    if not (len(plan) == len(scenario.cloudlets) == len(planned)
             and planned == expected):
         problems.append("plan entries are not a permutation of the cloudlets")
     vm_ids = {vm.id for vm in scenario.vms}
-    if not vm_ids.issuperset(map(itemgetter(1), entries)):
+    if not vm_ids.issuperset(map(itemgetter(1), plan)):
         problems += [f"plan assigns cloudlet {cloudlet_id} to unknown vm {vm_id}"
-                     for cloudlet_id, vm_id in entries if vm_id not in vm_ids]
+                     for cloudlet_id, vm_id in plan if vm_id not in vm_ids]
     if problems:
         raise ValidationError(problems)
     return plan

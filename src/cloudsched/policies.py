@@ -10,32 +10,23 @@ Three policies, each a pure function of the scenario:
 All tie-breaks are total and documented, so each plan is deterministic.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .model import POLICIES, AssignmentPlan, ExecutionMode, Scenario
+from .model import POLICIES, ExecutionMode, Plan, Scenario
 
 
-@dataclass(frozen=True)
-class PolicyOutcome:
-    """A plan plus the mode it executes in."""
-
-    plan: AssignmentPlan
-    mode: ExecutionMode
-
-
-def _cyclic_plan(scenario: Scenario) -> AssignmentPlan:
+def _cyclic_plan(scenario: Scenario) -> Plan:
     """Cloudlet k (arrival order) -> VM k mod m (declared VM order).
 
     fcfs and rr share this plan; the declared VM order is rr's ring, so
     reorder the VMs in the scenario to change the ring.
     """
     vms = scenario.vms
-    return AssignmentPlan(tuple(
-        (cl.id, vms[k % len(vms)].id) for k, cl in enumerate(scenario.cloudlets)))
+    return tuple((cl.id, vms[k % len(vms)].id)
+                 for k, cl in enumerate(scenario.cloudlets))
 
 
-def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
+def _gpa_plan(scenario: Scenario) -> Plan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
     Cloudlets are processed longest-first, equal lengths in arrival order
@@ -104,7 +95,7 @@ def _gpa_plan(scenario: Scenario) -> AssignmentPlan:
         while not ids_at[works[0]]:
             del ids_at[heappop(works)]
 
-    return AssignmentPlan(tuple(entries))
+    return tuple(entries)
 
 
 # policy -> (plan builder, default execution mode). model.POLICIES lists the
@@ -120,12 +111,16 @@ if _POLICIES.keys() != set(POLICIES):
                       f"model.POLICIES {sorted(POLICIES)}")
 
 
-def assign(scenario: Scenario) -> PolicyOutcome:
-    """The scenario's policy plan, in its execution mode (the scenario's
-    `execution_mode` when set, else the policy's default)."""
+def assign(scenario: Scenario) -> tuple[Plan, ExecutionMode]:
+    """`(plan, mode)`: the scenario's policy plan, and its execution mode
+    (the scenario's `execution_mode` when set, else the policy's default).
+
+    Expects a validated scenario (`load_scenario`, `generate` and
+    `builtin_scenario` return one): cloudlets are taken in tuple order,
+    which is not re-checked to be arrival order.
+    """
     try:
         build_plan, default_mode = _POLICIES[scenario.policy]
     except KeyError:
         raise ValueError(f"unknown policy {scenario.policy!r}") from None
-    return PolicyOutcome(build_plan(scenario),
-                         scenario.execution_mode or default_mode)
+    return build_plan(scenario), scenario.execution_mode or default_mode

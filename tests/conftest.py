@@ -56,6 +56,14 @@ def make_shuffled_arrival_document(seed=3, n=12):
     return json.dumps(doc), [cl.id for cl in scenario.cloudlets]
 
 
+def vm_queues(plan):
+    """Cloudlet ids queued per VM, in plan order."""
+    queues = {}
+    for cloudlet_id, vm_id in plan:
+        queues.setdefault(vm_id, []).append(cloudlet_id)
+    return queues
+
+
 def make_random_scenario(rng: random.Random, policy=None, n_cloudlets=None,
                          max_vms=6, max_cloudlets=16):
     """Small random scenario; ids stay dense and 1-based."""

@@ -17,14 +17,13 @@ from cloudsched import (
     ps_finish_times,
 )
 from cloudsched.cli import main
-from cloudsched.model import AssignmentPlan
-from conftest import integrate_ps, make_random_scenario, make_scenario
+from conftest import integrate_ps, make_random_scenario, make_scenario, vm_queues
 
 
 def run_builtin(name):
     scenario = builtin_scenario(name)
-    outcome = assign(scenario)
-    return scenario, outcome, execute_plan(scenario, outcome.plan, outcome.mode)
+    plan, mode = assign(scenario)
+    return scenario, plan, execute_plan(scenario, plan, mode)
 
 
 def timed_run(name, repeats=3):
@@ -33,8 +32,8 @@ def timed_run(name, repeats=3):
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        outcome = assign(scenario)
-        execute_plan(scenario, outcome.plan, outcome.mode)
+        plan, mode = assign(scenario)
+        execute_plan(scenario, plan, mode)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -65,12 +64,12 @@ def test_criterion_2_rr_processor_sharing_groups():
 
 
 def test_criterion_3_gpa_exact_mean_and_assignment():
-    scenario, outcome, result = run_builtin("paper12-gpa")
+    scenario, plan, result = run_builtin("paper12-gpa")
     assert result.mean_cpu_time == 30.0                        # exact
     assert result.makespan == 80.0                             # exact
     length = {cl.id: cl.length for cl in scenario.cloudlets}
     queues = {vm_id: sorted(length[c] for c in ids)
-              for vm_id, ids in outcome.plan.vm_queues().items()}
+              for vm_id, ids in vm_queues(plan).items()}
     assert queues[1] == [20000.0] * 4                          # 1000 MIPS
     assert queues[2] == [10000.0, 10000.0, 20000.0]            # 500 MIPS
     assert sorted(len(queues[i]) for i in (3, 4, 5)) == [1, 2, 2]
@@ -106,22 +105,22 @@ def test_criterion_6_property_suite():
     for _ in range(500):
         scenario = make_random_scenario(rng)
         for policy in POLICIES:
-            plan = assign(scenario.with_policy(policy)).plan
-            assert sorted(cl_id for cl_id, _ in plan.entries) == \
+            plan, _ = assign(scenario.with_policy(policy))
+            assert sorted(cl_id for cl_id, _ in plan) == \
                 sorted(cl.id for cl in scenario.cloudlets)
             vm_ids = {vm.id for vm in scenario.vms}
-            assert all(vm_id in vm_ids for _, vm_id in plan.entries)
+            assert all(vm_id in vm_ids for _, vm_id in plan)
 
     # Work conservation: per-VM busy time equals assigned work / MIPS.
     rng = random.Random(602)
     for _ in range(500):
         scenario = make_random_scenario(rng)
-        outcome = assign(scenario)
-        result = execute_plan(scenario, outcome.plan, outcome.mode)
+        plan, mode = assign(scenario)
+        result = execute_plan(scenario, plan, mode)
         assigned = {vm.id: 0.0 for vm in scenario.vms}
         mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
-        for cl_id, vm_id in outcome.plan.entries:
+        for cl_id, vm_id in plan:
             assigned[vm_id] += lengths[cl_id]
         for usage in result.vm_usage:
             expected = assigned[usage.vm_id] / mips[usage.vm_id]
@@ -140,8 +139,7 @@ def test_criterion_6_property_suite():
                                  policy="fcfs")
         vm_ids = [vm.id for vm in scenario.vms]
         rng.shuffle(vm_ids)
-        plan = AssignmentPlan(entries=tuple(
-            (cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets)))
+        plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
         assert space.records == shared.records
@@ -150,19 +148,19 @@ def test_criterion_6_property_suite():
     rng = random.Random(604)
     for _ in range(500):
         scenario = make_random_scenario(rng, policy="gpa")
-        baseline = assign(scenario).plan
+        baseline, _ = assign(scenario)
         factor = rng.choice((0.5, 2.0, 4.0))
         scaled = make_scenario([vm.mips * factor for vm in scenario.vms],
                                [cl.length for cl in scenario.cloudlets],
                                policy="gpa")
-        assert assign(scaled).plan == baseline
+        assert assign(scaled)[0] == baseline
 
     # Cyclic dispatch keeps queue sizes within one of each other.
     rng = random.Random(605)
     for _ in range(500):
         scenario = make_random_scenario(rng, policy="fcfs")
         for policy in ("fcfs", "rr"):
-            queues = assign(scenario.with_policy(policy)).plan.vm_queues()
+            queues = vm_queues(assign(scenario.with_policy(policy))[0])
             sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
             assert max(sizes) - min(sizes) <= 1
 

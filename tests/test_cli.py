@@ -314,13 +314,19 @@ def test_compare_needs_two_policies(tmp_path, capsys):
     assert "2 policies" in capsys.readouterr().err
 
 
-def test_compare_duplicate_policies_show_zero_improvement(tmp_path):
-    code = main(["compare", "--builtin", "paper12-fcfs",
-                 "--policy", "fcfs,fcfs", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "compare.csv").read_text().splitlines()
-    assert lines[1].endswith("0.0")
-    assert lines[2].endswith("0.0")
+@pytest.mark.parametrize("argv", [
+    ["compare", "--builtin", "paper12-gpa", "--policy", "gpa,gpa"],
+    ["compare", "--builtin", "paper12-fcfs,paper12-fcfs"],
+    ["sweep", "--counts", "5,5"],
+    ["run", "--builtin", "paper12-gpa", "--format", "csv,csv"],
+], ids=["compare-policy", "compare-builtin", "sweep-counts", "run-format"])
+def test_a_repeated_list_entry_is_an_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate" in err
+    assert not out.exists()
 
 
 def test_sweep_row_count_and_timing_sidecar(tmp_path):
@@ -423,27 +429,27 @@ def test_an_empty_list_flag_is_one_error_line_and_writes_nothing(argv, tmp_path,
 # carry their own edits, and half of the paths have no file behind them.
 _VALUES = {
     "--builtin": st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1,
-                          max_size=3).map(",".join),
+                          unique=True, max_size=3).map(",".join),
     "--scenario": st.none() | _scenario_documents(),
     "--generate": st.sampled_from(("1", "7", "40")),
     "--policy": st.lists(st.sampled_from(POLICIES), min_size=1, unique=True,
                          max_size=3).map(",".join),
     "--seed": st.sampled_from(("0", "7", str(2 ** 64 - 1))),
-    "--format": st.lists(st.sampled_from(FORMATS), min_size=1,
+    "--format": st.lists(st.sampled_from(FORMATS), min_size=1, unique=True,
                          max_size=2).map(",".join),
     "--counts": st.lists(st.sampled_from(("1", "5", "30")), min_size=1,
-                         max_size=3).map(",".join),
+                         unique=True, max_size=3).map(",".join),
 }
 
 # What each flag's value can be mixed up with.
 _MIXUPS = {
-    "--builtin": st.sampled_from(("paper13", "")),
+    "--builtin": st.sampled_from(("paper13", "", "paper12-rr,paper12-rr")),
     "--scenario": st.none(),
     "--generate": st.sampled_from(("0", "-3", "x")),
     "--policy": st.sampled_from(("sjf", "fcfs,fcfs", "")),
     "--seed": st.sampled_from((str(2 ** 64), "-1", "x")),
-    "--format": st.sampled_from(("xml", "")),
-    "--counts": st.sampled_from(("", "0", "-2", "x")),
+    "--format": st.sampled_from(("xml", "", "csv,csv")),
+    "--counts": st.sampled_from(("", "0", "-2", "x", "5,5")),
 }
 
 

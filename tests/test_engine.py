@@ -7,7 +7,6 @@ import pytest
 
 from cloudsched import (
     POLICIES,
-    AssignmentPlan,
     CapacityError,
     Cloudlet,
     Datacenter,
@@ -209,8 +208,7 @@ def test_ps_matches_fixed_timestep_integrator():
 # space-shared runs
 
 def test_space_shared_golden_run(fcfs_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     assert result.mode is ExecutionMode.SPACE_SHARED
     assert [r.cpu_time for r in result.records] == [
@@ -223,16 +221,14 @@ def test_space_shared_golden_run(fcfs_scenario):
 
 
 def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     busy = {u.vm_id: u.busy_time for u in result.vm_usage}
     assert busy == {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
 
 
 def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     dc_of_vm = {r.vm_id: r.datacenter_id for r in result.records}
     assert dc_of_vm == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
@@ -242,8 +238,7 @@ def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
 # time-shared runs
 
 def test_time_shared_golden_run(rr_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     assert result.mode is ExecutionMode.TIME_SHARED
     assert [r.finish_time for r in result.records] == [
@@ -255,8 +250,7 @@ def test_time_shared_golden_run(rr_scenario):
 
 
 def test_time_shared_busy_time_is_last_finish(rr_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     busy = {u.vm_id: u.busy_time for u in result.vm_usage}
     assert busy == {1: 240.0, 2: 120.0, 3: 160.0, 4: 40.0, 5: 20.0}
@@ -272,8 +266,7 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
             continue
         vm_ids = [vm.id for vm in scenario.vms]
         rng.shuffle(vm_ids)
-        plan = AssignmentPlan(entries=tuple(
-            (cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets)))
+        plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
         assert space.records == shared.records
@@ -283,7 +276,7 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
 
 def test_unassigned_vm_still_reports_zero_busy_time():
     scenario = make_scenario([250, 500], [1000])
-    plan = AssignmentPlan(entries=((1, 1),))
+    plan = ((1, 1),)
     for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                    execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
         busy = {u.vm_id: u.busy_time for u in result.vm_usage}
@@ -292,25 +285,31 @@ def test_unassigned_vm_still_reports_zero_busy_time():
 
 def test_space_shared_unit_case():
     scenario = make_scenario([7500], [7500], policy="fcfs")
-    result = execute_plan(scenario, AssignmentPlan(entries=((1, 1),)),
-                          ExecutionMode.SPACE_SHARED)
+    result = execute_plan(scenario, ((1, 1),), ExecutionMode.SPACE_SHARED)
     record = result.records[0]
     assert record.cpu_time == 1.0
     assert result.makespan == 1.0
 
 
+def test_each_vm_serves_its_cloudlets_in_plan_order():
+    scenario = make_scenario([250, 500], [1000, 2000, 3000, 4000])
+    plan = ((3, 1), (1, 2), (2, 1), (4, 2))
+    result = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
+    start = {r.cloudlet_id: r.start_time for r in result.records}
+    assert start == {3: 0.0, 2: 12.0, 1: 0.0, 4: 2.0}
+
+
 def test_identical_runs_are_identical():
     scenario = make_scenario([250, 1000, 500], [9000, 4000, 22000, 100],
                              policy="fcfs")
-    plan = AssignmentPlan(entries=((1, 2), (2, 1), (3, 3), (4, 2)))
+    plan = ((1, 2), (2, 1), (3, 3), (4, 2))
     for mode in ExecutionMode:
         assert execute_plan(scenario, plan, mode) == \
             execute_plan(scenario, plan, mode)
 
 
 def test_execute_plan_dispatches_on_mode(fcfs_scenario):
-    plan = AssignmentPlan(entries=tuple(
-        (k + 1, (k % 5) + 1) for k in range(12)))
+    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     assert execute_plan(fcfs_scenario, plan,
                         ExecutionMode.SPACE_SHARED).mode is ExecutionMode.SPACE_SHARED
     assert execute_plan(fcfs_scenario, plan,
@@ -321,20 +320,20 @@ def test_records_come_back_in_arrival_order_not_tuple_order():
     text, by_arrival = make_shuffled_arrival_document()
     scenario = load_scenario(text)
     for policy in POLICIES:
-        plan = assign(scenario.with_policy(policy)).plan
+        plan, _ = assign(scenario.with_policy(policy))
         for mode in ExecutionMode:
             result = execute_plan(scenario, plan, mode)
             assert [r.cloudlet_id for r in result.records] == by_arrival
             assert {r.cloudlet_id: r.vm_id for r in result.records} == \
-                dict(plan.entries)
+                dict(plan)
 
 
 def test_runs_reject_invalid_plans(fcfs_scenario):
     with pytest.raises(ValidationError):
-        execute_plan(fcfs_scenario, AssignmentPlan(entries=((1, 1),)),
+        execute_plan(fcfs_scenario, ((1, 1),),
                      ExecutionMode.SPACE_SHARED)
     with pytest.raises(ValidationError):
-        execute_plan(fcfs_scenario, AssignmentPlan(entries=((1, 1),)),
+        execute_plan(fcfs_scenario, ((1, 1),),
                      ExecutionMode.TIME_SHARED)
 
 
@@ -343,13 +342,13 @@ def test_work_conservation_per_vm_both_modes():
     for _ in range(200):
         scenario = make_random_scenario(rng, policy="fcfs")
         m = len(scenario.vms)
-        plan = AssignmentPlan(entries=tuple(
+        plan = tuple(
             (cl.id, scenario.vms[k % m].id)
-            for k, cl in enumerate(scenario.cloudlets)))
+            for k, cl in enumerate(scenario.cloudlets))
         expected = {vm.id: 0.0 for vm in scenario.vms}
         mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
-        for cl_id, vm_id in plan.entries:
+        for cl_id, vm_id in plan:
             expected[vm_id] += lengths[cl_id]
         for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                        execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):

@@ -19,13 +19,12 @@ def mean_cpu_from_plan(scenario, plan):
     engine; cross-checks record-derived means for space-shared policies."""
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     mips = {vm.id: vm.mips for vm in scenario.vms}
-    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan.entries)
-    return total / len(plan.entries)
+    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan)
+    return total / len(plan)
 
 
 def run_policy(scenario):
-    outcome = assign(scenario)
-    return execute_plan(scenario, outcome.plan, outcome.mode)
+    return execute_plan(scenario, *assign(scenario))
 
 
 def test_summarize_fcfs_benchmark(fcfs_scenario):
@@ -70,9 +69,9 @@ def test_summarize_rejects_empty_results():
 def test_mean_cpu_from_plan_cross_checks_the_engine(fcfs_scenario,
                                                     gpa_scenario):
     for scenario in (fcfs_scenario, gpa_scenario):
-        outcome = assign(scenario)
-        result = execute_plan(scenario, outcome.plan, outcome.mode)
-        assert math.isclose(mean_cpu_from_plan(scenario, outcome.plan),
+        plan, mode = assign(scenario)
+        result = execute_plan(scenario, plan, mode)
+        assert math.isclose(mean_cpu_from_plan(scenario, plan),
                             result.mean_cpu_time, rel_tol=1e-12)
 
 

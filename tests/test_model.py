@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from cloudsched import (
-    AssignmentPlan,
     Cloudlet,
     Datacenter,
     ExecutionMode,
@@ -115,11 +114,14 @@ def test_arrival_indices_must_be_contiguous():
     base = make_scenario([250], [1000, 2000], check=False)
     first, second = base.cloudlets
     gappy = (first, replace(second, arrival_index=5))
-    # A permutation, but not listed in arrival order.
-    swapped = (replace(first, arrival_index=1), replace(second, arrival_index=0))
-    for cloudlets in (gappy, swapped):
+    repeated = (first, replace(second, arrival_index=0))
+    for cloudlets in (gappy, repeated):
         scenario = replace(base, cloudlets=cloudlets)
         assert any("contiguous" in p for p in scenario_violations(scenario))
+    # A permutation, but not listed in arrival order.
+    swapped = (replace(first, arrival_index=1), replace(second, arrival_index=0))
+    assert scenario_violations(replace(base, cloudlets=swapped)) == \
+        ["cloudlets are not listed in arrival order"]
 
 
 def test_validation_error_carries_every_violation():
@@ -148,26 +150,20 @@ def test_lookup_helpers(fcfs_scenario):
     assert 99 not in vms and 99 not in cloudlets and 99 not in hosts
 
 
-def test_vm_queues_preserve_entry_order():
-    plan = AssignmentPlan(entries=((3, 1), (1, 2), (2, 1), (4, 2)))
-    assert plan.vm_queues() == {1: [3, 2], 2: [1, 4]}
-
-
 def test_validate_plan_accepts_a_permutation():
     scenario = make_scenario([250, 500], [1000, 2000, 3000])
-    plan = AssignmentPlan(entries=((2, 1), (3, 2), (1, 1)))
+    plan = ((2, 1), (3, 2), (1, 1))
     assert validate_plan(scenario, plan) is plan
 
 
 def test_validate_plan_rejects_missing_and_duplicate_cloudlets():
     scenario = make_scenario([250, 500], [1000, 2000, 3000])
     with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, AssignmentPlan(entries=((1, 1), (2, 2))))
+        validate_plan(scenario, ((1, 1), (2, 2)))
     with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario,
-                      AssignmentPlan(entries=((1, 1), (2, 2), (2, 1), (3, 2))))
+        validate_plan(scenario, ((1, 1), (2, 2), (2, 1), (3, 2)))
     with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, AssignmentPlan(entries=((1, 1), (2, 2), (2, 1))))
+        validate_plan(scenario, ((1, 1), (2, 2), (2, 1)))
 
 
 def test_validate_plan_rejects_any_plan_for_repeated_cloudlet_ids():
@@ -177,13 +173,13 @@ def test_validate_plan_rejects_any_plan_for_repeated_cloudlet_ids():
     twin = replace(scenario.cloudlets[1], id=1)
     scenario = replace(scenario, cloudlets=(scenario.cloudlets[0], twin))
     with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, AssignmentPlan(entries=((1, 1), (1, 1))))
+        validate_plan(scenario, ((1, 1), (1, 1)))
 
 
 def test_validate_plan_rejects_unknown_vm():
     scenario = make_scenario([250], [1000])
     with pytest.raises(ValidationError, match="unknown vm 9"):
-        validate_plan(scenario, AssignmentPlan(entries=((1, 9),)))
+        validate_plan(scenario, ((1, 9),))
 
 
 def test_execution_mode_serial_values_are_stable():

@@ -18,7 +18,7 @@ from cloudsched import (
     assign,
     execute_plan,
 )
-from conftest import make_random_scenario, make_scenario
+from conftest import make_random_scenario, make_scenario, vm_queues
 
 
 def greedy_reference(scenario):
@@ -88,19 +88,19 @@ def _tie_prone_gpa_scenarios(draw):
 # cyclic policies
 
 def test_fcfs_deals_cloudlets_cyclically(fcfs_scenario):
-    outcome = assign(fcfs_scenario)
-    assert outcome.mode is ExecutionMode.SPACE_SHARED
-    assert outcome.plan.entries == tuple(
+    plan, mode = assign(fcfs_scenario)
+    assert mode is ExecutionMode.SPACE_SHARED
+    assert plan == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
 
 
 def test_rr_uses_declared_vm_order_as_ring(rr_scenario):
-    outcome = assign(rr_scenario)
-    assert outcome.mode is ExecutionMode.TIME_SHARED
-    assert outcome.plan.entries == tuple(
+    plan, mode = assign(rr_scenario)
+    assert mode is ExecutionMode.TIME_SHARED
+    assert plan == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
     # The builtin declares the ring MIPS-ascending.
-    ring = [vm_id for _, vm_id in outcome.plan.entries[:5]]
+    ring = [vm_id for _, vm_id in plan[:5]]
     mips = {vm.id: vm.mips for vm in rr_scenario.vms}
     assert [mips[i] for i in ring] == \
         [250.0, 250.0, 250.0, 500.0, 1000.0]
@@ -110,7 +110,7 @@ def test_cyclic_queue_sizes_differ_by_at_most_one():
     rng = random.Random(43)
     for _ in range(200):
         scenario = make_random_scenario(rng, policy="fcfs")
-        queues = assign(scenario).plan.vm_queues()
+        queues = vm_queues(assign(scenario)[0])
         sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
         assert max(sizes) - min(sizes) <= 1
 
@@ -119,16 +119,15 @@ def test_fcfs_and_rr_share_the_same_plan():
     rng = random.Random(47)
     for _ in range(50):
         scenario = make_random_scenario(rng, policy="fcfs")
-        assert assign(scenario.with_policy("fcfs")).plan == \
-            assign(scenario.with_policy("rr")).plan
+        assert assign(scenario.with_policy("fcfs"))[0] == \
+            assign(scenario.with_policy("rr"))[0]
 
 
 # ---------------------------------------------------------------------------
 # greedy priority policy
 
 def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
-    outcome = assign(gpa_scenario)
-    queues = outcome.plan.vm_queues()
+    queues = vm_queues(assign(gpa_scenario)[0])
     length = {cl.id: cl.length for cl in gpa_scenario.cloudlets}
     by_vm = {vm_id: sorted(length[c] for c in ids)
              for vm_id, ids in queues.items()}
@@ -141,40 +140,40 @@ def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
 
 def test_gpa_processes_longest_cloudlets_first():
     scenario = make_scenario([500], [100, 900, 500, 900], policy="gpa")
-    outcome = assign(scenario)
+    plan, _ = assign(scenario)
     # Descending length, ties by arrival: ids 2, 4 (both 900), 3, 1.
-    assert [cl_id for cl_id, _ in outcome.plan.entries] == [2, 4, 3, 1]
+    assert [cl_id for cl_id, _ in plan] == [2, 4, 3, 1]
 
 
 def test_gpa_first_pick_is_the_fastest_vm():
     scenario = make_scenario([250, 1000, 500], [8000], policy="gpa")
-    assert assign(scenario).plan.entries == ((1, 2),)
+    assert assign(scenario)[0] == ((1, 2),)
 
 
 def test_gpa_ratio_tie_prefers_higher_mips():
     # After two 1000s on the 500-MIPS VM its ratio for a third equals the
     # idle 250-MIPS VM's ratio exactly; the faster VM must win the tie.
     scenario = make_scenario([500, 250], [1000, 1000, 1000], policy="gpa")
-    queues = assign(scenario).plan.vm_queues()
+    queues = vm_queues(assign(scenario)[0])
     assert queues[1] == [1, 2]
     assert queues[2] == [3]
 
 
 def test_gpa_mips_tie_prefers_lower_vm_id():
     scenario = make_scenario([250, 250], [1000], policy="gpa")
-    assert assign(scenario).plan.entries == ((1, 1),)
+    assert assign(scenario)[0] == ((1, 1),)
 
 
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
     for _ in range(300):
         scenario = make_random_scenario(rng, policy="gpa")
-        assert assign(scenario).plan.entries == greedy_reference(scenario)
+        assert assign(scenario)[0] == greedy_reference(scenario)
 
 
 @given(_tie_prone_gpa_scenarios())
 def test_gpa_matches_the_linear_scan_on_tie_prone_scenarios(scenario):
-    assert assign(scenario).plan.entries == linear_gpa_reference(scenario)
+    assert assign(scenario)[0] == linear_gpa_reference(scenario)
 
 
 def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
@@ -184,14 +183,14 @@ def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
     scenario = make_scenario(
         [(250, 500, 1000, 2000)[i % 4] for i in range(400)],
         [rng.randint(1000, 50000) for _ in range(1000)], policy="gpa")
-    assert assign(scenario).plan.entries == linear_gpa_reference(scenario)
+    assert assign(scenario)[0] == linear_gpa_reference(scenario)
 
 
 def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
     rng = random.Random(59)
     for _ in range(100):
         scenario = make_random_scenario(rng, policy="gpa")
-        baseline = assign(scenario).plan
+        baseline, _ = assign(scenario)
         for factor in (0.5, 2.0, 4.0):
             scaled = Scenario(
                 datacenters=tuple(
@@ -203,7 +202,7 @@ def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
                           for vm in scenario.vms),
                 cloudlets=scenario.cloudlets,
                 policy="gpa")
-            assert assign(scaled).plan == baseline
+            assert assign(scaled)[0] == baseline
 
 
 def gpa_vm_order(vms, lengths):
@@ -212,12 +211,12 @@ def gpa_vm_order(vms, lengths):
     one, the picks walk the VMs by descending MIPS, then ascending id."""
     scenario = replace(make_scenario([250], lengths, policy="gpa", check=False),
                        vms=tuple(vms))
-    return [vm_id for _, vm_id in assign(scenario).plan.entries]
+    return [vm_id for _, vm_id in assign(scenario)[0]]
 
 
 def gpa_cloudlet_order(scenario):
     """Cloudlet ids in the order gpa plans them."""
-    return [cl_id for cl_id, _ in assign(scenario.with_policy("gpa")).plan.entries]
+    return [cl_id for cl_id, _ in assign(scenario.with_policy("gpa"))[0]]
 
 
 def test_rank_helpers_break_ties_deterministically():
@@ -244,20 +243,18 @@ def test_rank_cloudlets_on_the_benchmark_workload(fcfs_scenario):
 
 def test_fcfs_single_vm_keeps_arrival_order():
     scenario = make_scenario([250], [100, 200, 300], policy="fcfs")
-    assert assign(scenario).plan.entries == ((1, 1), (2, 1), (3, 1))
+    assert assign(scenario)[0] == ((1, 1), (2, 1), (3, 1))
 
 
 def test_fcfs_equal_counts_give_a_bijection():
     scenario = make_scenario([250, 500, 1000], [100, 200, 300], policy="fcfs")
-    assert assign(scenario).plan.entries == ((1, 1), (2, 2), (3, 3))
+    assert assign(scenario)[0] == ((1, 1), (2, 2), (3, 3))
 
 
 def test_rr_with_fewer_cloudlets_than_vms_matches_fcfs_times():
     scenario = make_scenario([250, 500, 1000], [5000, 8000], policy="rr")
-    rr_outcome = assign(scenario)
-    rr_result = execute_plan(scenario, rr_outcome.plan, rr_outcome.mode)
-    fcfs_outcome = assign(scenario.with_policy("fcfs"))
-    fcfs_result = execute_plan(scenario, fcfs_outcome.plan, fcfs_outcome.mode)
+    rr_result = execute_plan(scenario, *assign(scenario))
+    fcfs_result = execute_plan(scenario, *assign(scenario.with_policy("fcfs")))
     assert [r.cpu_time for r in rr_result.records] == \
         [r.cpu_time for r in fcfs_result.records]
 
@@ -276,9 +273,9 @@ def test_policies_are_stable():
 
 def test_assign_routes_by_scenario_policy(fcfs_scenario, rr_scenario,
                                           gpa_scenario):
-    assert assign(fcfs_scenario).mode is ExecutionMode.SPACE_SHARED
-    assert assign(rr_scenario).mode is ExecutionMode.TIME_SHARED
-    assert assign(gpa_scenario).plan.entries == greedy_reference(gpa_scenario)
+    assert assign(fcfs_scenario)[1] is ExecutionMode.SPACE_SHARED
+    assert assign(rr_scenario)[1] is ExecutionMode.TIME_SHARED
+    assert assign(gpa_scenario)[0] == greedy_reference(gpa_scenario)
 
 
 def test_assign_rejects_unknown_policy():
@@ -304,9 +301,8 @@ def test_execution_mode_override_turns_fcfs_into_rr():
     forced = make_scenario([250, 500], lengths, policy="fcfs",
                            mode=ExecutionMode.TIME_SHARED)
     plain_rr = make_scenario([250, 500], lengths, policy="rr")
-    forced_outcome = assign(forced)
-    assert forced_outcome.mode is ExecutionMode.TIME_SHARED
-    result = execute_plan(forced, forced_outcome.plan, forced_outcome.mode)
-    rr_outcome = assign(plain_rr)
-    rr_result = execute_plan(plain_rr, rr_outcome.plan, rr_outcome.mode)
+    plan, mode = assign(forced)
+    assert mode is ExecutionMode.TIME_SHARED
+    result = execute_plan(forced, plan, mode)
+    rr_result = execute_plan(plain_rr, *assign(plain_rr))
     assert result.records == rr_result.records
