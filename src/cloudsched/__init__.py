@@ -8,7 +8,6 @@ Everything is a pure function of the scenario, so runs replay exactly.
 
 from .engine import (
     execute_plan,
-    provision_vms,
     ps_finish_times,
 )
 from .metrics import (
@@ -18,7 +17,6 @@ from .metrics import (
 )
 from .model import (
     POLICIES,
-    CapacityError,
     Cloudlet,
     CloudletRecord,
     Datacenter,
@@ -29,6 +27,7 @@ from .model import (
     ValidationError,
     Vm,
     VmUsage,
+    provision_vms,
     scenario_violations,
     validate_plan,
     validate_scenario,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "CapacityError",
     "Cloudlet",
     "CloudletRecord",
     "Datacenter",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .engine import execute_plan
 from .metrics import compare, summarize
-from .model import POLICIES, CapacityError, Scenario, SimulationResult
+from .model import POLICIES, Scenario, SimulationResult
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -183,11 +183,11 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    """A bad command line is one `error: ...` line and exit 1, like any
-    other usage error (argparse's own default is a usage dump and exit 2)."""
+    """A bad command line is a UsageError, like any other (argparse's own
+    default is a usage dump and exit 2)."""
 
     def error(self, message: str):
-        self.exit(1, f"error: {message}\n")
+        raise UsageError(message)
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -278,13 +278,14 @@ def main(argv=None) -> int:
     """Run one subcommand and write what it produced; the exit code says
     how it ended.
 
-    0 success; 1 usage, format, validation, capacity or overflow error
-    (a command line argparse rejects raises SystemExit(1)); 2 I/O error.
-    Each error is one `error: ...` line on stderr. This is the only
-    function that writes, and it writes only after the command succeeded.
+    0 success; 1 usage, format, validation (an unplaceable scenario
+    included) or overflow error, each a ValueError; 2 I/O error. Each
+    error is one `error: ...` line on stderr. Only `--help` leaves through
+    SystemExit(0). This is the only function that writes, and it writes
+    only after the command succeeded.
     """
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_args(args)
         tables, files = args.command_fn(args)
         out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
                     (out_dir / f"{stem}.{fmt}").write_text(text)
         for name, text in files.items():
             (out_dir / name).write_text(text)
-    except (ValueError, CapacityError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -7,38 +7,15 @@ arrive at t = 0; a run is a pure function of (scenario, plan).
 """
 
 from .model import (
-    CapacityError,
     CloudletRecord,
     ExecutionMode,
     Plan,
     Scenario,
     SimulationResult,
     VmUsage,
+    provision_vms,
     validate_plan,
 )
-
-
-def provision_vms(scenario: Scenario) -> dict[int, int]:
-    """Bind VMs to hosts first-fit, returning vm_id -> host_id.
-
-    VMs are placed in creation order onto the first host (datacenter order,
-    then host order) with enough unreserved MIPS and RAM; each placement
-    debits the host.
-    """
-    hosts = scenario.hosts()
-    free = {h.id: [h.total_mips, h.ram_mb] for h in hosts}
-    binding: dict[int, int] = {}
-    for vm in scenario.vms:
-        for host in hosts:
-            mips_left, ram_left = free[host.id]
-            if vm.mips <= mips_left and vm.ram_mb <= ram_left:
-                free[host.id][0] = mips_left - vm.mips
-                free[host.id][1] = ram_left - vm.ram_mb
-                binding[vm.id] = host.id
-                break
-        else:
-            raise CapacityError(f"insufficient capacity for vm {vm.id}")
-    return binding
 
 
 def ps_finish_times(lengths: list[float], mips: float) -> list[float]:

@@ -5,7 +5,7 @@ and can then be shared freely between policies, engine runs and reports.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -26,10 +26,6 @@ class ValidationError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class CapacityError(RuntimeError):
-    """Raised when a VM cannot be placed on any host."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,8 @@ class Scenario:
     orders are semantically meaningful (cyclic dispatch follows them).
     Validation requires `cloudlets[k].arrival_index == k`: the loader
     orders a document's cloudlets by `arrival_index`, and an API-built
-    scenario must list them that way itself.
+    scenario must list them that way itself. It also requires that
+    first-fit places every VM (`provision_vms`).
     `execution_mode` overrides the policy's default mode when set.
     """
 
@@ -91,8 +88,7 @@ class Scenario:
 
     def with_policy(self, policy: str) -> "Scenario":
         """Same scenario rebound to another policy."""
-        return Scenario(self.datacenters, self.vms, self.cloudlets,
-                        policy, self.execution_mode)
+        return replace(self, policy=policy)
 
 
 # What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
@@ -138,10 +134,35 @@ class SimulationResult:
         return max(r.finish_time for r in self.records)
 
 
+def provision_vms(scenario: Scenario) -> dict[int, int]:
+    """Bind VMs to hosts first-fit, returning vm_id -> host_id.
+
+    VMs are placed in creation order onto the first host (datacenter order,
+    then host order) with enough unreserved MIPS and RAM; each placement
+    debits the host. Raises ValidationError naming the first VM that fits
+    on no host, which a validated scenario never has.
+    """
+    # [MIPS left, RAM left, host id] per host, in first-fit order.
+    rooms = [[h.total_mips, h.ram_mb, h.id] for h in scenario.hosts()]
+    binding: dict[int, int] = {}
+    for vm in scenario.vms:
+        mips, ram = vm.mips, vm.ram_mb
+        for room in rooms:
+            if mips <= room[0] and ram <= room[1]:
+                room[0] -= mips
+                room[1] -= ram
+                binding[vm.id] = room[2]
+                break
+        else:
+            raise ValidationError([f"insufficient capacity for vm {vm.id}"])
+    return binding
+
+
 def scenario_violations(scenario: Scenario) -> list[str]:
     """All invariant violations in `scenario`, one message per offender.
 
-    Pure and idempotent; an empty list means the scenario is valid.
+    Pure and idempotent; an empty list means the scenario is valid. Only
+    a scenario with no other violation is provisioned (`provision_vms`).
     """
     problems: list[str] = []
 
@@ -215,6 +236,11 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         else:
             problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
 
+    if not problems:
+        try:
+            provision_vms(scenario)
+        except ValidationError as err:
+            problems += err.violations
     return problems
 
 

@@ -9,6 +9,7 @@ fail loudly.
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -159,34 +160,29 @@ def generate(spec: GeneratorSpec) -> Scenario:
 # ---------------------------------------------------------------------------
 # built-in scenarios
 
-def _two_dc_scenario(vm_mips: tuple[float, ...], policy: str,
-                     ram_split: tuple[int, int]) -> Scenario:
-    """Five VMs over two datacenters; host RAM fixes which VMs land where."""
-    hosts_a = Host(id=1, datacenter_id=2, total_mips=2000.0,
-                   ram_mb=ram_split[0], storage_mb=1_000_000)
-    hosts_b = Host(id=2, datacenter_id=3, total_mips=2000.0,
-                   ram_mb=ram_split[1], storage_mb=1_000_000)
-    return Scenario(
-        datacenters=(Datacenter(id=2, hosts=(hosts_a,)),
-                     Datacenter(id=3, hosts=(hosts_b,))),
-        vms=tuple(Vm(id=i + 1, mips=float(m), ram_mb=VM_RAM_MB)
-                  for i, m in enumerate(vm_mips)),
-        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
-                        for i, length in enumerate(BENCH_LENGTHS)),
-        policy=policy,
-    )
-
-
 def builtin_scenario(name: str) -> Scenario:
     """One of the shipped benchmark scenarios (see BUILTIN_NAMES).
 
     All three share the same 12-cloudlet workload and VM MIPS multiset;
     they differ in VM declaration order (which fixes cyclic dispatch and
-    the round-robin ring) and in the bound policy.
+    the round-robin ring) and in the bound policy. The five VMs sit on two
+    hosts in two datacenters; host RAM fixes which VMs land where.
     """
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin scenario {name!r}")
-    return validate_scenario(_two_dc_scenario(*_BUILTINS[name]))
+    vm_mips, policy, ram_split = _BUILTINS[name]
+    hosts = [Host(id=k + 1, datacenter_id=k + 2, total_mips=2000.0,
+                  ram_mb=ram_mb, storage_mb=1_000_000)
+             for k, ram_mb in enumerate(ram_split)]
+    return validate_scenario(Scenario(
+        datacenters=tuple(Datacenter(id=h.datacenter_id, hosts=(h,))
+                          for h in hosts),
+        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
+                  for i, m in enumerate(vm_mips)),
+        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
+                        for i, length in enumerate(BENCH_LENGTHS)),
+        policy=policy,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +193,11 @@ def save_scenario(scenario: Scenario) -> str:
     doc: dict = {"policy": scenario.policy}
     if scenario.execution_mode is not None:
         doc["execution_mode"] = scenario.execution_mode.value
-    doc["datacenters"] = [
-        {
-            "id": dc.id,
-            "hosts": [
-                {
-                    "id": h.id,
-                    "datacenter_id": h.datacenter_id,
-                    "total_mips": h.total_mips,
-                    "ram_mb": h.ram_mb,
-                    "storage_mb": h.storage_mb,
-                }
-                for h in dc.hosts
-            ],
-        }
-        for dc in scenario.datacenters
-    ]
-    doc["vms"] = [
-        {"id": vm.id, "mips": vm.mips, "ram_mb": vm.ram_mb}
-        for vm in scenario.vms
-    ]
-    doc["cloudlets"] = [
-        {"id": cl.id, "length": cl.length, "arrival_index": cl.arrival_index}
-        for cl in scenario.cloudlets
-    ]
+    # A host, VM or cloudlet is written as its fields, in declaration order.
+    doc["datacenters"] = [{"id": dc.id, "hosts": list(map(vars, dc.hosts))}
+                          for dc in scenario.datacenters]
+    doc["vms"] = list(map(vars, scenario.vms))
+    doc["cloudlets"] = list(map(vars, scenario.cloudlets))
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -232,11 +209,10 @@ def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from JSON text or a file.
 
     A `str` is always the document text itself; an `os.PathLike` (such as
-    a `pathlib.Path`) is the path of a file holding it. The scenario lists
-    its cloudlets in arrival order, whatever order the document has them in.
+    a `pathlib.Path`) is the path of a UTF-8 file holding it. The scenario
+    lists its cloudlets in arrival order, whatever order the document has
+    them in.
     """
-    text = source if isinstance(source, str) else Path(source).read_text()
-
     # JSON has no NaN/Infinity/-Infinity, but json.loads accepts the bare
     # tokens; note that one was seen and search the document only then. A
     # token under a key that a later duplicate key overrides is gone.
@@ -246,22 +222,43 @@ def load_scenario(source) -> Scenario:
         constants.append(token)
         return float(token)
 
+    data = source if isinstance(source, str) else Path(source).read_bytes()
     try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
         doc = json.loads(text, parse_constant=parse_constant)
         non_finite = (next(_non_finite_numbers(doc, "document"), None)
                       if constants else None)
-    except json.JSONDecodeError as err:
+    except UnicodeDecodeError as err:
+        raise ScenarioFormatError(
+            f"parse error at byte {err.start}: invalid UTF-8") from None
+    except RecursionError:
+        raise ScenarioFormatError("document nested too deeply") from None
+    except ValueError as err:
+        if not isinstance(err, json.JSONDecodeError):
+            # The other ValueError json.loads raises: an int past int()'s limit.
+            err = json.JSONDecodeError("number out of range", text,
+                                       _unconvertible_int_at(text))
         raise ScenarioFormatError(
             f"parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
-    except RecursionError:
-        raise ScenarioFormatError("document nested too deeply") from None
     if non_finite:
         where, value = non_finite
         raise ScenarioFormatError(f"{where}: non-finite number {value} is not allowed")
 
-    scenario = _scenario_from_doc(doc)
-    return validate_scenario(scenario)
+    return validate_scenario(_scenario_from_doc(doc))
+
+
+def _unconvertible_int_at(text: str) -> int:
+    """Offset of the first integer literal in `text` that int() refuses.
+    A token is a JSON string or a run of number characters: in the prefix
+    that parsed, every digit outside a string belongs to a number."""
+    for token in re.finditer(r'"(?:[^"\\]|\\.)*"|[-+.\deE]+', text):
+        if token[0].lstrip("-").isdigit():
+            try:
+                int(token[0])
+            except ValueError:
+                return token.start()
+    return 0
 
 
 def _non_finite_numbers(node, where: str):

@@ -29,9 +29,11 @@ settings.load_profile("tier1")
 
 
 def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
-    """Single-host scenario from bare MIPS and length lists."""
+    """Single-host scenario from bare MIPS and length lists. The host has
+    twice the VMs' MIPS: an exact fit can fail to place the last VM in
+    floats (0.3 + 0.3 + 0.3 < 0.9)."""
     vm_mips = [float(m) for m in vm_mips]
-    host = Host(id=1, datacenter_id=1, total_mips=sum(vm_mips) or 1.0,
+    host = Host(id=1, datacenter_id=1, total_mips=2 * sum(vm_mips) or 1.0,
                 ram_mb=max(512 * len(vm_mips), 512), storage_mb=1_000_000)
     scenario = Scenario(
         datacenters=(Datacenter(id=1, hosts=(host,)),),

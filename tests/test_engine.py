@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudsched import (
     POLICIES,
-    CapacityError,
     Cloudlet,
     Datacenter,
     ExecutionMode,
@@ -20,6 +21,7 @@ from cloudsched import (
     load_scenario,
     provision_vms,
     ps_finish_times,
+    scenario_violations,
 )
 from conftest import (
     integrate_ps,
@@ -79,7 +81,7 @@ def test_exact_fit_leaves_nothing_behind():
     assert provision_vms(scenario) == {1: 1}
     # The exact fit consumed the host: even a 1-MIPS VM no longer fits.
     drained = Scenario(scenario.datacenters, vms, scenario.cloudlets, "fcfs")
-    with pytest.raises(CapacityError, match="vm 2"):
+    with pytest.raises(ValidationError, match="vm 2"):
         provision_vms(drained)
 
 
@@ -88,7 +90,7 @@ def test_provisioning_raises_when_nothing_fits():
     big = Vm(id=2, mips=10_000.0, ram_mb=512)
     scenario = Scenario(scenario.datacenters, scenario.vms + (big,),
                         scenario.cloudlets, scenario.policy)
-    with pytest.raises(CapacityError, match="vm 2"):
+    with pytest.raises(ValidationError, match="vm 2"):
         provision_vms(scenario)
 
 
@@ -97,8 +99,59 @@ def test_provisioning_raises_on_ram_overflow():
     hungry = Vm(id=2, mips=1.0, ram_mb=4096)
     scenario = Scenario(scenario.datacenters, scenario.vms + (hungry,),
                         scenario.cloudlets, scenario.policy)
-    with pytest.raises(CapacityError, match="vm 2"):
+    with pytest.raises(ValidationError, match="vm 2"):
         provision_vms(scenario)
+
+
+# MIPS whose float sums round: 0.1 + 0.2 > 0.3 and 0.3 + 0.3 + 0.3 < 0.9.
+_ROUNDING_PRONE_MIPS = (0.1, 0.2, 0.3, 0.9, 250.0, 500.0, 1000.0)
+
+
+@st.composite
+def _placement_scenarios(draw):
+    """1-8 VMs on 1-4 hosts, one datacenter each. A host's MIPS is the
+    float sum of a few of the VMs' MIPS, so exact and near-exact fits are
+    common and some hosts are too small for what first-fit offers them."""
+    vm_mips = draw(st.lists(st.sampled_from(_ROUNDING_PRONE_MIPS),
+                            min_size=1, max_size=8))
+    hosts = tuple(
+        Host(id=k, datacenter_id=k,
+             total_mips=sum(draw(st.lists(st.sampled_from(vm_mips),
+                                          min_size=1, max_size=4))),
+             ram_mb=512 * draw(st.integers(1, 4)), storage_mb=1000)
+        for k in range(1, draw(st.integers(1, 4)) + 1))
+    return Scenario(
+        datacenters=tuple(Datacenter(id=h.id, hosts=(h,)) for h in hosts),
+        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=draw(st.sampled_from((256, 512))))
+                  for i, m in enumerate(vm_mips)),
+        cloudlets=tuple(Cloudlet(id=j + 1, length=1000.0 * (j + 1), arrival_index=j)
+                        for j in range(draw(st.integers(1, 6)))),
+        policy="fcfs")
+
+
+@given(scenario=_placement_scenarios())
+def test_validation_and_provisioning_agree(scenario):
+    try:
+        binding = provision_vms(scenario)
+        unplaced = []
+    except ValidationError as err:
+        unplaced = err.violations
+        assert len(unplaced) == 1
+        assert unplaced[0].startswith("insufficient capacity for vm ")
+    assert scenario_violations(scenario) == unplaced
+    if unplaced:
+        return
+    for host in scenario.hosts():
+        assert sum(vm.ram_mb for vm in scenario.vms
+                   if binding[vm.id] == host.id) <= host.ram_mb
+    # A scenario that validates runs under every policy.
+    for policy in POLICIES:
+        bound = scenario.with_policy(policy)
+        result = execute_plan(bound, *assign(bound))
+        assert [r.cloudlet_id for r in result.records] == \
+            [cl.id for cl in bound.cloudlets]
+        assert {r.datacenter_id for r in result.records} <= \
+            {binding[vm.id] for vm in bound.vms}
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,15 @@ def test_load_reads_every_str_as_document_text(tmp_path):
             load_scenario(text)
 
 
-def test_load_reports_parse_position():
+def test_load_reports_parse_position(tmp_path):
     with pytest.raises(ScenarioFormatError, match=r"line 1 column"):
         load_scenario("{not json")
+    # A file is UTF-8, whatever the locale says.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"policy": "caf\xe9"}')
+    with pytest.raises(ScenarioFormatError,
+                       match=r"parse error at byte 15: invalid UTF-8"):
+        load_scenario(path)
 
 
 def test_load_rejects_unknown_keys_with_location():
@@ -206,6 +212,12 @@ def test_load_delegates_semantic_checks_to_validation():
     doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
     doc["vms"][0]["mips"] = -5
     with pytest.raises(ValidationError, match="non-positive mips"):
+        load_scenario(json.dumps(doc))
+    # Host 2 with RAM for one VM instead of two: first-fit cannot place VM 5.
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    doc["datacenters"][1]["hosts"][0]["ram_mb"] = 512
+    with pytest.raises(ValidationError,
+                       match="^insufficient capacity for vm 5$"):
         load_scenario(json.dumps(doc))
 
 
@@ -237,9 +249,16 @@ def test_load_rejects_numbers_beyond_float_range():
     text = save_scenario(builtin_scenario("paper12-fcfs"))
     with pytest.raises(ValidationError, match="non-finite length on cloudlet 1"):
         load_scenario(text.replace('"length": 20000.0', '"length": 1e400', 1))
-    text = text.replace('"length": 20000.0', '"length": 1' + "0" * 400, 1)
+    beyond = text.replace('"length": 20000.0', '"length": 1' + "0" * 400, 1)
     with pytest.raises(ScenarioFormatError,
                        match=r"cloudlets\[0\].length: number out of range"):
+        load_scenario(beyond)
+    # 5,000 digits: past the digit limit of int() where the interpreter has
+    # one, which the parser reports at the literal's position.
+    text = text.replace('"length": 20000.0', '"length": 1' + "0" * 5000, 1)
+    with pytest.raises(ScenarioFormatError,
+                       match=r"(parse error at line \d+ column \d+"
+                             r"|cloudlets\[0\].length): number out of range"):
         load_scenario(text)
 
 
