@@ -28,7 +28,6 @@ from .model import (
     Vm,
     VmUsage,
     provision_vms,
-    scenario_violations,
     validate_plan,
     validate_scenario,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "provision_vms",
     "ps_finish_times",
     "save_scenario",
-    "scenario_violations",
     "summarize",
     "validate_plan",
     "validate_scenario",

@@ -98,7 +98,7 @@ def _resolve_jobs(args: argparse.Namespace) -> list[Scenario]:
     elif args.scenario is not None:
         base = load_scenario(Path(args.scenario))
     else:
-        base = generate(GeneratorSpec(n_tasks=args.generate, seed=args.seed))
+        base = generate(GeneratorSpec(n_tasks=args.generate, seed=args.seed or 0))
     return [base.with_policy(policy) for policy in args.policy or POLICIES]
 
 
@@ -168,11 +168,10 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
         scenario = generate(spec)
         for policy in policies:
             started = time.perf_counter()
-            report = summarize(_simulate(scenario.with_policy(policy)),
-                               policy=policy)
+            result = _simulate(scenario.with_policy(policy))
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            rows.append([str(n), policy, _t(report.mean_cpu_time),
-                         _t(report.makespan)])
+            rows.append([str(n), policy, _t(result.mean_cpu_time),
+                         _t(result.makespan)])
             timing_rows.append([str(n), policy, _t(elapsed_ms, 3)])
     timing = _table_text(",", ["n", "policy", "wall_clock_ms"], timing_rows)
     return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"], rows)],
@@ -218,8 +217,10 @@ def _add_common(sub: argparse.ArgumentParser, with_source: bool) -> None:
     sub.add_argument("--policy", type=_str_list, default=(),
                      metavar="P[,P...]",
                      help="policies to run (default: all of %s)" % ",".join(POLICIES))
-    sub.add_argument("--seed", type=int, default=0, metavar="U64",
-                     help="workload seed (default 0)")
+    # run and compare take a seed only with --generate (None: not given);
+    # sweep always generates.
+    sub.add_argument("--seed", type=int, default=None if with_source else 0,
+                     metavar="U64", help="workload seed (default 0)")
     sub.add_argument("--out", metavar="DIR",
                      help="output directory (default: $CLOUDSCHED_OUT or .)")
     sub.add_argument("--format", type=_str_list, default=("csv",),
@@ -259,8 +260,12 @@ def _check_args(args: argparse.Namespace) -> None:
         if len(set(values)) != len(values):
             raise UsageError(f"duplicate entry in --{flag}: "
                              f"{','.join(map(str, values))}")
-    if not 0 <= args.seed < 2 ** 64:
-        raise UsageError("--seed must fit in an unsigned 64-bit integer")
+    if args.seed is not None:
+        if not 0 <= args.seed < 2 ** 64:
+            raise UsageError("--seed must fit in an unsigned 64-bit integer")
+        if getattr(args, "generate", 0) is None:  # sweep has no --generate
+            raise UsageError("--seed needs --generate: a builtin or a "
+                             "scenario file has no seed")
     for fmt in args.format:
         if fmt not in FORMATS:
             raise UsageError(f"unknown format {fmt!r} "

@@ -158,11 +158,11 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
     return binding
 
 
-def scenario_violations(scenario: Scenario) -> list[str]:
-    """All invariant violations in `scenario`, one message per offender.
-
-    Pure and idempotent; an empty list means the scenario is valid. Only
-    a scenario with no other violation is provisioned (`provision_vms`).
+def validate_scenario(scenario: Scenario) -> Scenario:
+    """Return `scenario` unchanged if valid, else raise ValidationError
+    with every invariant violation, one message per offender. Only a
+    scenario with no other violation is provisioned (`provision_vms`),
+    whose own ValidationError names the first VM that cannot be placed.
     """
     problems: list[str] = []
 
@@ -236,19 +236,9 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         else:
             problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
 
-    if not problems:
-        try:
-            provision_vms(scenario)
-        except ValidationError as err:
-            problems += err.violations
-    return problems
-
-
-def validate_scenario(scenario: Scenario) -> Scenario:
-    """Return `scenario` unchanged if valid, else raise ValidationError."""
-    problems = scenario_violations(scenario)
     if problems:
         raise ValidationError(problems)
+    provision_vms(scenario)
     return scenario
 
 

@@ -92,7 +92,22 @@ def derive_seed(seed: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generator
+# generated and built-in scenarios
+
+def _scenario(hosts, vm_mips, lengths, policy: str) -> Scenario:
+    """Validated scenario with each host in a datacenter of its own, one
+    512 MB VM per MIPS value and one cloudlet per length, in arrival order;
+    VM and cloudlet ids count from 1."""
+    return validate_scenario(Scenario(
+        datacenters=tuple(Datacenter(id=h.datacenter_id, hosts=(h,))
+                          for h in hosts),
+        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
+                  for i, m in enumerate(vm_mips)),
+        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
+                        for i, length in enumerate(lengths)),
+        policy=policy,
+    ))
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -139,26 +154,13 @@ def generate(spec: GeneratorSpec) -> Scenario:
     if problems:
         raise ValueError("; ".join(problems))
 
-    rng = Lcg64(spec.seed)
-    lengths = _draw_lengths(spec, rng)
-
     host = Host(id=1, datacenter_id=1,
                 total_mips=float(sum(BENCH_VM_MIPS)),
                 ram_mb=VM_RAM_MB * len(BENCH_VM_MIPS),
                 storage_mb=1_000_000)
-    scenario = Scenario(
-        datacenters=(Datacenter(id=1, hosts=(host,)),),
-        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
-                  for i, m in enumerate(BENCH_VM_MIPS)),
-        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
-                        for i, length in enumerate(lengths)),
-        policy="fcfs",
-    )
-    return validate_scenario(scenario)
+    return _scenario((host,), BENCH_VM_MIPS,
+                     _draw_lengths(spec, Lcg64(spec.seed)), "fcfs")
 
-
-# ---------------------------------------------------------------------------
-# built-in scenarios
 
 def builtin_scenario(name: str) -> Scenario:
     """One of the shipped benchmark scenarios (see BUILTIN_NAMES).
@@ -174,15 +176,7 @@ def builtin_scenario(name: str) -> Scenario:
     hosts = [Host(id=k + 1, datacenter_id=k + 2, total_mips=2000.0,
                   ram_mb=ram_mb, storage_mb=1_000_000)
              for k, ram_mb in enumerate(ram_split)]
-    return validate_scenario(Scenario(
-        datacenters=tuple(Datacenter(id=h.datacenter_id, hosts=(h,))
-                          for h in hosts),
-        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
-                  for i, m in enumerate(vm_mips)),
-        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
-                        for i, length in enumerate(BENCH_LENGTHS)),
-        policy=policy,
-    ))
+    return _scenario(hosts, vm_mips, BENCH_LENGTHS, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +207,10 @@ def load_scenario(source) -> Scenario:
     lists its cloudlets in arrival order, whatever order the document has
     them in.
     """
-    # JSON has no NaN/Infinity/-Infinity, but json.loads accepts the bare
-    # tokens; note that one was seen and search the document only then. A
-    # token under a key that a later duplicate key overrides is gone.
-    constants: list[str] = []
-
-    def parse_constant(token: str) -> float:
-        constants.append(token)
-        return float(token)
-
     data = source if isinstance(source, str) else Path(source).read_bytes()
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
-        doc = json.loads(text, parse_constant=parse_constant)
-        non_finite = (next(_non_finite_numbers(doc, "document"), None)
-                      if constants else None)
+        doc = json.loads(text)
     except UnicodeDecodeError as err:
         raise ScenarioFormatError(
             f"parse error at byte {err.start}: invalid UTF-8") from None
@@ -241,10 +224,6 @@ def load_scenario(source) -> Scenario:
         raise ScenarioFormatError(
             f"parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
-    if non_finite:
-        where, value = non_finite
-        raise ScenarioFormatError(f"{where}: non-finite number {value} is not allowed")
-
     return validate_scenario(_scenario_from_doc(doc))
 
 
@@ -259,22 +238,6 @@ def _unconvertible_int_at(text: str) -> int:
             except ValueError:
                 return token.start()
     return 0
-
-
-def _non_finite_numbers(node, where: str):
-    """(location, value) of every NaN or infinite float in a parsed document.
-
-    Locations read like the other format errors: `cloudlets[2].length`.
-    """
-    if isinstance(node, float) and not math.isfinite(node):
-        yield where, node
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            yield from _non_finite_numbers(
-                value, key if where == "document" else f"{where}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _non_finite_numbers(value, f"{where}[{i}]")
 
 
 def _where(path: tuple) -> str:
@@ -298,13 +261,14 @@ _DATACENTER_KEYS = _keys(("id", "hosts"))
 _HOST_KEYS = _keys(("id", "total_mips", "ram_mb", "storage_mb"),
                    ("datacenter_id",))
 _VM_KEYS = _keys(("id", "mips", "ram_mb"), ("pe_count",))
-# pe_count/file_size/output_size are accepted for compatibility and
-# ignored: execution depends only on length and MIPS.
 _CLOUDLET_KEYS = _keys(("id", "length", "arrival_index"),
                        ("pe_count", "file_size", "output_size"))
 
 # json.loads builds exact dicts, lists, strs, ints, floats and bools, so the
-# checks below compare exact types: a bool is not an int here.
+# checks below compare exact types: a bool is not an int here. It also reads
+# the bare tokens NaN, Infinity and -Infinity, which JSON does not have, and
+# a literal past float range such as 1e400 as an infinity; `_number` rejects
+# them where it reads them, and no other check accepts a float.
 
 
 def _check_keys(obj, path: tuple, keys) -> None:
@@ -330,7 +294,10 @@ def _int(obj: dict, path: tuple, key: str) -> int:
 def _number(obj: dict, path: tuple, key: str) -> float:
     value = obj[key]
     if type(value) is float:
-        return value
+        if math.isfinite(value):
+            return value
+        raise ScenarioFormatError(
+            f"{_where(path)}.{key}: non-finite number {value} is not allowed")
     if type(value) is not int:
         raise ScenarioFormatError(f"{_where(path)}.{key}: expected a number")
     try:
@@ -340,12 +307,18 @@ def _number(obj: dict, path: tuple, key: str) -> float:
             f"{_where(path)}.{key}: number out of range") from None
 
 
-def _check_pe_count(obj: dict, path: tuple) -> None:
-    """`pe_count` is accepted for compatibility and ignored, but a value
-    that no processor count could have is still an error."""
+def _check_ignored(obj: dict, path: tuple) -> None:
+    """`pe_count`, `file_size` and `output_size` are accepted for
+    compatibility and ignored (execution depends only on length and MIPS),
+    but each is still checked: a `pe_count` must be a positive integer and
+    a size a finite number."""
     if "pe_count" in obj and _int(obj, path, "pe_count") < 1:
         raise ScenarioFormatError(
             f"{_where(path)}.pe_count: expected a positive integer")
+    if "file_size" in obj:
+        _number(obj, path, "file_size")
+    if "output_size" in obj:
+        _number(obj, path, "output_size")
 
 
 def _scenario_from_doc(doc) -> Scenario:
@@ -396,7 +369,7 @@ def _scenario_from_doc(doc) -> Scenario:
             mips=_number(vm_doc, path, "mips"),
             ram_mb=_int(vm_doc, path, "ram_mb"),
         ))
-        _check_pe_count(vm_doc, path)
+        _check_ignored(vm_doc, path)
 
     cloudlets = []
     for i, cl_doc in enumerate(doc["cloudlets"]):
@@ -405,7 +378,7 @@ def _scenario_from_doc(doc) -> Scenario:
         cloudlets.append(Cloudlet(_int(cl_doc, path, "id"),
                                   _number(cl_doc, path, "length"),
                                   _int(cl_doc, path, "arrival_index")))
-        _check_pe_count(cl_doc, path)
+        _check_ignored(cl_doc, path)
     # Every later stage reads tuple order as arrival order.
     cloudlets.sort(key=attrgetter("arrival_index"))
 

@@ -13,6 +13,7 @@ from cloudsched import (
     Datacenter,
     Host,
     Scenario,
+    ValidationError,
     Vm,
     builtin_scenario,
     save_scenario,
@@ -45,6 +46,15 @@ def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
         execution_mode=mode,
     )
     return validate_scenario(scenario) if check else scenario
+
+
+def violations(scenario):
+    """The messages `validate_scenario` raises for `scenario`; [] if valid."""
+    try:
+        validate_scenario(scenario)
+    except ValidationError as err:
+        return err.violations
+    return []
 
 
 def make_shuffled_arrival_document(seed=3, n=12):

@@ -247,6 +247,21 @@ def test_run_rejects_bad_generate_and_seed(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("source", ["--builtin", "--scenario"])
+def test_a_seed_without_generate_is_one_error_line_and_writes_nothing(
+        tmp_path, capsys, command, source):
+    # A builtin or a scenario file has no seed, so --seed would be ignored.
+    path = tmp_path / "scenario.json"
+    write_scenario(builtin_scenario("paper12-gpa"), path)
+    value = "paper12-gpa" if source == "--builtin" else str(path)
+    out = tmp_path / "out"
+    assert main([command, source, value, "--seed", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: --seed needs --generate: a builtin "
+                                       "or a scenario file has no seed\n")
+    assert not out.exists()
+
+
 def test_run_tsv_format(tmp_path):
     code = main(["run", "--builtin", "paper12-fcfs", "--policy", "fcfs",
                  "--format", "tsv", "--out", str(tmp_path)])

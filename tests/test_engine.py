@@ -21,13 +21,13 @@ from cloudsched import (
     load_scenario,
     provision_vms,
     ps_finish_times,
-    scenario_violations,
 )
 from conftest import (
     integrate_ps,
     make_random_scenario,
     make_scenario,
     make_shuffled_arrival_document,
+    violations,
 )
 
 
@@ -138,7 +138,7 @@ def test_validation_and_provisioning_agree(scenario):
         unplaced = err.violations
         assert len(unplaced) == 1
         assert unplaced[0].startswith("insufficient capacity for vm ")
-    assert scenario_violations(scenario) == unplaced
+    assert violations(scenario) == unplaced
     if unplaced:
         return
     for host in scenario.hosts():

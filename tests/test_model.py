@@ -12,16 +12,15 @@ from cloudsched import (
     Scenario,
     ValidationError,
     Vm,
-    scenario_violations,
     validate_plan,
     validate_scenario,
 )
-from conftest import make_scenario
+from conftest import make_scenario, violations
 
 
 def test_valid_scenario_has_no_violations():
     scenario = make_scenario([250, 500], [1000, 2000, 3000])
-    assert scenario_violations(scenario) == []
+    assert violations(scenario) == []
 
 
 def test_validate_scenario_returns_the_same_object():
@@ -31,17 +30,17 @@ def test_validate_scenario_returns_the_same_object():
 
 def test_empty_cloudlet_set_is_flagged():
     scenario = make_scenario([250], [], check=False)
-    assert "empty cloudlet set" in scenario_violations(scenario)
+    assert "empty cloudlet set" in violations(scenario)
 
 
 def test_empty_vm_set_is_flagged():
     scenario = make_scenario([], [1000], check=False)
-    assert "empty vm set" in scenario_violations(scenario)
+    assert "empty vm set" in violations(scenario)
 
 
 def test_unknown_policy_is_flagged():
     scenario = make_scenario([250], [1000], policy="sjf", check=False)
-    assert any("sjf" in p for p in scenario_violations(scenario))
+    assert any("sjf" in p for p in violations(scenario))
 
 
 def test_duplicate_vm_ids_are_flagged():
@@ -49,7 +48,7 @@ def test_duplicate_vm_ids_are_flagged():
     scenario = Scenario(scenario.datacenters,
                         scenario.vms + (Vm(id=1, mips=500.0, ram_mb=512),),
                         scenario.cloudlets, scenario.policy)
-    assert "duplicate vm id 1" in scenario_violations(scenario)
+    assert "duplicate vm id 1" in violations(scenario)
 
 
 def test_duplicate_cloudlet_ids_are_flagged():
@@ -57,7 +56,7 @@ def test_duplicate_cloudlet_ids_are_flagged():
     extra = Cloudlet(id=1, length=500.0, arrival_index=1)
     scenario = Scenario(scenario.datacenters, scenario.vms,
                         scenario.cloudlets + (extra,), scenario.policy)
-    assert "duplicate cloudlet id 1" in scenario_violations(scenario)
+    assert "duplicate cloudlet id 1" in violations(scenario)
 
 
 def test_duplicate_datacenter_and_host_ids_are_flagged():
@@ -74,7 +73,7 @@ def test_duplicate_datacenter_and_host_ids_are_flagged():
         vms=(Vm(id=1, mips=250.0, ram_mb=512),),
         cloudlets=(Cloudlet(id=1, length=1000.0, arrival_index=0),),
         policy="fcfs")
-    problems = scenario_violations(scenario)
+    problems = violations(scenario)
     assert "duplicate host id 7" in problems
     assert "duplicate datacenter id 1" in problems
 
@@ -87,12 +86,12 @@ def test_host_datacenter_mismatch_is_flagged():
         vms=(Vm(id=1, mips=250.0, ram_mb=512),),
         cloudlets=(Cloudlet(id=1, length=1000.0, arrival_index=0),),
         policy="fcfs")
-    assert any("declares datacenter 9" in p for p in scenario_violations(scenario))
+    assert any("declares datacenter 9" in p for p in violations(scenario))
 
 
 def test_non_positive_quantities_are_flagged():
     scenario = make_scenario([-5], [0], check=False)
-    problems = scenario_violations(scenario)
+    problems = violations(scenario)
     assert "non-positive mips on vm 1" in problems
     assert "non-positive length on cloudlet 1" in problems
 
@@ -102,7 +101,7 @@ def test_non_finite_quantities_are_flagged():
                              check=False)
     host = replace(scenario.datacenters[0].hosts[0], total_mips=float("nan"))
     scenario = replace(scenario, datacenters=(Datacenter(id=1, hosts=(host,)),))
-    problems = scenario_violations(scenario)
+    problems = violations(scenario)
     assert "non-finite mips on vm 1" in problems
     assert "non-finite length on cloudlet 1" in problems
     assert "non-finite length on cloudlet 2" in problems
@@ -117,10 +116,10 @@ def test_arrival_indices_must_be_contiguous():
     repeated = (first, replace(second, arrival_index=0))
     for cloudlets in (gappy, repeated):
         scenario = replace(base, cloudlets=cloudlets)
-        assert any("contiguous" in p for p in scenario_violations(scenario))
+        assert any("contiguous" in p for p in violations(scenario))
     # A permutation, but not listed in arrival order.
     swapped = (replace(first, arrival_index=1), replace(second, arrival_index=0))
-    assert scenario_violations(replace(base, cloudlets=swapped)) == \
+    assert violations(replace(base, cloudlets=swapped)) == \
         ["cloudlets are not listed in arrival order"]
 
 

@@ -19,7 +19,7 @@ from cloudsched import (
     generate,
     load_scenario,
     save_scenario,
-    scenario_violations,
+    validate_scenario,
     write_scenario,
 )
 from conftest import make_scenario
@@ -239,6 +239,49 @@ def test_load_rejects_non_finite_tokens_with_location(edit, location):
         load_scenario(text)
 
 
+def _value_positions(node, where):
+    """(location, parent, key) of every value in a parsed document, located
+    as the loader's errors locate them."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, list):
+            location = f"{where}[{key}]"
+        else:
+            location = f"{where}.{key}" if where else key
+        yield location, node, key
+        if isinstance(value, (dict, list)):
+            yield from _value_positions(value, location)
+
+
+def _document_with_every_key():
+    """Saved paper12-fcfs, with the three ignored keys on its first cloudlet."""
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    doc["cloudlets"][0].update(pe_count=1, file_size=300.0, output_size=300.0)
+    return doc
+
+
+_LOCATIONS = [where for where, _, _ in
+              _value_positions(_document_with_every_key(), "")]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("location", _LOCATIONS)
+def test_a_non_finite_number_anywhere_is_a_located_format_error(location, token):
+    doc = _document_with_every_key()
+    _, parent, key = next(p for p in _value_positions(doc, "")
+                          if p[0] == location)
+    original, parent[key] = parent[key], "<token>"
+    text = json.dumps(doc).replace('"<token>"', token)
+    with pytest.raises(ScenarioFormatError) as err:
+        load_scenario(text)
+    message = str(err.value)
+    where = location if "[" in location else f"document.{location}"
+    assert message.startswith(f"{where}: ")
+    if type(original) is float:      # a number field: the value is named
+        assert message == (f"{where}: non-finite number {float(token)} "
+                           f"is not allowed")
+
+
 def test_load_drops_a_non_finite_token_that_a_duplicate_key_overrides():
     text = save_scenario(builtin_scenario("paper12-fcfs"))
     text = text.replace('"policy": "fcfs"', '"policy": NaN, "policy": "fcfs"', 1)
@@ -247,7 +290,9 @@ def test_load_drops_a_non_finite_token_that_a_duplicate_key_overrides():
 
 def test_load_rejects_numbers_beyond_float_range():
     text = save_scenario(builtin_scenario("paper12-fcfs"))
-    with pytest.raises(ValidationError, match="non-finite length on cloudlet 1"):
+    # json.loads reads 1e400 as inf, which is rejected like the Infinity token.
+    with pytest.raises(ScenarioFormatError, match=re.escape(
+            "cloudlets[0].length: non-finite number inf is not allowed")):
         load_scenario(text.replace('"length": 20000.0', '"length": 1e400', 1))
     beyond = text.replace('"length": 20000.0', '"length": 1' + "0" * 400, 1)
     with pytest.raises(ScenarioFormatError,
@@ -388,7 +433,7 @@ def test_any_json_value_loads_or_raises_a_library_error(doc, tmp_path_factory):
         scenario = load_scenario(path)
     except (ScenarioFormatError, ValidationError):
         return
-    assert scenario_violations(scenario) == []
+    assert validate_scenario(scenario) is scenario
 
 
 # ---------------------------------------------------------------------------
