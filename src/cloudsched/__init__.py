@@ -11,7 +11,6 @@ from .engine import (
     ps_finish_times,
 )
 from .metrics import (
-    PolicyReport,
     compare,
     summarize,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "Host",
     "Lcg64",
     "POLICIES",
-    "PolicyReport",
     "Scenario",
     "ScenarioFormatError",
     "SimulationResult",

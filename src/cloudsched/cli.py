@@ -138,16 +138,16 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
     jobs = _resolve_jobs(args)
     if len(jobs) < 2:
         raise UsageError("need >= 2 policies to compare")
-    reports = [summarize(_simulate(sc), policy=sc.policy) for sc in jobs]
-    improvements = compare(reports)
+    results = [summarize(_simulate(sc), policy=sc.policy) for sc in jobs]
+    improvements = compare(results)
     rows = [[r.policy, r.mode.value, str(r.n_cloudlets),
              _t(r.mean_cpu_time), _t(r.mean_completion_time),
              _t(r.headline_mean), _t(r.makespan),
              _t(r.mean_utilization, 3), _t(pct, 1)]
-            for r, pct in zip(reports, improvements)]
+            for r, pct in zip(results, improvements)]
     # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
     dat = ["# policy headline_mean makespan"]
-    dat += [f"{r.policy} {_t(r.headline_mean)} {_t(r.makespan)}" for r in reports]
+    dat += [f"{r.policy} {_t(r.headline_mean)} {_t(r.makespan)}" for r in results]
     return ([("compare", _COMPARE_HEADER, rows)],
             {"compare.dat": "\n".join(dat) + "\n"})
 

@@ -1,75 +1,41 @@
-"""Aggregation of simulation results into comparable reports.
+"""Labelling and comparison of simulation results.
 
-Space-shared runs are compared on mean CPU (service) time, time-shared
-runs on mean completion time; a report carries both so either view can be
-read off directly. Nothing here rounds - formatting happens at output.
+The summary numbers are properties of `SimulationResult`, which carries
+both the space-shared and the time-shared view. Nothing here rounds -
+formatting happens at output.
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .model import ExecutionMode, SimulationResult, VmUsage
-
-
-@dataclass(frozen=True)
-class PolicyReport:
-    policy: str
-    mode: ExecutionMode
-    n_cloudlets: int
-    mean_cpu_time: float
-    mean_completion_time: float
-    makespan: float
-    vm_usage: tuple[VmUsage, ...]
-
-    @property
-    def headline_mean(self) -> float:
-        """The comparison metric: CPU time when space-shared, completion
-        time when time-shared."""
-        if self.mode is ExecutionMode.SPACE_SHARED:
-            return self.mean_cpu_time
-        return self.mean_completion_time
-
-    @property
-    def mean_utilization(self) -> float:
-        """Mean over VMs of busy time / makespan."""
-        return (sum(u.busy_time / self.makespan for u in self.vm_usage)
-                / len(self.vm_usage))
+from .model import SimulationResult
 
 
-def summarize(result: SimulationResult, policy: str = "") -> PolicyReport:
-    """Aggregate one run into a PolicyReport."""
+def summarize(result: SimulationResult, policy: str = "") -> SimulationResult:
+    """`result` labelled with the policy that produced it."""
     if not result.records:
         raise ValueError("empty result")
-    n = len(result.records)
-    return PolicyReport(
-        policy=policy,
-        mode=result.mode,
-        n_cloudlets=n,
-        mean_cpu_time=result.mean_cpu_time,
-        mean_completion_time=sum(r.finish_time for r in result.records) / n,
-        makespan=result.makespan,
-        vm_usage=result.vm_usage,
-    )
+    return replace(result, policy=policy)
 
 
-def compare(reports: list[PolicyReport]) -> list[float]:
-    """Improvement of each report's headline mean over the first report's,
+def compare(results: list[SimulationResult]) -> list[float]:
+    """Improvement of each result's headline mean over the first result's,
     in percent: positive means that policy beat the first listed one.
 
-    The reports must cover the same number of cloudlets. A makespan of 0
+    The results must cover the same number of cloudlets. A makespan of 0
     (which `mean_utilization` divides by) or a baseline headline mean of 0
     is an error: a length that small underflows a float.
     """
-    if len(reports) < 2:
-        raise ValueError("need at least 2 reports to compare")
-    counts = {r.n_cloudlets for r in reports}
+    if len(results) < 2:
+        raise ValueError("need at least 2 results to compare")
+    counts = {r.n_cloudlets for r in results}
     if len(counts) > 1:
         raise ValueError(f"mismatched cloudlet counts: {sorted(counts)}")
-    for report in reports:
-        if report.makespan == 0:
-            raise ValueError(f"policy {report.policy!r} has a makespan of 0 "
+    for result in results:
+        if result.makespan == 0:
+            raise ValueError(f"policy {result.policy!r} has a makespan of 0 "
                              f"(the scenario underflows a float)")
-    baseline = reports[0].headline_mean
+    baseline = results[0].headline_mean
     if baseline == 0:
-        raise ValueError(f"policy {reports[0].policy!r} has a headline mean of 0 "
+        raise ValueError(f"policy {results[0].policy!r} has a headline mean of 0 "
                          f"(the scenario underflows a float)")
-    return [100.0 * (baseline - r.headline_mean) / baseline for r in reports]
+    return [100.0 * (baseline - r.headline_mean) / baseline for r in results]

@@ -7,7 +7,8 @@ and can then be shared freely between policies, engine runs and reports.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 POLICIES = ("fcfs", "rr", "gpa")
@@ -121,17 +122,46 @@ class VmUsage:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One run, and the numbers the policies are ranked by. Space-shared
+    runs are compared on mean CPU (service) time, time-shared runs on mean
+    completion time; a result carries both. `policy` labels the run
+    (`summarize`). Each scan of the records runs once per result."""
+
     mode: ExecutionMode
     records: tuple[CloudletRecord, ...]
     vm_usage: tuple[VmUsage, ...]
+    policy: str = ""
 
     @property
+    def n_cloudlets(self) -> int:
+        return len(self.records)
+
+    @cached_property
     def mean_cpu_time(self) -> float:
-        return sum(r.cpu_time for r in self.records) / len(self.records)
+        return sum(map(attrgetter("cpu_time"), self.records)) / len(self.records)
+
+    @cached_property
+    def mean_completion_time(self) -> float:
+        return sum(map(attrgetter("finish_time"), self.records)) / len(self.records)
 
     @property
+    def headline_mean(self) -> float:
+        """The comparison metric: CPU time when space-shared, completion
+        time when time-shared."""
+        if self.mode is ExecutionMode.SPACE_SHARED:
+            return self.mean_cpu_time
+        return self.mean_completion_time
+
+    @cached_property
     def makespan(self) -> float:
-        return max(r.finish_time for r in self.records)
+        return max(map(attrgetter("finish_time"), self.records))
+
+    @property
+    def mean_utilization(self) -> float:
+        """Mean over VMs of busy time / makespan."""
+        makespan = self.makespan  # a cached attribute reads slower than a local
+        return (sum(u.busy_time / makespan for u in self.vm_usage)
+                / len(self.vm_usage))
 
 
 def provision_vms(scenario: Scenario) -> dict[int, int]:

@@ -1,12 +1,16 @@
 """Report building and policy comparison math."""
 
+import dataclasses
 import math
 
 import pytest
 
 from cloudsched import (
+    BUILTIN_NAMES,
     ExecutionMode,
+    SimulationResult,
     assign,
+    builtin_scenario,
     compare,
     execute_plan,
     summarize,
@@ -154,3 +158,20 @@ def test_makespan_ignores_record_order(fcfs_scenario):
                                        records=tuple(reversed(result.records)),
                                        vm_usage=result.vm_usage)
     assert summarize(reversed_result).makespan == summarize(result).makespan
+
+
+SUMMARY_PROPERTIES = ("n_cloudlets", "mean_cpu_time", "mean_completion_time",
+                      "headline_mean", "makespan", "mean_utilization")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_summarize_labels_the_result_and_changes_no_number(name):
+    scenario = builtin_scenario(name)
+    result = run_policy(scenario)
+    assert result.policy == ""
+    labelled = summarize(result, scenario.policy)
+    assert isinstance(labelled, SimulationResult)
+    assert labelled == dataclasses.replace(result, policy=scenario.policy)
+    assert labelled.policy == scenario.policy
+    assert ([getattr(labelled, p) for p in SUMMARY_PROPERTIES]
+            == [getattr(result, p) for p in SUMMARY_PROPERTIES])
