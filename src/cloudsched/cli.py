@@ -1,10 +1,10 @@
 """Command-line front end: run scenarios, compare policies, sweep task counts.
 
-Canonical outputs are CSV files in the output directory (``--out`` or the
-CLOUDSCHED_OUT environment variable, falling back to the working
-directory). Identical config + seed produces byte-identical CSV/TSV
-files; "pretty" console tables are formatting only. Wall-clock timings
-go to a separate sweep_timing.csv so sweep.csv stays deterministic.
+Canonical outputs are CSV files in the output directory (``--out``, else
+CLOUDSCHED_OUT, else the working directory), byte-identical for identical
+config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
+times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Nothing
+is printed or written until every output has rendered.
 """
 
 import argparse
@@ -13,6 +13,8 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .engine import execute_plan
@@ -35,43 +37,48 @@ class UsageError(ValueError):
     """Bad flag combination or value; reported on stderr with exit 1."""
 
 
-# What a command produces: (file stem, header, rows of formatted cells).
-Table = tuple[str, list[str], list[Sequence[str]]]
+# (name, header, blocks). A block is one `%` spec per column and rows of
+# raw values, a value per spec that has a `%` (one without is a fixed cell),
+# so every number becomes text in `_render` alone.
+Table = tuple[str, Sequence[str], list[tuple[Sequence[str], Sequence[Sequence]]]]
+_DELIMITERS = {"csv": ",", "tsv": "\t", "dat": " "}
 
 
 # ---------------------------------------------------------------------------
-# table formatting
+# table rendering
 
-def _t(x: float, digits: int = 2) -> str:
-    """`x` with `digits` decimals. Every number written goes through here,
-    so a result that overflowed a float is an error, not an `inf` cell."""
-    if not math.isfinite(x):
-        raise ValueError(f"result {x} is not a finite number "
-                         f"(the scenario overflows a float)")
-    return "%.*f" % (digits, x)
+def _render(table: Table, delim: str) -> str:
+    """One line per row, cells joined by `delim`: one `%` per block.
+
+    A result that overflowed a float is an error, not an `inf` cell. A
+    finite column sum means finite members; only a column whose sum is not
+    finite (it can overflow) is checked value by value."""
+    _, header, blocks = table
+    parts = [delim.join(header) + "\n"]
+    for specs, rows in blocks:
+        values = tuple(chain.from_iterable(rows))
+        fields = [spec for spec in specs if "%" in spec]
+        for j, spec in enumerate(fields):
+            column = values[j::len(fields)]
+            if spec.endswith("f") and not math.isfinite(sum(column)):
+                for x in column:
+                    if not math.isfinite(x):
+                        raise ValueError(f"result {x} is not a finite number "
+                                         f"(the scenario overflows a float)")
+        parts.append((delim.join(specs) + "\n") * len(rows) % values)
+    return "".join(parts)
 
 
-def _t_column(values) -> list[str]:
-    """`_t(x)` for each x, with one finiteness check for the whole column."""
-    if all(map(math.isfinite, values)):
-        return list(map("%.2f".__mod__, values))
-    return [_t(x) for x in values]  # raises at the first non-finite value
-
-
-def _table_text(delim: str, header: list[str], rows: list[Sequence[str]]) -> str:
-    return "\n".join(delim.join(row) for row in [header, *rows]) + "\n"
-
-
-def _print_pretty(title: str, header: list[str], rows: list[Sequence[str]]) -> None:
-    widths = [len(col) for col in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print(f"== {title} ==")
-    print("  ".join(col.ljust(w) for col, w in zip(header, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    print()
+def _pretty(table: Table) -> str:
+    """A console listing: a title, then every column padded to its widest
+    cell, with a rule under the header and no trailing blanks."""
+    # NUL cannot occur in a cell, so it splits the rendered cells back out.
+    lines = [line.split("\0") for line in _render(table, "\0").split("\n")[:-1]]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    lines.insert(1, ["-" * w for w in widths])
+    body = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+            for line in lines]
+    return "\n".join([f"== {table[0]} ==", *body, "", ""])
 
 
 # ---------------------------------------------------------------------------
@@ -108,51 +115,52 @@ def _simulate(scenario: Scenario) -> SimulationResult:
 
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
+_RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its tables and its other files, and writes nothing
+# subcommands: each returns its tables (named by stem, written once per
+# --format) and its other files (named in full), and writes nothing
 
-def cmd_run(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Run each requested policy: one <policy> table per run."""
     tables = []
     for scenario in _resolve_jobs(args):
         result = _simulate(scenario)
-        # Records are tuples in CloudletRecord field order: transpose them
-        # to format whole columns at a time.
-        cloudlet_ids, vm_ids, dc_ids, cpu, start, finish = zip(*result.records)
-        rows = list(zip(map(str, cloudlet_ids), map(str, dc_ids), map(str, vm_ids),
-                        _t_column(cpu), _t_column(start), _t_column(finish)))
-        rows.append(("mean", "", "", _t(result.mean_cpu_time), "", ""))
-        tables.append((scenario.policy, _RUN_HEADER, rows))
-    return tables, {}
+        # Records are tuples in CloudletRecord field order, the VM before
+        # the datacenter; the table swaps the two.
+        rows = list(map(itemgetter(0, 2, 1, 3, 4, 5), result.records))
+        tables.append((scenario.policy, _RUN_HEADER, [
+            (_RUN_SPECS, rows),
+            (("mean", "", "", "%.2f", "", ""), [(result.mean_cpu_time,)])]))
+    return tables, []
 
 
 _COMPARE_HEADER = ["policy", "mode", "n_cloudlets", "mean_cpu_time",
                    "mean_completion_time", "headline_mean", "makespan",
                    "mean_utilization", "improvement_pct"]
+_COMPARE_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f", "%.2f", "%.3f", "%.1f")
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Summarize >= 2 policy runs side by side (compare table + compare.dat)."""
     jobs = _resolve_jobs(args)
     if len(jobs) < 2:
         raise UsageError("need >= 2 policies to compare")
     results = [summarize(_simulate(sc), policy=sc.policy) for sc in jobs]
     improvements = compare(results)
-    rows = [[r.policy, r.mode.value, str(r.n_cloudlets),
-             _t(r.mean_cpu_time), _t(r.mean_completion_time),
-             _t(r.headline_mean), _t(r.makespan),
-             _t(r.mean_utilization, 3), _t(pct, 1)]
+    rows = [(r.policy, r.mode.value, r.n_cloudlets, r.mean_cpu_time,
+             r.mean_completion_time, r.headline_mean, r.makespan,
+             r.mean_utilization, pct)
             for r, pct in zip(results, improvements)]
     # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
-    dat = ["# policy headline_mean makespan"]
-    dat += [f"{r.policy} {_t(r.headline_mean)} {_t(r.makespan)}" for r in results]
-    return ([("compare", _COMPARE_HEADER, rows)],
-            {"compare.dat": "\n".join(dat) + "\n"})
+    dat = [(r.policy, r.headline_mean, r.makespan) for r in results]
+    return ([("compare", _COMPARE_HEADER, [(_COMPARE_SPECS, rows)])],
+            [("compare.dat", ["# policy", "headline_mean", "makespan"],
+              [(("%s", "%.2f", "%.2f"), dat)])])
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Generate-and-run every (task count, policy) pair: one sweep table.
 
     Each count gets its own derived seed so adding counts never perturbs
@@ -164,18 +172,17 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], dict[str, str]]:
     policies = args.policy or POLICIES
     rows, timing_rows = [], []
     for n in args.counts:
-        spec = GeneratorSpec(n_tasks=n, seed=derive_seed(args.seed, n))
-        scenario = generate(spec)
+        scenario = generate(GeneratorSpec(n_tasks=n, seed=derive_seed(args.seed, n)))
         for policy in policies:
             started = time.perf_counter()
             result = _simulate(scenario.with_policy(policy))
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            rows.append([str(n), policy, _t(result.mean_cpu_time),
-                         _t(result.makespan)])
-            timing_rows.append([str(n), policy, _t(elapsed_ms, 3)])
-    timing = _table_text(",", ["n", "policy", "wall_clock_ms"], timing_rows)
-    return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"], rows)],
-            {"sweep_timing.csv": timing})
+            rows.append((n, policy, result.mean_cpu_time, result.makespan))
+            timing_rows.append((n, policy, elapsed_ms))
+    return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"],
+              [(("%s", "%s", "%.2f", "%.2f"), rows)])],
+            [("sweep_timing.csv", ["n", "policy", "wall_clock_ms"],
+              [(("%s", "%s", "%.3f"), timing_rows)])])
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +242,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(fcfs / rr / gpa brokers).")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="run policies, one table per policy")
-    _add_common(run, with_source=True)
-    run.set_defaults(command_fn=cmd_run)
-
-    cmp_ = subs.add_parser("compare", help="side-by-side policy summary")
-    _add_common(cmp_, with_source=True)
-    cmp_.set_defaults(command_fn=cmd_compare)
-
-    sweep = subs.add_parser("sweep", help="task-count sweep on generated workloads")
-    sweep.add_argument("--counts", type=_int_list, required=True,
-                       metavar="N[,N...]", help="task counts, e.g. 100,200,300")
-    _add_common(sweep, with_source=False)
-    sweep.set_defaults(command_fn=cmd_sweep)
-
+    for name, command_fn, help_ in (
+            ("run", cmd_run, "run policies, one table per policy"),
+            ("compare", cmd_compare, "side-by-side policy summary"),
+            ("sweep", cmd_sweep, "task-count sweep on generated workloads")):
+        sub = subs.add_parser(name, help=help_)
+        if name == "sweep":
+            sub.add_argument("--counts", type=_int_list, required=True,
+                             metavar="N[,N...]", help="task counts, e.g. 100,200,300")
+        _add_common(sub, with_source=name != "sweep")
+        sub.set_defaults(command_fn=command_fn)
     return parser
 
 
@@ -266,14 +269,11 @@ def _check_args(args: argparse.Namespace) -> None:
         if getattr(args, "generate", 0) is None:  # sweep has no --generate
             raise UsageError("--seed needs --generate: a builtin or a "
                              "scenario file has no seed")
-    for fmt in args.format:
-        if fmt not in FORMATS:
-            raise UsageError(f"unknown format {fmt!r} "
-                             f"(choose from {', '.join(FORMATS)})")
-    for policy in args.policy:
-        if policy not in POLICIES:
-            raise UsageError(f"unknown policy {policy!r} "
-                             f"(choose from {', '.join(POLICIES)})")
+    for flag, known in (("format", FORMATS), ("policy", POLICIES)):
+        for value in getattr(args, flag):
+            if value not in known:
+                raise UsageError(f"unknown {flag} {value!r} "
+                                 f"(choose from {', '.join(known)})")
     generate_n = getattr(args, "generate", None)
     if generate_n is not None and generate_n < 1:
         raise UsageError("--generate needs at least one cloudlet")
@@ -286,23 +286,23 @@ def main(argv=None) -> int:
     0 success; 1 usage, format, validation (an unplaceable scenario
     included) or overflow error, each a ValueError; 2 I/O error. Each
     error is one `error: ...` line on stderr. Only `--help` leaves through
-    SystemExit(0). This is the only function that writes, and it writes
-    only after the command succeeded.
+    SystemExit(0). This is the only function that prints or writes an
+    output, and it does so only once every output has rendered, so one
+    that cannot render (an overflow) leaves nothing behind.
     """
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
         tables, files = args.command_fn(args)
+        named = [(f"{t[0]}.{fmt}", t) for fmt in args.format if fmt != "pretty"
+                 for t in tables] + [(t[0], t) for t in files]
+        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]]))
+                 for name, t in named]
+        listing = "".join(map(_pretty, tables)) if "pretty" in args.format else ""
         out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        for stem, header, rows in tables:
-            for fmt in args.format:
-                if fmt == "pretty":
-                    _print_pretty(stem, header, rows)
-                else:
-                    text = _table_text("," if fmt == "csv" else "\t", header, rows)
-                    (out_dir / f"{stem}.{fmt}").write_text(text)
-        for name, text in files.items():
+        sys.stdout.write(listing)
+        for name, text in texts:
             (out_dir / name).write_text(text)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -153,20 +153,39 @@ def test_insufficient_capacity_is_an_error_not_a_traceback(tmp_path, capsys,
     ["run", "--policy", "fcfs"], ["run", "--policy", "rr"],
     ["run", "--policy", "gpa"], ["compare"]], ids=" ".join)
 @pytest.mark.parametrize("vm_mips", [[1], [1, 1]], ids=["one-vm", "two-vms"])
+@pytest.mark.parametrize("formats", [[], ["--format", "pretty,csv"]],
+                         ids=["csv", "pretty-csv"])
 def test_overflowing_results_are_an_error_not_inf(tmp_path, capsys, argv,
-                                                  vm_mips):
+                                                  vm_mips, formats):
     # Each length is a finite float, but on one VM the finish (or the
     # processor-sharing clock) overflows; on two, every record is finite
     # and only the mean overflows.
     path = tmp_path / "huge.json"
     write_scenario(make_scenario(vm_mips, [1e308, 1e308]), path)
     out = tmp_path / "out"
-    code = main(argv + ["--scenario", str(path), "--out", str(out)])
+    code = main(argv + formats + ["--scenario", str(path), "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: result inf is not a finite number")
     assert err.count("\n") == 1
     assert not out.exists()
+    assert captured.out == ""
+
+
+def test_a_column_whose_sum_overflows_is_written(tmp_path):
+    # Every start and finish is finite, but each column's sum overflows;
+    # so does no mean.
+    path = tmp_path / "big.json"
+    write_scenario(make_scenario([1], [9e307, 1, 1, 1]), path)
+    code = main(["run", "--policy", "fcfs", "--scenario", str(path),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "fcfs.csv").read_text().splitlines()[1:]
+    big = "%.2f" % 9e307
+    assert [row.split(",")[4] for row in rows] == [
+        "0.00", big, "%.2f" % (9e307 + 1), "%.2f" % (9e307 + 2), ""]
+    assert rows[-1] == "mean,,,%.2f,," % ((9e307 + 3) / 4)
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -271,13 +290,68 @@ def test_run_tsv_format(tmp_path):
     assert text == FCFS_GOLDEN.replace(",", "\t")
 
 
-def test_run_pretty_format_prints_only(tmp_path, capsys):
-    code = main(["run", "--builtin", "paper12-fcfs", "--policy", "fcfs",
-                 "--format", "pretty", "--out", str(tmp_path)])
+PRETTY_RUN = """\
+== fcfs ==
+cloudlet_id  datacenter_id  vm_id  cpu_time  start   finish
+-----------  -------------  -----  --------  ------  ------
+1            2              1      80.00     0.00    80.00
+2            2              2      10.00     0.00    10.00
+3            2              3      80.00     0.00    80.00
+4            3              4      20.00     0.00    20.00
+5            3              5      40.00     0.00    40.00
+6            2              1      80.00     80.00   160.00
+7            2              2      10.00     10.00   20.00
+8            2              3      80.00     80.00   160.00
+9            3              4      20.00     20.00   40.00
+10           3              5      40.00     40.00   80.00
+11           2              1      80.00     160.00  240.00
+12           2              2      10.00     20.00   30.00
+mean                               45.83
+
+"""
+
+PRETTY_COMPARE = """\
+== compare ==
+policy  mode          n_cloudlets  mean_cpu_time  mean_completion_time  \
+headline_mean  makespan  mean_utilization  improvement_pct
+------  ------------  -----------  -------------  --------------------  \
+-------------  --------  ----------------  ---------------
+fcfs    space_shared  12           45.83          80.00                 \
+45.83          240.00    0.458             0.0
+rr      time_shared   12           126.67         126.67                \
+126.67         240.00    0.483             -176.4
+gpa     space_shared  12           30.00          55.00                 \
+30.00          80.00     0.900             34.5
+
+"""
+
+PRETTY_SWEEP = """\
+== sweep ==
+n   policy  mean_cpu_time  makespan
+--  ------  -------------  --------
+5   fcfs    42.00          80.00
+5   rr      42.00          80.00
+5   gpa     24.00          40.00
+10  fcfs    38.00          120.00
+10  rr      68.00          120.00
+10  gpa     24.00          60.00
+
+"""
+
+
+# `pretty` replaces the tables' files; a command's other files are written
+# whatever the format.
+@pytest.mark.parametrize("argv, stdout, files", [
+    (["run", "--builtin", "paper12-fcfs", "--policy", "fcfs"], PRETTY_RUN, []),
+    (["compare", "--builtin", "paper12-fcfs,paper12-rr,paper12-gpa"],
+     PRETTY_COMPARE, ["compare.dat"]),
+    (["sweep", "--counts", "5,10"], PRETTY_SWEEP, ["sweep_timing.csv"]),
+], ids=["run", "compare", "sweep"])
+def test_run_pretty_format_prints_only(tmp_path, capsys, argv, stdout, files):
+    code = main(argv + ["--format", "pretty", "--out", str(tmp_path)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "cloudlet_id" in out and "45.83" in out
-    assert not (tmp_path / "fcfs.csv").exists()
+    assert capsys.readouterr().out == stdout
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
 
 
 def test_run_unknown_format(tmp_path, capsys):

@@ -203,6 +203,11 @@ def test_ps_finish_order_follows_length_order():
     for _ in range(200):
         n = rng.randint(2, 10)
         lengths = [float(rng.randint(1000, 100000)) for _ in range(n)]
+        # Near-ties: distinct lengths far closer than any tie tolerance, yet
+        # 2**-20 MI apart takes about 1e-9 s at 500 MIPS, far above the
+        # clock's rounding (under 1e-12 s here). They finish apart.
+        lengths += [lengths[0] + 2.0 ** -20, lengths[-1] - 2.0 ** -19]
+        n += 2
         finish = ps_finish_times(lengths, 500.0)
         for i in range(n):
             for j in range(n):
