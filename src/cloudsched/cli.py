@@ -4,7 +4,9 @@ Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
 times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Nothing
-is printed or written until every output has rendered.
+is printed or written until every output has rendered. "pretty" replaces
+only the table files: the output directory is still created, and
+compare.dat and sweep_timing.csv are still written.
 """
 
 import argparse

@@ -4,18 +4,15 @@ Runs an assignment plan on a scenario under one of two modes: space-shared
 (each VM serves its queue one task at a time) or time-shared (egalitarian
 processor sharing, the quantum->0 limit of round-robin). All cloudlets
 arrive at t = 0; a run is a pure function of (scenario, plan).
+
+A run is one pass over the plan. Placement depends only on the datacenters
+and VMs, which `Scenario.with_policy` shares: the last placement is kept with
+those two tuples (held, so their ids cannot be reused), and a run whose
+scenario holds the same two objects reuses it.
 """
 
-from .model import (
-    CloudletRecord,
-    ExecutionMode,
-    Plan,
-    Scenario,
-    SimulationResult,
-    VmUsage,
-    provision_vms,
-    validate_plan,
-)
+from .model import (CloudletRecord, ExecutionMode, Plan, Scenario,
+                    SimulationResult, VmUsage, provision_vms, validate_plan)
 
 
 def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
@@ -28,7 +25,7 @@ def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     length L all finish at exactly n*L/mips.
     """
     n = len(lengths)
-    order = sorted(range(n), key=lambda i: (lengths[i], i))
+    order = sorted(range(n), key=lengths.__getitem__)  # stable: ties by index
     finish = [0.0] * n
     clock = 0.0
     served = 0.0  # MI of service every still-active job has received
@@ -48,29 +45,44 @@ def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     return finish
 
 
-def _space_shared(lengths: list[float], mips: float) -> list[tuple[float, float, float]]:
-    """One job at a time in queue order: each starts when the one ahead ends."""
-    times = []
-    clock = 0.0
-    for length in lengths:
-        cpu_time = length / mips
-        times.append((cpu_time, clock, clock + cpu_time))
-        clock += cpu_time
-    return times
+# A kernel runs a whole plan: it writes each cloudlet's record fields into
+# its arrival slot in `rows` and returns vm id -> last finish, in `vms` order.
+
+def _space_shared(plan, vms, datacenter_of, slot_of, length_of, rows):
+    """Each VM runs its jobs one at a time, in plan order."""
+    mips_of = {vm.id: vm.mips for vm in vms}
+    clock = dict.fromkeys(mips_of, 0.0)
+    for cloudlet_id, vm_id in plan:
+        start = clock[vm_id]
+        cpu_time = length_of[cloudlet_id] / mips_of[vm_id]
+        clock[vm_id] = finish = start + cpu_time
+        rows[slot_of[cloudlet_id]] = (cloudlet_id, vm_id, datacenter_of[vm_id],
+                                      cpu_time, start, finish)
+    return clock
 
 
-def _time_shared(lengths: list[float], mips: float) -> list[tuple[float, float, float]]:
+def _time_shared(plan, vms, datacenter_of, slot_of, length_of, rows):
     """Every job active from t = 0; cpu_time is the completion time."""
-    return [(finish, 0.0, finish) for finish in ps_finish_times(lengths, mips)]
+    queues: dict[int, list[int]] = {vm.id: [] for vm in vms}
+    for cloudlet_id, vm_id in plan:
+        queues[vm_id].append(cloudlet_id)
+    busy = {}
+    for vm in vms:
+        vm_id, queue = vm.id, queues[vm.id]
+        finishes = ps_finish_times([length_of[c] for c in queue], vm.mips)
+        for cloudlet_id, finish in zip(queue, finishes):
+            rows[slot_of[cloudlet_id]] = (
+                cloudlet_id, vm_id, datacenter_of[vm_id], finish, 0.0, finish)
+        busy[vm_id] = max(finishes, default=0.0)
+    return busy
 
 
-# mode -> per-VM kernel: (lengths in queue order, mips) -> (cpu_time, start,
-# finish) per job, the order of CloudletRecord's time fields. VMs do not
-# interact, so a run is the kernel applied to each VM's queue.
 _KERNELS = {
     ExecutionMode.SPACE_SHARED: _space_shared,
     ExecutionMode.TIME_SHARED: _time_shared,
 }
+
+_placement = (None, None, {})  # datacenters, vms, vm id -> datacenter id
 
 
 def execute_plan(scenario: Scenario, plan: Plan,
@@ -79,33 +91,21 @@ def execute_plan(scenario: Scenario, plan: Plan,
     order, and records come back in `scenario.cloudlets` order.
 
     Expects a validated scenario (`load_scenario`, `generate` and
-    `builtin_scenario` return one), whose tuple order is arrival order;
-    only the plan is checked here. A VM's busy time is its last finish,
-    0.0 when nothing was assigned.
+    `builtin_scenario` return one); only the plan is checked here. A VM's
+    busy time is its last finish, 0.0 when nothing was assigned.
     """
+    global _placement
     validate_plan(scenario, plan)
-    kernel = _KERNELS[mode]
-    host_of = provision_vms(scenario)
-    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
-    cloudlets = scenario.cloudlets
-    # Each record is written straight into its cloudlet's slot.
-    slot_of = {cl.id: slot for slot, cl in enumerate(cloudlets)}
-    length_of = {cl.id: cl.length for cl in cloudlets}
-    queues: dict[int, list[int]] = {vm.id: [] for vm in scenario.vms}
-    for cloudlet_id, vm_id in plan:
-        queues[vm_id].append(cloudlet_id)
-
-    records: list = [None] * len(cloudlets)
-    usage = []
-    for vm in scenario.vms:
-        vm_id = vm.id
-        queue = queues[vm_id]
-        datacenter_id = datacenter_of[host_of[vm_id]]
-        times = kernel([length_of[cid] for cid in queue], vm.mips)
-        for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):
-            records[slot_of[cloudlet_id]] = CloudletRecord(
-                cloudlet_id, vm_id, datacenter_id, cpu_time, start, finish)
-        usage.append(VmUsage(vm_id, max((t[2] for t in times), default=0.0)))
-
-    return SimulationResult(mode=mode, records=tuple(records),
-                            vm_usage=tuple(usage))
+    datacenters, vms, datacenter_of = _placement
+    if datacenters is not scenario.datacenters or vms is not scenario.vms:
+        host_dc = {h.id: h.datacenter_id for h in scenario.hosts()}
+        datacenter_of = {vm_id: host_dc[host_id] for vm_id, host_id
+                         in provision_vms(scenario).items()}
+        _placement = (scenario.datacenters, scenario.vms, datacenter_of)
+    slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
+    length_of = {cl.id: cl.length for cl in scenario.cloudlets}
+    rows: list = [None] * len(scenario.cloudlets)
+    busy = _KERNELS[mode](plan, scenario.vms, datacenter_of, slot_of,
+                          length_of, rows)
+    return SimulationResult(mode, tuple(map(CloudletRecord._make, rows)),
+                            tuple(map(VmUsage, busy, busy.values())))

@@ -2,11 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cloudsched.engine
 from cloudsched import (
     POLICIES,
     Cloudlet,
@@ -414,3 +416,67 @@ def test_work_conservation_per_vm_both_modes():
                 work = expected[usage.vm_id] / mips[usage.vm_id]
                 assert math.isclose(usage.busy_time, work,
                                     rel_tol=1e-9, abs_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# placement reuse
+
+def _two_datacenters(first_host_mips):
+    """Host 1 (datacenter 1) holds `first_host_mips`; host 2 (datacenter 2)
+    takes whatever first-fit leaves."""
+    return (Datacenter(id=1, hosts=(Host(id=1, datacenter_id=1,
+                                         total_mips=first_host_mips,
+                                         ram_mb=4096, storage_mb=1000),)),
+            Datacenter(id=2, hosts=(Host(id=2, datacenter_id=2,
+                                         total_mips=10_000.0,
+                                         ram_mb=4096, storage_mb=1000),)))
+
+
+def _datacenter_ids(scenario, plan):
+    """vm id -> datacenter id in the records, one map per mode."""
+    return [{r.vm_id: r.datacenter_id
+             for r in execute_plan(scenario, plan, mode).records}
+            for mode in ExecutionMode]
+
+
+def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return provision_vms(scenario)
+
+    monkeypatch.setattr(cloudsched.engine, "provision_vms", counting)
+    vms = tuple(Vm(id=i, mips=500.0, ram_mb=512) for i in (1, 2, 3))
+    cloudlets = tuple(Cloudlet(id=i, length=1000.0 * i, arrival_index=i - 1)
+                      for i in (1, 2, 3))
+    a = Scenario(_two_datacenters(1000.0), vms, cloudlets, "fcfs")
+    # The same VM ids on another host layout: VM 2 no longer fits host 1.
+    b_direct = Scenario(_two_datacenters(500.0),
+                        tuple(replace(vm) for vm in vms),
+                        cloudlets, "fcfs")
+    b_replaced = replace(a, datacenters=_two_datacenters(500.0))
+    # Equal to `a` but made of other objects: placed afresh, not looked up.
+    a_equal = Scenario(_two_datacenters(1000.0), tuple(replace(vm) for vm in vms),
+                       cloudlets, "fcfs")
+    plan = ((1, 1), (2, 2), (3, 3))
+
+    def own_placement(scenario):
+        datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
+        return {vm: datacenter_of[host]
+                for vm, host in provision_vms(scenario).items()}
+
+    assert own_placement(a) == own_placement(a_equal) == {1: 1, 2: 1, 3: 2}
+    assert own_placement(b_direct) == own_placement(b_replaced) == \
+        {1: 1, 2: 2, 3: 2}
+    for scenario in (a, b_direct, a, b_replaced, a, a_equal):
+        before = len(calls)
+        assert _datacenter_ids(scenario, plan) == [own_placement(scenario)] * 2
+        # Placed on the first mode's run, reused on the second's.
+        assert calls[before:] == [scenario]
+
+    # A copy bound to another policy shares both tuples: no new placement.
+    before = len(calls)
+    assert _datacenter_ids(a_equal.with_policy("rr"), plan) == \
+        [own_placement(a)] * 2
+    assert calls[before:] == []
