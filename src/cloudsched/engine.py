@@ -3,14 +3,11 @@
 Runs an assignment plan on a scenario under one of two modes: space-shared
 (each VM serves its queue one task at a time) or time-shared (egalitarian
 processor sharing, the quantum->0 limit of round-robin). All cloudlets
-arrive at t = 0; a run is a pure function of (scenario, plan).
-
-A run is one pass over the plan. Placement depends only on the datacenters
-and VMs, which `Scenario.with_policy` shares: the last placement is kept with
-those two tuples (held, so their ids cannot be reused), and a run whose
-scenario holds the same two objects reuses it.
+arrive at t = 0; a run is a pure function of (scenario, plan, mode), and
+one pass over the plan. VMs sit where the scenario placed them.
 """
 
+# `provision_vms` is unused here; the benchmark tracer still wraps this name.
 from .model import (CloudletRecord, ExecutionMode, Plan, Scenario,
                     SimulationResult, VmUsage, provision_vms, validate_plan)
 
@@ -82,8 +79,6 @@ _KERNELS = {
     ExecutionMode.TIME_SHARED: _time_shared,
 }
 
-_placement = (None, None, {})  # datacenters, vms, vm id -> datacenter id
-
 
 def execute_plan(scenario: Scenario, plan: Plan,
                  mode: ExecutionMode) -> SimulationResult:
@@ -94,18 +89,11 @@ def execute_plan(scenario: Scenario, plan: Plan,
     `builtin_scenario` return one); only the plan is checked here. A VM's
     busy time is its last finish, 0.0 when nothing was assigned.
     """
-    global _placement
     validate_plan(scenario, plan)
-    datacenters, vms, datacenter_of = _placement
-    if datacenters is not scenario.datacenters or vms is not scenario.vms:
-        host_dc = {h.id: h.datacenter_id for h in scenario.hosts()}
-        datacenter_of = {vm_id: host_dc[host_id] for vm_id, host_id
-                         in provision_vms(scenario).items()}
-        _placement = (scenario.datacenters, scenario.vms, datacenter_of)
     slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
     length_of = {cl.id: cl.length for cl in scenario.cloudlets}
     rows: list = [None] * len(scenario.cloudlets)
-    busy = _KERNELS[mode](plan, scenario.vms, datacenter_of, slot_of,
-                          length_of, rows)
+    busy = _KERNELS[mode](plan, scenario.vms, scenario._datacenter_of,
+                          slot_of, length_of, rows)
     return SimulationResult(mode, tuple(map(CloudletRecord._make, rows)),
                             tuple(map(VmUsage, busy, busy.values())))

@@ -73,7 +73,8 @@ class Scenario:
     Validation requires `cloudlets[k].arrival_index == k`: the loader
     orders a document's cloudlets by `arrival_index`, and an API-built
     scenario must list them that way itself. It also requires that
-    first-fit places every VM (`provision_vms`).
+    first-fit places every VM (`provision_vms`). A scenario is placed
+    once, by validation or else on its first run, and keeps the placement.
     `execution_mode` overrides the policy's default mode when set.
     """
 
@@ -88,8 +89,18 @@ class Scenario:
         return tuple(h for dc in self.datacenters for h in dc.hosts)
 
     def with_policy(self, policy: str) -> "Scenario":
-        """Same scenario rebound to another policy."""
-        return replace(self, policy=policy)
+        """Same scenario rebound to another policy, sharing its placement."""
+        copy = replace(self, policy=policy)
+        if "_datacenter_of" in vars(self):
+            vars(copy)["_datacenter_of"] = self._datacenter_of
+        return copy
+
+    @cached_property
+    def _datacenter_of(self) -> dict[int, int]:
+        """vm id -> datacenter id under first-fit. A scenario that cannot
+        be placed raises on every access: a raise is not cached."""
+        host_dc = {h.id: h.datacenter_id for h in self.hosts()}
+        return {vm: host_dc[host] for vm, host in provision_vms(self).items()}
 
 
 # What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
@@ -191,8 +202,8 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Return `scenario` unchanged if valid, else raise ValidationError
     with every invariant violation, one message per offender. Only a
-    scenario with no other violation is provisioned (`provision_vms`),
-    whose own ValidationError names the first VM that cannot be placed.
+    scenario with no other violation is placed, for every later run; the
+    ValidationError of `provision_vms` names the first VM that fits nowhere.
     """
     problems: list[str] = []
 
@@ -268,7 +279,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     if problems:
         raise ValidationError(problems)
-    provision_vms(scenario)
+    scenario._datacenter_of  # places the scenario, or raises
     return scenario
 
 

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cloudsched.engine
+import cloudsched.model
 from cloudsched import (
     BUILTIN_NAMES,
     POLICIES,
     GeneratorSpec,
     builtin_scenario,
     generate,
+    provision_vms,
     save_scenario,
     write_scenario,
 )
@@ -416,6 +419,28 @@ def test_a_repeated_list_entry_is_an_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "duplicate" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, placements", [
+    (["compare", "--scenario", "SCENARIO", "--policy", "fcfs,rr,gpa"], 1),
+    (["sweep", "--counts", "5,7"], 2),
+], ids=["compare", "sweep"])
+def test_first_fit_runs_once_per_scenario(argv, placements, tmp_path,
+                                          monkeypatch):
+    path = tmp_path / "scenario.json"
+    path.write_text(save_scenario(builtin_scenario("paper12-gpa")))
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return provision_vms(scenario)
+
+    # Counted under both names, so first-fit run from either module shows.
+    monkeypatch.setattr(cloudsched.model, "provision_vms", counting)
+    monkeypatch.setattr(cloudsched.engine, "provision_vms", counting)
+    argv = [str(path) if arg == "SCENARIO" else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == placements
 
 
 def test_sweep_row_count_and_timing_sidecar(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cloudsched.engine
+import cloudsched.model
 from cloudsched import (
     POLICIES,
     Cloudlet,
@@ -140,20 +141,29 @@ def test_validation_and_provisioning_agree(scenario):
         unplaced = err.violations
         assert len(unplaced) == 1
         assert unplaced[0].startswith("insufficient capacity for vm ")
+    if unplaced:
+        # Not validated, so its first run places it; a failed placement
+        # is not kept, and the next attempt fails the same way.
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                execute_plan(scenario, *assign(scenario))
+            assert err.value.violations == unplaced
     assert violations(scenario) == unplaced
     if unplaced:
         return
     for host in scenario.hosts():
         assert sum(vm.ram_mb for vm in scenario.vms
                    if binding[vm.id] == host.id) <= host.ram_mb
-    # A scenario that validates runs under every policy.
+    # A scenario that validates runs under every policy, each VM in the
+    # datacenter of the host first-fit gave it.
+    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
     for policy in POLICIES:
         bound = scenario.with_policy(policy)
         result = execute_plan(bound, *assign(bound))
         assert [r.cloudlet_id for r in result.records] == \
             [cl.id for cl in bound.cloudlets]
-        assert {r.datacenter_id for r in result.records} <= \
-            {binding[vm.id] for vm in bound.vms}
+        assert [r.datacenter_id for r in result.records] == \
+            [datacenter_of[binding[r.vm_id]] for r in result.records]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +456,8 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
         calls.append(scenario)
         return provision_vms(scenario)
 
+    # Counted under both names, so first-fit run from either module shows.
+    monkeypatch.setattr(cloudsched.model, "provision_vms", counting)
     monkeypatch.setattr(cloudsched.engine, "provision_vms", counting)
     vms = tuple(Vm(id=i, mips=500.0, ram_mb=512) for i in (1, 2, 3))
     cloudlets = tuple(Cloudlet(id=i, length=1000.0 * i, arrival_index=i - 1)
@@ -469,14 +481,18 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     assert own_placement(a) == own_placement(a_equal) == {1: 1, 2: 1, 3: 2}
     assert own_placement(b_direct) == own_placement(b_replaced) == \
         {1: 1, 2: 2, 3: 2}
+    placed = []
     for scenario in (a, b_direct, a, b_replaced, a, a_equal):
         before = len(calls)
         assert _datacenter_ids(scenario, plan) == [own_placement(scenario)] * 2
-        # Placed on the first mode's run, reused on the second's.
-        assert calls[before:] == [scenario]
+        # Each scenario object is placed on its first run, and only then.
+        new = [] if any(s is scenario for s in placed) else [scenario]
+        assert list(map(id, calls[before:])) == list(map(id, new))
+        placed += new
+    assert len(calls) == 4
 
-    # A copy bound to another policy shares both tuples: no new placement.
-    before = len(calls)
-    assert _datacenter_ids(a_equal.with_policy("rr"), plan) == \
-        [own_placement(a)] * 2
-    assert calls[before:] == []
+    # A copy bound to another policy shares the placement: no new call.
+    copy = a_equal.with_policy("rr")
+    assert copy._datacenter_of is a_equal._datacenter_of
+    assert _datacenter_ids(copy, plan) == [own_placement(a)] * 2
+    assert len(calls) == 4
