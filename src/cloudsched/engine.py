@@ -4,8 +4,11 @@ Runs an assignment plan on a scenario under one of two modes: space-shared
 (each VM serves its queue one task at a time) or time-shared (egalitarian
 processor sharing, the quantum->0 limit of round-robin). All cloudlets
 arrive at t = 0; a run is a pure function of (scenario, plan, mode), and
-one pass over the plan. VMs sit where the scenario placed them.
+one pass over the plan. VMs sit where the scenario placed them, and each
+cloudlet's slot and length come from the index the scenario built once.
 """
+
+from itertools import repeat
 
 # `provision_vms` is unused here; the benchmark tracer still wraps this name.
 from .model import (CloudletRecord, ExecutionMode, Plan, Scenario,
@@ -90,10 +93,9 @@ def execute_plan(scenario: Scenario, plan: Plan,
     busy time is its last finish, 0.0 when nothing was assigned.
     """
     validate_plan(scenario, plan)
-    slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
-    length_of = {cl.id: cl.length for cl in scenario.cloudlets}
     rows: list = [None] * len(scenario.cloudlets)
     busy = _KERNELS[mode](plan, scenario.vms, scenario._datacenter_of,
-                          slot_of, length_of, rows)
-    return SimulationResult(mode, tuple(map(CloudletRecord._make, rows)),
-                            tuple(map(VmUsage, busy, busy.values())))
+                          *scenario._index, rows)
+    return SimulationResult(
+        mode, tuple(map(tuple.__new__, repeat(CloudletRecord), rows)),
+        tuple(map(VmUsage, busy, busy.values())))

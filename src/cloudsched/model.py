@@ -29,8 +29,7 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class Cloudlet:
+class Cloudlet(NamedTuple):
     """One task: `length` is total work in MI (millions of instructions);
     `arrival_index` is its 0-based place in arrival order, which in a
     valid scenario is its position in `Scenario.cloudlets`."""
@@ -74,7 +73,7 @@ class Scenario:
     orders a document's cloudlets by `arrival_index`, and an API-built
     scenario must list them that way itself. It also requires that
     first-fit places every VM (`provision_vms`). A scenario is placed
-    once, by validation or else on its first run, and keeps the placement.
+    and indexed once, by validation or else on its first run, and keeps both.
     `execution_mode` overrides the policy's default mode when set.
     """
 
@@ -89,10 +88,10 @@ class Scenario:
         return tuple(h for dc in self.datacenters for h in dc.hosts)
 
     def with_policy(self, policy: str) -> "Scenario":
-        """Same scenario rebound to another policy, sharing its placement."""
+        """This scenario under `policy`, sharing its placement and index."""
         copy = replace(self, policy=policy)
-        if "_datacenter_of" in vars(self):
-            vars(copy)["_datacenter_of"] = self._datacenter_of
+        for name in vars(self).keys() - vars(copy).keys():
+            vars(copy)[name] = vars(self)[name]
         return copy
 
     @cached_property
@@ -101,6 +100,13 @@ class Scenario:
         be placed raises on every access: a raise is not cached."""
         host_dc = {h.id: h.datacenter_id for h in self.hosts()}
         return {vm: host_dc[host] for vm, host in provision_vms(self).items()}
+
+    @cached_property
+    def _index(self) -> tuple[dict[int, int], dict[int, float]]:
+        """(cloudlet id -> arrival slot, cloudlet id -> length)."""
+        ids = tuple(map(attrgetter("id"), self.cloudlets))
+        return (dict(zip(ids, range(len(ids)))),
+                dict(zip(ids, map(attrgetter("length"), self.cloudlets))))
 
 
 # What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
@@ -256,23 +262,21 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             problems.append(f"non-positive ram on vm {vm.id}")
 
     seen_cl: set[int] = set()
-    in_arrival_order = True
-    for position, cl in enumerate(scenario.cloudlets):
-        if cl.id <= 0:
-            problems.append(f"non-positive cloudlet id {cl.id}")
-        if cl.id in seen_cl:
-            problems.append(f"duplicate cloudlet id {cl.id}")
-        seen_cl.add(cl.id)
-        if not math.isfinite(cl.length):
-            problems.append(f"non-finite length on cloudlet {cl.id}")
-        elif cl.length <= 0:
-            problems.append(f"non-positive length on cloudlet {cl.id}")
-        if cl.arrival_index != position:
-            in_arrival_order = False
+    for cl_id, length, _ in scenario.cloudlets:
+        if cl_id <= 0:
+            problems.append(f"non-positive cloudlet id {cl_id}")
+        if cl_id in seen_cl:
+            problems.append(f"duplicate cloudlet id {cl_id}")
+        seen_cl.add(cl_id)
+        if not math.isfinite(length):
+            problems.append(f"non-finite length on cloudlet {cl_id}")
+        elif length <= 0:
+            problems.append(f"non-positive length on cloudlet {cl_id}")
 
-    if not in_arrival_order:
-        indices = sorted(cl.arrival_index for cl in scenario.cloudlets)
-        if indices == list(range(len(indices))):
+    indices = list(map(attrgetter("arrival_index"), scenario.cloudlets))
+    slots = list(range(len(indices)))
+    if indices != slots:
+        if sorted(indices) == slots:
             problems.append("cloudlets are not listed in arrival order")
         else:
             problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
@@ -280,6 +284,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if problems:
         raise ValidationError(problems)
     scenario._datacenter_of  # places the scenario, or raises
+    scenario._index  # and indexes it
     return scenario
 
 
@@ -288,11 +293,10 @@ def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
     return it unchanged."""
     problems: list[str] = []
     planned = set(map(itemgetter(0), plan))
-    expected = {cl.id for cl in scenario.cloudlets}
     # One entry per cloudlet, over distinct ids that are the cloudlets' ids.
     # A scenario that repeats a cloudlet id therefore has no valid plan.
     if not (len(plan) == len(scenario.cloudlets) == len(planned)
-            and planned == expected):
+            and planned == scenario._index[0].keys()):
         problems.append("plan entries are not a permutation of the cloudlets")
     vm_ids = {vm.id for vm in scenario.vms}
     if not vm_ids.issuperset(map(itemgetter(1), plan)):

@@ -11,6 +11,8 @@ All tie-breaks are total and documented, so each plan is deterministic.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import cycle
+from operator import attrgetter
 
 from .model import POLICIES, ExecutionMode, Plan, Scenario
 
@@ -21,9 +23,8 @@ def _cyclic_plan(scenario: Scenario) -> Plan:
     fcfs and rr share this plan; the declared VM order is rr's ring, so
     reorder the VMs in the scenario to change the ring.
     """
-    vms = scenario.vms
-    return tuple((cl.id, vms[k % len(vms)].id)
-                 for k, cl in enumerate(scenario.cloudlets))
+    return tuple(zip(map(attrgetter("id"), scenario.cloudlets),
+                     cycle([vm.id for vm in scenario.vms])))
 
 
 def _gpa_plan(scenario: Scenario) -> Plan:
@@ -48,7 +49,7 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     root of the work heap, which is walked to find the lowest id among
     them.
     """
-    ranked = sorted(scenario.cloudlets, key=lambda cl: -cl.length)
+    ranked = sorted(scenario.cloudlets, key=attrgetter("length"), reverse=True)
 
     ids_by_mips: dict[float, list[int]] = {}
     for vm in scenario.vms:
@@ -62,12 +63,12 @@ def _gpa_plan(scenario: Scenario) -> Plan:
         heapify(ids)
         classes.append((mips, [0.0], {0.0: ids}))
 
+    rest = classes[1:]
     entries = []
-    for cloudlet in ranked:
-        length = cloudlet.length
+    for cloudlet_id, length, _ in ranked:
         best = classes[0]
         best_ratio = (best[1][0] + length) / best[0]
-        for cls in classes[1:]:
+        for cls in rest:
             ratio = (cls[1][0] + length) / cls[0]
             if ratio < best_ratio:
                 best, best_ratio = cls, ratio
@@ -75,7 +76,7 @@ def _gpa_plan(scenario: Scenario) -> Plan:
 
         work = works[0]
         vm_id = ids_at[work][0]
-        pending = [1, 2]
+        pending = [1, 2] if len(works) > 1 else []
         while pending:
             i = pending.pop()
             if i < len(works) and (works[i] + length) / mips == best_ratio:
@@ -84,14 +85,15 @@ def _gpa_plan(scenario: Scenario) -> Plan:
                     work, vm_id = works[i], ids[0]
                 pending += (2 * i + 1, 2 * i + 2)
 
-        entries.append((cloudlet.id, vm_id))
+        entries.append((cloudlet_id, vm_id))
         heappop(ids_at[work])
         new_work = work + length
-        if new_work in ids_at:
-            heappush(ids_at[new_work], vm_id)
-        else:
+        ids = ids_at.get(new_work)
+        if ids is None:  # an empty id heap is still in the work heap
             ids_at[new_work] = [vm_id]
             heappush(works, new_work)
+        else:
+            heappush(ids, vm_id)
         while not ids_at[works[0]]:
             del ids_at[heappop(works)]
 

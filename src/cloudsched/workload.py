@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import count, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -103,8 +104,8 @@ def _scenario(hosts, vm_mips, lengths, policy: str) -> Scenario:
                           for h in hosts),
         vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
                   for i, m in enumerate(vm_mips)),
-        cloudlets=tuple(Cloudlet(id=i + 1, length=length, arrival_index=i)
-                        for i, length in enumerate(lengths)),
+        cloudlets=tuple(map(tuple.__new__, repeat(Cloudlet),
+                            zip(count(1), lengths, count()))),
         policy=policy,
     ))
 
@@ -191,7 +192,7 @@ def save_scenario(scenario: Scenario) -> str:
     doc["datacenters"] = [{"id": dc.id, "hosts": list(map(vars, dc.hosts))}
                           for dc in scenario.datacenters]
     doc["vms"] = list(map(vars, scenario.vms))
-    doc["cloudlets"] = list(map(vars, scenario.cloudlets))
+    doc["cloudlets"] = list(map(Cloudlet._asdict, scenario.cloudlets))
     return json.dumps(doc, indent=2) + "\n"
 
 

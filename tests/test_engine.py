@@ -13,6 +13,7 @@ import cloudsched.model
 from cloudsched import (
     POLICIES,
     Cloudlet,
+    CloudletRecord,
     Datacenter,
     ExecutionMode,
     Host,
@@ -24,6 +25,7 @@ from cloudsched import (
     load_scenario,
     provision_vms,
     ps_finish_times,
+    validate_scenario,
 )
 from conftest import (
     integrate_ps,
@@ -496,3 +498,34 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     assert copy._datacenter_of is a_equal._datacenter_of
     assert _datacenter_ids(copy, plan) == [own_placement(a)] * 2
     assert len(calls) == 4
+
+
+def test_a_scenario_is_indexed_once_and_a_replace_copy_afresh():
+    scenario = make_scenario([250, 500], [1000, 2000, 3000], check=False)
+    assert "_index" not in vars(scenario)
+    validate_scenario(scenario)
+    index = vars(scenario)["_index"]
+    assert index == ({1: 0, 2: 1, 3: 2}, {1: 1000.0, 2: 2000.0, 3: 3000.0})
+    # Runs, and copies bound to another policy, read the one index.
+    copy = scenario.with_policy("gpa")
+    for rebound in (scenario, copy):
+        execute_plan(rebound, *assign(rebound))
+    assert scenario._index is index and copy._index is index
+
+    # A copy with other cloudlets is indexed from them, not from `scenario`.
+    moved = replace(scenario, cloudlets=(Cloudlet(7, 500.0, 0),
+                                         Cloudlet(5, 4000.0, 1)))
+    assert "_index" not in vars(moved)
+    result = execute_plan(moved, ((5, 1), (7, 2)), ExecutionMode.SPACE_SHARED)
+    assert [(r.cloudlet_id, r.cpu_time) for r in result.records] == \
+        [(7, 1.0), (5, 16.0)]
+    assert moved._index == ({7: 0, 5: 1}, {7: 500.0, 5: 4000.0})
+    with pytest.raises(ValidationError, match="permutation"):
+        execute_plan(moved, assign(scenario)[0], ExecutionMode.SPACE_SHARED)
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_every_record_is_a_cloudlet_record(fcfs_scenario, mode):
+    records = execute_plan(fcfs_scenario, assign(fcfs_scenario)[0], mode).records
+    assert len(records) == 12
+    assert all(type(r) is CloudletRecord for r in records)

@@ -8,10 +8,15 @@ from cloudsched import (
     Cloudlet,
     Datacenter,
     ExecutionMode,
+    GeneratorSpec,
     Host,
     Scenario,
     ValidationError,
     Vm,
+    builtin_scenario,
+    generate,
+    load_scenario,
+    save_scenario,
     validate_plan,
     validate_scenario,
 )
@@ -26,6 +31,22 @@ def test_valid_scenario_has_no_violations():
 def test_validate_scenario_returns_the_same_object():
     scenario = make_scenario([250], [1000])
     assert validate_scenario(scenario) is scenario
+
+
+def test_cloudlet_is_a_named_tuple_of_three_fields():
+    cloudlet = Cloudlet(id=3, length=1500.0, arrival_index=0)
+    assert Cloudlet._fields == ("id", "length", "arrival_index")
+    assert cloudlet == Cloudlet(3, 1500.0, 0)
+    assert (cloudlet.id, cloudlet.length, cloudlet.arrival_index) == (3, 1500.0, 0)
+    assert cloudlet._replace(id=4) == Cloudlet(id=4, length=1500.0, arrival_index=0)
+    assert cloudlet.id == 3
+    # Generated, built-in and loaded scenarios hold the same type.
+    scenario = generate(GeneratorSpec(n_tasks=7, seed=2))
+    loaded = load_scenario(save_scenario(scenario))
+    assert loaded.cloudlets == scenario.cloudlets
+    builtin = builtin_scenario("paper12-gpa")
+    for cl in loaded.cloudlets + scenario.cloudlets + builtin.cloudlets:
+        assert type(cl) is Cloudlet
 
 
 def test_empty_cloudlet_set_is_flagged():
@@ -112,13 +133,13 @@ def test_non_finite_quantities_are_flagged():
 def test_arrival_indices_must_be_contiguous():
     base = make_scenario([250], [1000, 2000], check=False)
     first, second = base.cloudlets
-    gappy = (first, replace(second, arrival_index=5))
-    repeated = (first, replace(second, arrival_index=0))
+    gappy = (first, second._replace(arrival_index=5))
+    repeated = (first, second._replace(arrival_index=0))
     for cloudlets in (gappy, repeated):
         scenario = replace(base, cloudlets=cloudlets)
         assert any("contiguous" in p for p in violations(scenario))
     # A permutation, but not listed in arrival order.
-    swapped = (replace(first, arrival_index=1), replace(second, arrival_index=0))
+    swapped = (first._replace(arrival_index=1), second._replace(arrival_index=0))
     assert violations(replace(base, cloudlets=swapped)) == \
         ["cloudlets are not listed in arrival order"]
 
@@ -169,7 +190,7 @@ def test_validate_plan_rejects_any_plan_for_repeated_cloudlet_ids():
     # Records are placed by cloudlet id, so a scenario that repeats one
     # (which validate_scenario rejects) cannot run under any plan.
     scenario = make_scenario([250], [1000, 2000], check=False)
-    twin = replace(scenario.cloudlets[1], id=1)
+    twin = scenario.cloudlets[1]._replace(id=1)
     scenario = replace(scenario, cloudlets=(scenario.cloudlets[0], twin))
     with pytest.raises(ValidationError, match="permutation"):
         validate_plan(scenario, ((1, 1), (1, 1)))

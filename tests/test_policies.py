@@ -18,6 +18,7 @@ from cloudsched import (
     assign,
     execute_plan,
 )
+from cloudsched.policies import _cyclic_plan
 from conftest import make_random_scenario, make_scenario, vm_queues
 
 
@@ -70,10 +71,20 @@ _TIE_PRONE_LENGTHS = (0.1, 0.2, 0.3, 1.0, 3.0, 1e16)
 
 @st.composite
 def _tie_prone_gpa_scenarios(draw):
-    mips_pool = draw(st.lists(
-        st.sampled_from((0.3, 3.0, 7.0, 250.0, 300.0, 1000.0)),
-        min_size=1, max_size=4))
-    vm_mips = draw(st.lists(st.sampled_from(mips_pool), min_size=1, max_size=60))
+    if draw(st.booleans()):
+        mips_pool = draw(st.lists(
+            st.sampled_from((0.3, 3.0, 7.0, 250.0, 300.0, 1000.0)),
+            min_size=1, max_size=4))
+        vm_mips = draw(st.lists(st.sampled_from(mips_pool),
+                                min_size=1, max_size=60))
+    else:
+        # k = m: every VM has a MIPS value of its own. Powers of two apart
+        # make ratios of different classes tie.
+        vm_mips = draw(st.lists(
+            st.one_of(st.sampled_from((0.3, 0.6, 3.0, 7.0, 250.0, 500.0,
+                                       1000.0, 2000.0)),
+                      st.floats(min_value=0.1, max_value=1e4)),
+            min_size=1, max_size=60, unique=True))
     length = st.one_of(st.sampled_from(_TIE_PRONE_LENGTHS),
                        st.floats(min_value=0.001, max_value=1e6))
     n = draw(st.integers(min_value=1, max_value=80))
@@ -86,6 +97,32 @@ def _tie_prone_gpa_scenarios(draw):
 
 # ---------------------------------------------------------------------------
 # cyclic policies
+
+def _distinct_ids(k):
+    return st.lists(st.integers(1, 10 ** 6), min_size=k, max_size=k, unique=True)
+
+
+@pytest.mark.parametrize("shape", ["fewer", "equal", "more"])
+@given(data=st.data())
+def test_cyclic_plan_deals_cloudlet_k_to_vm_k_mod_m(shape, data):
+    # n < m, n = m or n > m cloudlets on m VMs, with ids in no set order:
+    # the deal follows declared order, not id order.
+    m = data.draw(st.integers(2 if shape == "fewer" else 1, 12))
+    if shape == "fewer":
+        n = data.draw(st.integers(1, m - 1))
+    elif shape == "equal":
+        n = m
+    else:
+        n = data.draw(st.integers(m + 1, 4 * m))
+    vm_ids, cloudlet_ids = data.draw(_distinct_ids(m)), data.draw(_distinct_ids(n))
+    base = make_scenario([250] * m, [1000] * n)
+    scenario = replace(
+        base, vms=tuple(replace(vm, id=i) for vm, i in zip(base.vms, vm_ids)),
+        cloudlets=tuple(cl._replace(id=i)
+                        for cl, i in zip(base.cloudlets, cloudlet_ids)))
+    assert _cyclic_plan(scenario) == tuple(
+        (cloudlet_ids[k], vm_ids[k % m]) for k in range(n))
+
 
 def test_fcfs_deals_cloudlets_cyclically(fcfs_scenario):
     plan, mode = assign(fcfs_scenario)
@@ -162,6 +199,17 @@ def test_gpa_ratio_tie_prefers_higher_mips():
 def test_gpa_mips_tie_prefers_lower_vm_id():
     scenario = make_scenario([250, 250], [1000], policy="gpa")
     assert assign(scenario)[0] == ((1, 1),)
+
+
+def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
+    # After 1e16 and 3.0 on VM 1 and 1e16 and 2.0 on VM 2, VM 2 carries
+    # less work, but 1.0 more rounds both works to the same float: the last
+    # cloudlet goes to VM 1, which the search finds off its work heap's root.
+    scenario = make_scenario([3.0, 3.0], [3.0, 1e16, 2.0, 1e16, 1.0],
+                             policy="gpa")
+    plan = assign(scenario)[0]
+    assert plan == ((2, 1), (4, 2), (1, 1), (3, 2), (5, 1))
+    assert plan == linear_gpa_reference(scenario)
 
 
 def test_gpa_matches_exact_arithmetic_reference():

@@ -65,7 +65,7 @@ def test_increasing_relabelling_maps_plans_and_rows(case):
         moved = validate_scenario(replace(
             base,
             vms=tuple(replace(vm, id=vm_of[vm.id]) for vm in base.vms),
-            cloudlets=tuple(replace(cl, id=cloudlet_of[cl.id])
+            cloudlets=tuple(cl._replace(id=cloudlet_of[cl.id])
                             for cl in base.cloudlets)))
 
         plan, mode = assign(base)
