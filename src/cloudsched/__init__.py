@@ -10,10 +10,6 @@ from .engine import (
     execute_plan,
     ps_finish_times,
 )
-from .metrics import (
-    compare,
-    summarize,
-)
 from .model import (
     POLICIES,
     Cloudlet,
@@ -26,7 +22,9 @@ from .model import (
     ValidationError,
     Vm,
     VmUsage,
+    compare,
     provision_vms,
+    summarize,
     validate_plan,
     validate_scenario,
 )
@@ -34,7 +32,6 @@ from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
     GeneratorSpec,
-    Lcg64,
     ScenarioFormatError,
     builtin_scenario,
     derive_seed,
@@ -54,7 +51,6 @@ __all__ = [
     "ExecutionMode",
     "GeneratorSpec",
     "Host",
-    "Lcg64",
     "POLICIES",
     "Scenario",
     "ScenarioFormatError",

@@ -20,8 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .engine import execute_plan
-from .metrics import compare, summarize
-from .model import POLICIES, Scenario, SimulationResult
+from .model import POLICIES, Scenario, SimulationResult, compare, summarize
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,

@@ -1,7 +1,10 @@
-"""Domain types shared by the whole simulator.
+"""Domain types shared by the whole simulator, and the checks on them.
 
 Everything here is an immutable value object: scenarios are validated once
 and can then be shared freely between policies, engine runs and reports.
+A result carries its own summary numbers; `summarize` labels it and
+`compare` ranks results against the first. Nothing here rounds -
+formatting happens at output.
 """
 
 import math
@@ -179,6 +182,37 @@ class SimulationResult:
         makespan = self.makespan  # a cached attribute reads slower than a local
         return (sum(u.busy_time / makespan for u in self.vm_usage)
                 / len(self.vm_usage))
+
+
+def summarize(result: SimulationResult, policy: str = "") -> SimulationResult:
+    """`result` labelled with the policy that produced it."""
+    if not result.records:
+        raise ValueError("empty result")
+    return replace(result, policy=policy)
+
+
+def compare(results: list[SimulationResult]) -> list[float]:
+    """Improvement of each result's headline mean over the first result's,
+    in percent: positive means that policy beat the first listed one.
+
+    The results must cover the same number of cloudlets. A makespan of 0
+    (which `mean_utilization` divides by) or a baseline headline mean of 0
+    is an error: a length that small underflows a float.
+    """
+    if len(results) < 2:
+        raise ValueError("need at least 2 results to compare")
+    counts = {r.n_cloudlets for r in results}
+    if len(counts) > 1:
+        raise ValueError(f"mismatched cloudlet counts: {sorted(counts)}")
+    for result in results:
+        if result.makespan == 0:
+            raise ValueError(f"policy {result.policy!r} has a makespan of 0 "
+                             f"(the scenario underflows a float)")
+    baseline = results[0].headline_mean
+    if baseline == 0:
+        raise ValueError(f"policy {results[0].policy!r} has a headline mean of 0 "
+                         f"(the scenario underflows a float)")
+    return [100.0 * (baseline - r.headline_mean) / baseline for r in results]
 
 
 def provision_vms(scenario: Scenario) -> dict[int, int]:

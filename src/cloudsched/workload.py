@@ -10,8 +10,9 @@ fail loudly.
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -55,36 +56,21 @@ MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit constant for per-n seed spacing
 
 
-class Lcg64:
-    """64-bit linear congruential generator with Knuth's MMIX constants.
+def _lcg(seed: int) -> Iterator[int]:
+    """64-bit linear congruential generator with Knuth's MMIX constants:
+    yields each new state, starting from `seed` mod 2**64.
 
     state' = state * 6364136223846793005 + 1442695040888963407  (mod 2**64)
 
-    The update rule, the unit-interval mapping (top 53 bits / 2**53) and
-    the modulo range reduction are all part of the workload contract, so
-    any implementation of the same integer arithmetic reproduces identical
-    scenarios byte for byte.
+    The update rule and the two ways a draw is used (`draw % n` for an
+    integer in [0, n), its top 53 bits / 2**53 for a float in [0, 1)) are
+    part of the workload contract, so any implementation of the same
+    integer arithmetic reproduces identical scenarios byte for byte.
     """
-
-    MULTIPLIER = 6364136223846793005
-    INCREMENT = 1442695040888963407
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state * self.MULTIPLIER + self.INCREMENT) & MASK64
-        return self._state
-
-    def below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n); modulo reduction by design."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        return self.next_u64() % n
-
-    def unit(self) -> float:
-        """Float in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) / 9007199254740992.0
+    state = seed & MASK64
+    while True:
+        state = (state * 6364136223846793005 + 1442695040888963407) & MASK64
+        yield state
 
 
 def derive_seed(seed: int, n: int) -> int:
@@ -137,12 +123,13 @@ def _spec_problems(spec: GeneratorSpec) -> list[str]:
     return problems
 
 
-def _draw_lengths(spec: GeneratorSpec, rng: Lcg64) -> list[float]:
+def _draw_lengths(spec: GeneratorSpec) -> list[float]:
+    draws = islice(_lcg(spec.seed), spec.n_tasks)
     if spec.length_range is not None:
         lo, hi = spec.length_range
-        return [float(lo + rng.below(hi - lo + 1)) for _ in range(spec.n_tasks)]
-    return [20000.0 if rng.unit() * 12.0 < 5.0 else 10000.0
-            for _ in range(spec.n_tasks)]
+        return [float(lo + u % (hi - lo + 1)) for u in draws]
+    return [20000.0 if (u >> 11) / 9007199254740992.0 * 12.0 < 5.0 else 10000.0
+            for u in draws]
 
 
 def generate(spec: GeneratorSpec) -> Scenario:
@@ -160,7 +147,7 @@ def generate(spec: GeneratorSpec) -> Scenario:
                 ram_mb=VM_RAM_MB * len(BENCH_VM_MIPS),
                 storage_mb=1_000_000)
     return _scenario((host,), BENCH_VM_MIPS,
-                     _draw_lengths(spec, Lcg64(spec.seed)), "fcfs")
+                     _draw_lengths(spec), "fcfs")
 
 
 def builtin_scenario(name: str) -> Scenario:

@@ -212,6 +212,24 @@ def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
     assert plan == linear_gpa_reference(scenario)
 
 
+
+def test_gpa_reuses_a_work_whose_id_heap_a_tie_pick_emptied():
+    # Near 2**53 floats are 2 apart, so works 2**53 and 2**53 + 2 round to
+    # the same ratio once a length is added. Cloudlet 10 ties across them
+    # and goes to VM 2, emptying the id heap of 2**53 + 2, a work below the
+    # heap's root that stays in it. Cloudlet 1 then brings VM 3 to
+    # 2**53 + 2: its id joins that empty heap. Pushing the work a second
+    # time would leave a copy in the work heap with no id heap behind it.
+    big = 2.0 ** 53
+    scenario = make_scenario(
+        [6.0] * 4,
+        [2.0, big, 2.0, big + 2, big, big, big + 2, 2.0, 2.0, 3.0],
+        policy="gpa")
+    plan = assign(scenario)[0]
+    assert plan == ((4, 1), (7, 2), (2, 3), (5, 4), (6, 1), (10, 2),
+                    (1, 3), (3, 4), (8, 3), (9, 4))
+    assert plan == linear_gpa_reference(scenario)
+
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
     for _ in range(300):

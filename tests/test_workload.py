@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from cloudsched import (
     BUILTIN_NAMES,
     POLICIES,
     GeneratorSpec,
-    Lcg64,
     ScenarioFormatError,
     ValidationError,
     builtin_scenario,
@@ -22,6 +22,7 @@ from cloudsched import (
     validate_scenario,
     write_scenario,
 )
+from cloudsched.workload import _lcg
 from conftest import make_scenario
 
 
@@ -29,41 +30,28 @@ from conftest import make_scenario
 # PRNG pins — golden values frozen from the documented recurrence
 # state' = state * 6364136223846793005 + 1442695040888963407 (mod 2**64)
 
+def lcg_states(seed, n):
+    return list(islice(_lcg(seed), n))
+
+
 def test_lcg_sequence_pins():
-    assert [Lcg64(0).next_u64() for _ in range(1)] == [1442695040888963407]
-    rng = Lcg64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
+    assert lcg_states(0, 3) == [
         1442695040888963407, 1876011003808476466, 11166244414315200793]
-    rng = Lcg64(1)
-    assert [rng.next_u64() for _ in range(3)] == [
+    assert lcg_states(1, 3) == [
         7806831264735756412, 9396908728118811419, 11960119808228829710]
-    rng = Lcg64(42)
-    assert [rng.next_u64() for _ in range(3)] == [
+    assert lcg_states(42, 3) == [
         10481999410520546993, 4159066171780167020, 7615522811268512075]
+    # The seed is taken mod 2**64.
+    assert lcg_states(2 ** 64 + 5, 3) == lcg_states(5, 3)
 
 
 def test_lcg_unit_and_below_pins():
-    assert Lcg64(0).unit() == 0.07820865487829387
-    rng = Lcg64(0)
-    assert [rng.below(10) for _ in range(8)] == [7, 6, 3, 0, 3, 0, 9, 4]
-
-
-def test_lcg_unit_stays_in_range():
-    rng = Lcg64(99)
-    for _ in range(1000):
-        u = rng.unit()
-        assert 0.0 <= u < 1.0
-
-
-def test_lcg_below_rejects_non_positive_bounds():
-    with pytest.raises(ValueError):
-        Lcg64(0).below(0)
-    with pytest.raises(ValueError):
-        Lcg64(0).below(-3)
-
-
-def test_lcg_seed_is_masked_to_64_bits():
-    assert Lcg64(2 ** 64 + 5).next_u64() == Lcg64(5).next_u64()
+    # A float in [0, 1) is a draw's top 53 bits / 2**53; an integer in
+    # [0, n) is draw % n, which a length range offsets by its minimum.
+    assert (next(_lcg(0)) >> 11) / 2 ** 53 == 0.07820865487829387
+    spec = GeneratorSpec(n_tasks=8, length_range=(1, 10), seed=0)
+    assert [cl.length - 1 for cl in generate(spec).cloudlets] == [
+        7, 6, 3, 0, 3, 0, 9, 4]
 
 
 def test_derive_seed_pins():
