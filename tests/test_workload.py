@@ -41,8 +41,6 @@ def test_lcg_sequence_pins():
         7806831264735756412, 9396908728118811419, 11960119808228829710]
     assert lcg_states(42, 3) == [
         10481999410520546993, 4159066171780167020, 7615522811268512075]
-    # The seed is taken mod 2**64.
-    assert lcg_states(2 ** 64 + 5, 3) == lcg_states(5, 3)
 
 
 def test_lcg_unit_and_below_pins():
@@ -52,6 +50,17 @@ def test_lcg_unit_and_below_pins():
     spec = GeneratorSpec(n_tasks=8, length_range=(1, 10), seed=0)
     assert [cl.length - 1 for cl in generate(spec).cloudlets] == [
         7, 6, 3, 0, 3, 0, 9, 4]
+
+
+def test_lcg_unit_stays_in_range():
+    # Every state is a 64-bit word, so its top 53 bits / 2**53 is in [0, 1).
+    for u in lcg_states(99, 1000):
+        assert 0 <= u < 2 ** 64
+        assert 0.0 <= (u >> 11) / 2 ** 53 < 1.0
+
+
+def test_lcg_seed_is_masked_to_64_bits():
+    assert lcg_states(2 ** 64 + 5, 3) == lcg_states(5, 3)
 
 
 def test_derive_seed_pins():
