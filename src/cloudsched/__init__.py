@@ -6,10 +6,7 @@ broker policy — fcfs, rr, or gpa — and executed either space-shared
 Everything is a pure function of the scenario, so runs replay exactly.
 """
 
-from .engine import (
-    execute_plan,
-    ps_finish_times,
-)
+from .engine import execute_plan
 from .model import (
     POLICIES,
     Cloudlet,
@@ -25,7 +22,6 @@ from .model import (
     compare,
     provision_vms,
     summarize,
-    validate_plan,
     validate_scenario,
 )
 from .policies import assign
@@ -66,10 +62,8 @@ __all__ = [
     "generate",
     "load_scenario",
     "provision_vms",
-    "ps_finish_times",
     "save_scenario",
     "summarize",
-    "validate_plan",
     "validate_scenario",
     "write_scenario",
 ]

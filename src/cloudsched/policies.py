@@ -10,8 +10,9 @@ Three policies, each a pure function of the scenario:
 All tie-breaks are total and documented, so each plan is deterministic.
 """
 
-from heapq import heapify, heappop, heappush
+from bisect import bisect, insort
 from itertools import cycle
+from math import inf
 from operator import attrgetter
 
 from .model import POLICIES, ExecutionMode, Plan, Scenario
@@ -37,65 +38,48 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     every VM empty this sends the first cloudlet to the fastest VM.
 
     The search looks at one candidate per distinct MIPS value, not at
-    every VM: O(n·(k + log m)) for n cloudlets on m VMs with k distinct
-    MIPS values, where a scan of every VM is O(n·m), and the same plan.
-    Within one MIPS class the float ratio never decreases as the work
-    grows (float addition and division round monotonically), so the
-    class minimum sits at its smallest work. Each class keeps a heap of
-    its distinct works and, per work, a heap of the VM ids carrying it.
-    Classes are visited fastest first and one displaces another only on
-    a strictly smaller ratio, which is the higher-MIPS tie rule. Two
-    works can round to the same ratio; such works form a subtree at the
-    root of the work heap, which is walked to find the lowest id among
-    them.
+    every VM. Each MIPS class is one list of (work, VM id) pairs in
+    ascending order. Within a class the float ratio never decreases as
+    the work grows (float addition and division round monotonically), so
+    the class minimum is its first pair, and the works that round to that
+    minimum are a prefix of the list. Classes are visited fastest first
+    and one displaces another only on a strictly smaller ratio, which is
+    the higher-MIPS tie rule. The tie walk steps through the prefix one
+    distinct work at a time, each work's lowest id first, and keeps the
+    lowest id. The cost is O(n·(k + log m)) comparisons for n cloudlets
+    on m VMs with k distinct MIPS values, where a scan of every VM is
+    O(n·m), plus one list move of up to the class's size per cloudlet,
+    done in C; the plan is the scan's.
     """
     ranked = sorted(scenario.cloudlets, key=attrgetter("length"), reverse=True)
 
     ids_by_mips: dict[float, list[int]] = {}
     for vm in scenario.vms:
         ids_by_mips.setdefault(vm.mips, []).append(vm.id)
-    # (mips, heap of distinct works, work -> heap of VM ids). A work whose
-    # id heap runs empty below the root (only after a tie pick) stays in
-    # the work heap until it reaches the root.
-    classes = []
-    for mips in sorted(ids_by_mips, reverse=True):
-        ids = ids_by_mips[mips]
-        heapify(ids)
-        classes.append((mips, [0.0], {0.0: ids}))
+    classes = [(mips, sorted((0.0, vm_id) for vm_id in ids_by_mips[mips]))
+               for mips in sorted(ids_by_mips, reverse=True)]
 
     rest = classes[1:]
     entries = []
     for cloudlet_id, length, _ in ranked:
         best = classes[0]
-        best_ratio = (best[1][0] + length) / best[0]
+        best_ratio = (best[1][0][0] + length) / best[0]
         for cls in rest:
-            ratio = (cls[1][0] + length) / cls[0]
+            ratio = (cls[1][0][0] + length) / cls[0]
             if ratio < best_ratio:
                 best, best_ratio = cls, ratio
-        mips, works, ids_at = best
+        mips, pairs = best
 
-        work = works[0]
-        vm_id = ids_at[work][0]
-        pending = [1, 2] if len(works) > 1 else []
-        while pending:
-            i = pending.pop()
-            if i < len(works) and (works[i] + length) / mips == best_ratio:
-                ids = ids_at[works[i]]
-                if ids and ids[0] < vm_id:
-                    work, vm_id = works[i], ids[0]
-                pending += (2 * i + 1, 2 * i + 2)
+        pick = 0
+        i = bisect(pairs, (pairs[0][0], inf))
+        while i < len(pairs) and (pairs[i][0] + length) / mips == best_ratio:
+            if pairs[i][1] < pairs[pick][1]:
+                pick = i
+            i = bisect(pairs, (pairs[i][0], inf), i)
 
+        work, vm_id = pairs.pop(pick)
+        insort(pairs, (work + length, vm_id))
         entries.append((cloudlet_id, vm_id))
-        heappop(ids_at[work])
-        new_work = work + length
-        ids = ids_at.get(new_work)
-        if ids is None:  # an empty id heap is still in the work heap
-            ids_at[new_work] = [vm_id]
-            heappush(works, new_work)
-        else:
-            heappush(ids, vm_id)
-        while not ids_at[works[0]]:
-            del ids_at[heappop(works)]
 
     return tuple(entries)
 

@@ -1,0 +1,109 @@
+"""Mutation gate: each listed mutant of `src/` must fail its killing tests.
+
+Run from anywhere with `python tests/mutants.py`. For each mutant the
+script copies `src/` to a temporary directory, replaces the mutant's old
+text (which must occur exactly once in its file) with the new text, and
+runs `pytest -x -q` on the mutant's killing tests with `PYTHONPATH`
+pointing at the copy. A test failure or a timeout kills the mutant. The
+killing tests first run once on the unmutated copy and must pass there.
+Prints one line per mutant and exits 1 if any mutant survives or cannot
+be run.
+
+Not a pytest module: `tests/test_mutants.py` checks in tier 1 that every
+old text still occurs exactly once in `src/`.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TIMEOUT_S = 120
+
+_POLICIES = "tests/test_policies.py::"
+
+# (name, file under src/, exact old text, new text, killing test ids)
+MUTANTS = [
+    ("gpa-tie-walk-one-step", "cloudsched/policies.py",
+     "while i < len(pairs) and", "if i < len(pairs) and",
+     [_POLICIES + "test_gpa_tie_walk_crosses_three_works"]),
+    ("gpa-tie-walk-removed", "cloudsched/policies.py",
+     "i = bisect(pairs, (pairs[0][0], inf))", "i = len(pairs)",
+     [_POLICIES
+      + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
+    ("gpa-tie-walk-higher-id", "cloudsched/policies.py",
+     "if pairs[i][1] < pairs[pick][1]:", "if pairs[i][1] > pairs[pick][1]:",
+     [_POLICIES
+      + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
+    ("gpa-class-tie-to-slower", "cloudsched/policies.py",
+     "if ratio < best_ratio:", "if ratio <= best_ratio:",
+     [_POLICIES + "test_gpa_ratio_tie_prefers_higher_mips"]),
+]
+
+
+def _pytest(src, test_ids):
+    """pytest's exit code on `test_ids` with `src` first on the path, or
+    None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = [sys.executable, "-m", "pytest", "-x", "-q",
+               "-p", "no:cacheprovider", *test_ids]
+    try:
+        return subprocess.run(command, cwd=ROOT, env=env,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main():
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        pristine = Path(tmp) / "src"
+        shutil.copytree(SRC, pristine)
+        every_test = sorted({t for *_, tests in MUTANTS for t in tests})
+        code = _pytest(pristine, every_test)
+        if code != 0:
+            print(f"error: the killing tests fail on unmutated src/ "
+                  f"(pytest exit {code})")
+            return 1
+        for name, file, old, new, tests in MUTANTS:
+            copy = Path(tmp) / name
+            shutil.copytree(SRC, copy)
+            path = copy / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"error     {name}: old text occurs "
+                      f"{text.count(old)} times in {file}")
+                problems.append(name)
+                continue
+            path.write_text(text.replace(old, new))
+            started = time.perf_counter()
+            code = _pytest(copy, tests)
+            took = time.perf_counter() - started
+            if code is None:
+                verdict = f"killed    {name} (timeout after {TIMEOUT_S} s)"
+            elif code == 1:
+                verdict = f"killed    {name} ({took:.1f} s)"
+            else:
+                # 0 is a survivor; any other exit means pytest could not
+                # run the tests, which proves nothing.
+                verdict = (f"{'SURVIVED' if code == 0 else 'error':<9} "
+                           f"{name} (pytest exit {code})")
+                problems.append(name)
+            print(verdict)
+    if problems:
+        print(f"{len(problems)} of {len(MUTANTS)} mutants not killed: "
+              f"{', '.join(problems)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

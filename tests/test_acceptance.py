@@ -14,9 +14,9 @@ from cloudsched import (
     assign,
     builtin_scenario,
     execute_plan,
-    ps_finish_times,
 )
 from cloudsched.cli import main
+from cloudsched.engine import ps_finish_times
 from conftest import integrate_ps, make_random_scenario, make_scenario, vm_queues
 
 

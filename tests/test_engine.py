@@ -24,9 +24,9 @@ from cloudsched import (
     execute_plan,
     load_scenario,
     provision_vms,
-    ps_finish_times,
     validate_scenario,
 )
+from cloudsched.engine import ps_finish_times
 from conftest import (
     integrate_ps,
     make_random_scenario,

@@ -23,9 +23,9 @@ from cloudsched import (
     VmUsage,
     execute_plan,
     provision_vms,
-    validate_plan,
     validate_scenario,
 )
+from cloudsched.engine import validate_plan
 
 
 def _ps_reference(lengths, mips):

@@ -17,9 +17,9 @@ from cloudsched import (
     generate,
     load_scenario,
     save_scenario,
-    validate_plan,
     validate_scenario,
 )
+from cloudsched.engine import validate_plan
 from conftest import make_scenario, violations
 
 

@@ -204,7 +204,8 @@ def test_gpa_mips_tie_prefers_lower_vm_id():
 def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
     # After 1e16 and 3.0 on VM 1 and 1e16 and 2.0 on VM 2, VM 2 carries
     # less work, but 1.0 more rounds both works to the same float: the last
-    # cloudlet goes to VM 1, which the search finds off its work heap's root.
+    # cloudlet goes to VM 1, the lower id, though VM 2 is the class's
+    # least-loaded VM.
     scenario = make_scenario([3.0, 3.0], [3.0, 1e16, 2.0, 1e16, 1.0],
                              policy="gpa")
     plan = assign(scenario)[0]
@@ -212,14 +213,26 @@ def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
     assert plan == linear_gpa_reference(scenario)
 
 
+def test_gpa_tie_walk_crosses_three_works():
+    # After the first three cloudlets VM 3 carries 2**54 - 4, VM 2 2**54 - 2
+    # and VM 1 2**54. Floats are 4 apart above 2**54 and the division by
+    # 0.75 rounds too, so 2.0 more gives all three works one ratio: the last
+    # cloudlet goes to VM 1, the lowest id, which only a walk past the
+    # second work reaches.
+    scenario = make_scenario([0.75] * 3,
+                             [2.0, 2.0**54 - 4, 2.0**54, 2.0**54 - 2],
+                             policy="gpa")
+    plan = assign(scenario)[0]
+    assert plan == ((3, 1), (4, 2), (2, 3), (1, 1))
+    assert plan == linear_gpa_reference(scenario)
+
 
 def test_gpa_reuses_a_work_whose_id_heap_a_tie_pick_emptied():
     # Near 2**53 floats are 2 apart, so works 2**53 and 2**53 + 2 round to
-    # the same ratio once a length is added. Cloudlet 10 ties across them
-    # and goes to VM 2, emptying the id heap of 2**53 + 2, a work below the
-    # heap's root that stays in it. Cloudlet 1 then brings VM 3 to
-    # 2**53 + 2: its id joins that empty heap. Pushing the work a second
-    # time would leave a copy in the work heap with no id heap behind it.
+    # the same ratio once a length is added. Cloudlet 6 ties across them
+    # and goes to VM 1 at 2**53 + 2; cloudlet 10 ties again and takes VM 2,
+    # the last VM at 2**53 + 2, off that work. Cloudlet 1 then brings VM 3
+    # to 2**53 + 2, and the later picks must find it at that work.
     big = 2.0 ** 53
     scenario = make_scenario(
         [6.0] * 4,
@@ -229,6 +242,7 @@ def test_gpa_reuses_a_work_whose_id_heap_a_tie_pick_emptied():
     assert plan == ((4, 1), (7, 2), (2, 3), (5, 4), (6, 1), (10, 2),
                     (1, 3), (3, 4), (8, 3), (9, 4))
     assert plan == linear_gpa_reference(scenario)
+
 
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
