@@ -295,17 +295,25 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if vm.ram_mb <= 0:
             problems.append(f"non-positive ram on vm {vm.id}")
 
-    seen_cl: set[int] = set()
-    for cl_id, length, _ in scenario.cloudlets:
-        if cl_id <= 0:
-            problems.append(f"non-positive cloudlet id {cl_id}")
-        if cl_id in seen_cl:
-            problems.append(f"duplicate cloudlet id {cl_id}")
-        seen_cl.add(cl_id)
-        if not math.isfinite(length):
-            problems.append(f"non-finite length on cloudlet {cl_id}")
-        elif length <= 0:
-            problems.append(f"non-positive length on cloudlet {cl_id}")
+    # Four C-level passes over the index accept the common case; only when
+    # one fails does the loop below find and name each offender.
+    slot_of, length_of = scenario._index
+    lengths = length_of.values()
+    if not (len(slot_of) == len(scenario.cloudlets)
+            and min(slot_of, default=1) > 0
+            and math.isfinite(sum(lengths, 0.0))
+            and min(lengths, default=1.0) > 0):
+        seen_cl: set[int] = set()
+        for cl_id, length, _ in scenario.cloudlets:
+            if cl_id <= 0:
+                problems.append(f"non-positive cloudlet id {cl_id}")
+            if cl_id in seen_cl:
+                problems.append(f"duplicate cloudlet id {cl_id}")
+            seen_cl.add(cl_id)
+            if not math.isfinite(length):
+                problems.append(f"non-finite length on cloudlet {cl_id}")
+            elif length <= 0:
+                problems.append(f"non-positive length on cloudlet {cl_id}")
 
     indices = list(map(attrgetter("arrival_index"), scenario.cloudlets))
     slots = list(range(len(indices)))

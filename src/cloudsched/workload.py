@@ -11,9 +11,9 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import count, islice, repeat
-from operator import attrgetter
+from dataclasses import dataclass, fields
+from itertools import chain, count, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -170,12 +170,69 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _template(keys: tuple[str, ...], depth: int) -> str:
+    """`%` template of an object whose values are each one `%r`, as
+    json.dumps(indent=2) writes it `depth` levels deep, led by its newline
+    and indent."""
+    pad = "\n" + "  " * depth
+    return pad + "{" + ",".join(f'{pad}  "{key}": %r' for key in keys) + pad + "}"
+
+
+# A host, VM or cloudlet is written as its fields, in declaration order.
+_HOST_FIELDS = tuple(field.name for field in fields(Host))
+_VM_FIELDS = tuple(field.name for field in fields(Vm))
+_HOST = _template(_HOST_FIELDS, 4)
+_VM = _template(_VM_FIELDS, 2)
+_CLOUDLET = _template(Cloudlet._fields, 2)
+_DATACENTER = '\n    {\n      "id": %r,\n      "hosts": %s\n    }'
+
+
+def _json_list(template: str, rows, depth: int) -> str:
+    """The list of `rows`, each formatted by `template`, as json.dumps(
+    indent=2) writes it `depth` levels deep."""
+    if not rows:
+        return "[]"
+    return "[" + ",".join(map(template.__mod__, rows)) + "\n" + "  " * depth + "]"
+
+
+def _plain_numbers(numbers: list) -> bool:
+    """Whether json.dumps writes each of `numbers` as its repr: each is an
+    exact int or float, and their sum is finite, so each float is too."""
+    if not set(map(type, numbers)) <= {int, float}:
+        return False
+    try:
+        return math.isfinite(sum(numbers, 0.0))
+    except OverflowError:  # an int past float range
+        return False
+
+
 def save_scenario(scenario: Scenario) -> str:
-    """Scenario as a JSON document; fixed key order, diff-friendly."""
+    """Scenario as a JSON document; fixed key order, diff-friendly.
+
+    The text is json.dumps(indent=2) of the document, byte for byte. When
+    every number is an exact int or a finite float, as in any validated
+    scenario, each host, VM and cloudlet is written from one `%` template;
+    otherwise json.dumps writes the whole document.
+    """
     doc: dict = {"policy": scenario.policy}
     if scenario.execution_mode is not None:
         doc["execution_mode"] = scenario.execution_mode.value
-    # A host, VM or cloudlet is written as its fields, in declaration order.
+    hosts = [list(map(attrgetter(*_HOST_FIELDS), dc.hosts))
+             for dc in scenario.datacenters]
+    vms = list(map(attrgetter(*_VM_FIELDS), scenario.vms))
+    numbers = [dc.id for dc in scenario.datacenters]
+    for rows in (*hosts, vms, scenario.cloudlets):
+        numbers += chain.from_iterable(rows)
+    if set(map(type, doc.values())) == {str} and _plain_numbers(numbers):
+        datacenters = [(dc.id, _json_list(_HOST, rows, 3))
+                       for dc, rows in zip(scenario.datacenters, hosts)]
+        return ("{" + "".join(f'\n  "{key}": {json.dumps(value)},'
+                              for key, value in doc.items())
+                + '\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
+                + ',\n  "vms": ' + _json_list(_VM, vms, 1)
+                + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
+                + "\n}\n")
+    # A bool, NaN or infinity, which only an unvalidated scenario holds.
     doc["datacenters"] = [{"id": dc.id, "hosts": list(map(vars, dc.hosts))}
                           for dc in scenario.datacenters]
     doc["vms"] = list(map(vars, scenario.vms))
@@ -194,6 +251,11 @@ def load_scenario(source) -> Scenario:
     a `pathlib.Path`) is the path of a UTF-8 file holding it. The scenario
     lists its cloudlets in arrival order, whatever order the document has
     them in.
+
+    A well-formed `vms` or `cloudlets` list is checked column by column,
+    at C speed. A list those checks do not accept is read element by
+    element, which names the first offender: every rejection carries the
+    same located message either way.
     """
     data = source if isinstance(source, str) else Path(source).read_bytes()
     try:
@@ -309,6 +371,42 @@ def _check_ignored(obj: dict, path: tuple) -> None:
         _number(obj, path, "output_size")
 
 
+def _columns(docs: list, keys, number_key: str) -> Optional[list[list]]:
+    """The columns of `docs` in required-key order, the `number_key`
+    column as floats, when every element is an object with exactly the
+    required keys, every other column holds only ints, and the numbers are
+    finite and within float range; else None. Each check is one C-level
+    pass over the list or a column. It only accepts: on None the caller's
+    per-element code finds the first offender and names it."""
+    required = keys[0]
+    # Exactly the required keys: as many keys as required, and each present.
+    if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(required)}:
+        return None
+    columns = []
+    for key in required:
+        try:
+            column = list(map(itemgetter(key), docs))
+        except KeyError:
+            return None
+        types = set(map(type, column))
+        if key != number_key:
+            if types != {int}:
+                return None
+        elif types <= {int, float}:
+            try:
+                column = list(map(float, column))
+            except OverflowError:
+                return None
+            # NaN and infinities make the sum non-finite; so does a sum
+            # past float range, which declines finite numbers harmlessly.
+            if not math.isfinite(sum(column)):
+                return None
+        else:
+            return None
+        columns.append(column)
+    return columns
+
+
 def _scenario_from_doc(doc) -> Scenario:
     _check_keys(doc, (), _DOCUMENT_KEYS)
     if type(doc["policy"]) is not str:
@@ -348,25 +446,33 @@ def _scenario_from_doc(doc) -> Scenario:
             ))
         datacenters.append(Datacenter(id=dc_id, hosts=tuple(hosts)))
 
-    vms = []
-    for i, vm_doc in enumerate(doc["vms"]):
-        path = ("vms", i)
-        _check_keys(vm_doc, path, _VM_KEYS)
-        vms.append(Vm(
-            id=_int(vm_doc, path, "id"),
-            mips=_number(vm_doc, path, "mips"),
-            ram_mb=_int(vm_doc, path, "ram_mb"),
-        ))
-        _check_ignored(vm_doc, path)
+    columns = _columns(doc["vms"], _VM_KEYS, "mips")
+    if columns is not None:
+        vms = list(map(Vm, *columns))
+    else:
+        vms = []
+        for i, vm_doc in enumerate(doc["vms"]):
+            path = ("vms", i)
+            _check_keys(vm_doc, path, _VM_KEYS)
+            vms.append(Vm(
+                id=_int(vm_doc, path, "id"),
+                mips=_number(vm_doc, path, "mips"),
+                ram_mb=_int(vm_doc, path, "ram_mb"),
+            ))
+            _check_ignored(vm_doc, path)
 
-    cloudlets = []
-    for i, cl_doc in enumerate(doc["cloudlets"]):
-        path = ("cloudlets", i)
-        _check_keys(cl_doc, path, _CLOUDLET_KEYS)
-        cloudlets.append(Cloudlet(_int(cl_doc, path, "id"),
-                                  _number(cl_doc, path, "length"),
-                                  _int(cl_doc, path, "arrival_index")))
-        _check_ignored(cl_doc, path)
+    columns = _columns(doc["cloudlets"], _CLOUDLET_KEYS, "length")
+    if columns is not None:
+        cloudlets = list(map(tuple.__new__, repeat(Cloudlet), zip(*columns)))
+    else:
+        cloudlets = []
+        for i, cl_doc in enumerate(doc["cloudlets"]):
+            path = ("cloudlets", i)
+            _check_keys(cl_doc, path, _CLOUDLET_KEYS)
+            cloudlets.append(Cloudlet(_int(cl_doc, path, "id"),
+                                      _number(cl_doc, path, "length"),
+                                      _int(cl_doc, path, "arrival_index")))
+            _check_ignored(cl_doc, path)
     # Every later stage reads tuple order as arrival order.
     cloudlets.sort(key=attrgetter("arrival_index"))
 

@@ -25,7 +25,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TIMEOUT_S = 120
 
+_ENGINE = "tests/test_engine.py::"
+_MODEL = "tests/test_model.py::"
 _POLICIES = "tests/test_policies.py::"
+_WORKLOAD = "tests/test_workload.py::"
 
 # (name, file under src/, exact old text, new text, killing test ids)
 MUTANTS = [
@@ -43,6 +46,28 @@ MUTANTS = [
     ("gpa-class-tie-to-slower", "cloudsched/policies.py",
      "if ratio < best_ratio:", "if ratio <= best_ratio:",
      [_POLICIES + "test_gpa_ratio_tie_prefers_higher_mips"]),
+    ("loader-int-column-admits-bool", "cloudsched/workload.py",
+     "if types != {int}:", "if not types <= {int, bool}:",
+     [_WORKLOAD + "test_a_bool_in_a_cloudlet_column_is_a_located_type_error"]),
+    ("loader-finite-sum-dropped", "cloudsched/workload.py",
+     "if not math.isfinite(sum(column)):", "if False:",
+     [_WORKLOAD + "test_load_rejects_non_finite_tokens_with_location"]),
+    ("validate-duplicate-id-check-dropped", "cloudsched/model.py",
+     "len(slot_of) == len(scenario.cloudlets)", "True",
+     [_MODEL + "test_duplicate_cloudlet_ids_are_flagged"]),
+    ("validate-id-sign-check-dropped", "cloudsched/model.py",
+     "and min(slot_of, default=1) > 0", "",
+     [_MODEL + "test_a_non_positive_cloudlet_id_is_flagged"]),
+    ("validate-finite-sum-dropped", "cloudsched/model.py",
+     "and math.isfinite(sum(lengths, 0.0))", "",
+     [_MODEL
+      + "test_one_infinite_or_nan_length_among_positive_ones_is_flagged"]),
+    ("ps-active-count-dropped", "cloudsched/engine.py",
+     "(target - served) * active / mips", "(target - served) / mips",
+     [_ENGINE + "test_ps_equal_jobs_finish_together_exactly"]),
+    ("first-fit-exact-fit-refused", "cloudsched/model.py",
+     "if mips <= room[0] and", "if mips < room[0] and",
+     [_ENGINE + "test_exact_fit_leaves_nothing_behind"]),
 ]
 
 

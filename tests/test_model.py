@@ -130,6 +130,34 @@ def test_non_finite_quantities_are_flagged():
     assert not any(p.startswith("non-positive") for p in problems)
 
 
+def test_one_infinite_or_nan_length_among_positive_ones_is_flagged():
+    # The smallest length is positive, so only the finiteness check sees them.
+    scenario = make_scenario([250], [1000, float("inf"), 2000, float("nan")],
+                             check=False)
+    assert violations(scenario) == ["non-finite length on cloudlet 2",
+                                    "non-finite length on cloudlet 4"]
+
+
+def test_a_non_positive_cloudlet_id_is_flagged():
+    base = make_scenario([250], [1000, 1000], check=False)
+    cloudlets = (Cloudlet(1, 1000.0, 0), Cloudlet(0, 1000.0, 1))
+    assert violations(replace(base, cloudlets=cloudlets)) == [
+        "non-positive cloudlet id 0"]
+
+
+def test_cloudlet_violations_are_listed_per_offender_in_cloudlet_order():
+    base = make_scenario([250], [1000, 1000, 1000, 1000], check=False)
+    cloudlets = (Cloudlet(3, 1000.0, 0), Cloudlet(0, -1.0, 1),
+                 Cloudlet(-2, float("nan"), 2), Cloudlet(3, 5.0, 3))
+    assert violations(replace(base, cloudlets=cloudlets)) == [
+        "non-positive cloudlet id 0",
+        "non-positive length on cloudlet 0",
+        "non-positive cloudlet id -2",
+        "non-finite length on cloudlet -2",
+        "duplicate cloudlet id 3",
+    ]
+
+
 def test_arrival_indices_must_be_contiguous():
     base = make_scenario([250], [1000, 2000], check=False)
     first, second = base.cloudlets

@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from cloudsched import (
     BUILTIN_NAMES,
     POLICIES,
+    Cloudlet,
+    Datacenter,
+    ExecutionMode,
     GeneratorSpec,
+    Host,
+    Scenario,
     ScenarioFormatError,
     ValidationError,
+    Vm,
     builtin_scenario,
     derive_seed,
     generate,
@@ -22,6 +28,7 @@ from cloudsched import (
     validate_scenario,
     write_scenario,
 )
+from cloudsched import workload
 from cloudsched.workload import _lcg
 from conftest import make_scenario
 
@@ -203,6 +210,25 @@ def test_load_rejects_wrong_types():
     doc["vms"][0]["ram_mb"] = True
     with pytest.raises(ScenarioFormatError, match=r"vms\[0\].ram_mb"):
         load_scenario(json.dumps(doc))
+
+
+def test_a_bool_in_a_cloudlet_column_is_a_located_type_error():
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    doc["cloudlets"][4]["arrival_index"] = True
+    with pytest.raises(ScenarioFormatError, match=re.escape(
+            "cloudlets[4].arrival_index: expected an integer")):
+        load_scenario(json.dumps(doc))
+
+
+def test_a_well_formed_list_is_read_without_the_per_element_code(monkeypatch):
+    def per_element(*args):
+        raise AssertionError("the per-element loader ran")
+
+    # Only the per-element VM and cloudlet code calls it.
+    monkeypatch.setattr(workload, "_check_ignored", per_element)
+    for scenario in (builtin_scenario("paper12-gpa"),
+                     generate(GeneratorSpec(n_tasks=50, length_range=(1, 9)))):
+        assert load_scenario(save_scenario(scenario)) == scenario
 
 
 def test_load_delegates_semantic_checks_to_validation():
@@ -441,3 +467,62 @@ def test_cloudlet_list_order_does_not_change_the_loaded_scenario(doc, data):
     scenario = load_scenario(json.dumps(doc))
     doc["cloudlets"] = data.draw(st.permutations(doc["cloudlets"]))
     assert load_scenario(json.dumps(doc)) == scenario
+
+
+# ---------------------------------------------------------------------------
+# property: the column pass and the per-element loader agree
+
+def _load_outcome(doc):
+    """The scenario `doc` loads to, or the type and text of its error."""
+    try:
+        return load_scenario(json.dumps(doc))
+    except (ScenarioFormatError, ValidationError) as err:
+        return type(err), str(err)
+
+
+def _per_element(doc):
+    """`doc` with a legacy `pe_count` of 1 on every VM and cloudlet object
+    that lacks one: the column pass declines such a list, so the
+    per-element code reads it, and a valid `pe_count` changes nothing."""
+    doc = json.loads(json.dumps(doc))
+    if type(doc) is dict:
+        for key in ("vms", "cloudlets"):
+            if type(doc.get(key)) is list:
+                for entry in doc[key]:
+                    if type(entry) is dict:
+                        entry.setdefault("pe_count", 1)
+    return doc
+
+
+# Values the column pass must accept, decline, or leave to a located
+# error, by field: an int, a float whose sum with another overflows, an int
+# past float range, a NaN, and a bool where a number or an int belongs.
+_NUMBER_EDGES = (7, 1e308, 10 ** 400, float("nan"), True)
+_EDGES = {("vms", "mips"): _NUMBER_EDGES,
+          ("cloudlets", "length"): _NUMBER_EDGES,
+          ("vms", "ram_mb"): (True,),
+          ("cloudlets", "arrival_index"): (True,)}
+
+
+@st.composite
+def _edge_documents(draw):
+    """A valid document in which each field of `_EDGES` may hold one of its
+    edge values in some of its objects."""
+    doc = draw(_valid_documents())
+    for (key, field), values in _EDGES.items():
+        value = draw(st.sampled_from((None, *values)))
+        if value is not None:
+            for entry in doc[key]:
+                if draw(st.booleans()):
+                    entry[field] = value
+    return doc
+
+
+@given(doc=_scenario_documents())
+def test_the_column_pass_and_the_per_element_code_agree(doc):
+    assert _load_outcome(doc) == _load_outcome(_per_element(doc))
+
+
+@given(doc=_edge_documents())
+def test_the_column_pass_and_the_per_element_code_agree_on_edge_numbers(doc):
+    assert _load_outcome(doc) == _load_outcome(_per_element(doc))
