@@ -10,6 +10,7 @@ compare.dat and sweep_timing.csv are still written.
 """
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -290,7 +291,15 @@ def main(argv=None) -> int:
     SystemExit(0). This is the only function that prints or writes an
     output, and it does so only once every output has rendered, so one
     that cannot render (an overflow) leaves nothing behind.
+
+    The cyclic garbage collector is paused, process-wide, for the length
+    of the call; every way out (`--help` and an unexpected exception
+    included) leaves it on or off as it was found.
     """
+    was_enabled = gc.isenabled()
+    # A run builds no reference cycles, so a collection could only re-scan
+    # live objects; reference counting frees everything a command drops.
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
@@ -311,6 +320,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
     return 0
 
 

@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TIMEOUT_S = 120
 
+_CLI = "tests/test_cli.py::"
 _ENGINE = "tests/test_engine.py::"
 _MODEL = "tests/test_model.py::"
 _POLICIES = "tests/test_policies.py::"
@@ -68,6 +69,19 @@ MUTANTS = [
     ("first-fit-exact-fit-refused", "cloudsched/model.py",
      "if mips <= room[0] and", "if mips < room[0] and",
      [_ENGINE + "test_exact_fit_leaves_nothing_behind"]),
+    ("arrival-order-check-dropped", "cloudsched/model.py",
+     "if indices != slots:", "if False:",
+     [_MODEL + "test_arrival_indices_must_be_contiguous"]),
+    ("ps-grouping-tolerance", "cloudsched/engine.py",
+     "lengths[order[i]] != target", "abs(lengths[order[i]] - target) > 1e-3",
+     [_ENGINE + "test_ps_finish_order_follows_length_order"]),
+    ("render-finiteness-check-dropped", "cloudsched/cli.py",
+     'if spec.endswith("f") and not math.isfinite(sum(column)):', "if False:",
+     [_CLI + "test_overflowing_results_are_an_error_not_inf"]),
+    ("cli-gc-left-disabled", "cloudsched/cli.py",
+     "gc.enable()", "pass",
+     [_CLI + "test_only_help_leaves_through_system_exit",
+      _CLI + "test_an_unexpected_exception_leaves_the_collector_on"]),
 ]
 
 

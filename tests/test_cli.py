@@ -1,13 +1,15 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import gc
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cloudsched.cli
 import cloudsched.engine
 import cloudsched.model
 from cloudsched import (
@@ -505,6 +507,7 @@ def test_only_help_leaves_through_system_exit(capsys):
         main(["run", "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cloudsched run")
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("argv", [
@@ -533,6 +536,74 @@ def test_an_empty_list_flag_is_one_error_line_and_writes_nothing(argv, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "empty list: ','" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused for a command and restored after it
+
+def test_an_unexpected_exception_leaves_the_collector_on(tmp_path, monkeypatch):
+    def broken(scenario):
+        raise RuntimeError("broken policy")
+
+    monkeypatch.setattr(cloudsched.cli, "assign", broken)
+    with pytest.raises(RuntimeError, match="broken policy"):
+        main(["run", "--builtin", "paper12-fcfs", "--out", str(tmp_path)])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--builtin", "paper12-fcfs"],
+    ["run", "--builtin", "paper13"],
+    ["run", "--help"],
+], ids=" ".join)
+def test_a_caller_that_disabled_the_collector_finds_it_still_off(argv, tmp_path,
+                                                                 capsys):
+    gc.disable()
+    try:
+        with suppress(SystemExit):
+            main(argv + ["--out", str(tmp_path)])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_command_runs_without_a_collection(tmp_path):
+    starts = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        assert main(["run", "--generate", "5000", "--out", str(tmp_path)]) == 0
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert starts == []
+
+
+def _cyclic_garbage_left_by(argv):
+    """The objects a full collection finds unreachable after `main(argv)`,
+    with the collector off throughout so none is collected on the way."""
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_the_cyclic_garbage_a_command_leaves_does_not_grow_with_it(tmp_path):
+    # The pause is safe only because a run builds no cycles: what a command
+    # leaves for the collector is its parser, the same for every size. A
+    # back-reference from a record or result to its owner would scale it.
+    out = ["--out", str(tmp_path)]
+    small = _cyclic_garbage_left_by(["run", "--generate", "10", *out])
+    for argv in (["run", "--generate", "5000"],
+                 ["compare", "--generate", "5000"],
+                 ["sweep", "--counts", "100,2000"]):
+        assert _cyclic_garbage_left_by(argv + out) == small, argv
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +682,7 @@ def test_main_ends_in_0_1_or_2_and_a_failure_writes_nothing(call, tmp_path_facto
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert gc.isenabled()
     if code == 0:
         assert out.is_dir() and stderr.getvalue() == ""
     else:
