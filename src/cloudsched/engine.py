@@ -98,4 +98,4 @@ def execute_plan(scenario: Scenario, plan: Plan,
                           *scenario._index, rows)
     return SimulationResult(
         mode, tuple(map(tuple.__new__, repeat(CloudletRecord), rows)),
-        tuple(map(VmUsage, busy, busy.values())))
+        tuple(map(tuple.__new__, repeat(VmUsage), busy.items())))

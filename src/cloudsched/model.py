@@ -42,8 +42,7 @@ class Cloudlet(NamedTuple):
     arrival_index: int
 
 
-@dataclass(frozen=True)
-class Vm:
+class Vm(NamedTuple):
     """A virtual machine rated in MIPS."""
 
     id: int
@@ -51,8 +50,7 @@ class Vm:
     ram_mb: int
 
 
-@dataclass(frozen=True)
-class Host:
+class Host(NamedTuple):
     id: int
     datacenter_id: int
     total_mips: float
@@ -60,12 +58,13 @@ class Host:
     storage_mb: int
 
 
-@dataclass(frozen=True)
-class Datacenter:
+class Datacenter(NamedTuple):
     id: int
     hosts: tuple[Host, ...]
 
 
+# Scenario and SimulationResult are dataclasses, not named tuples: their
+# cached properties live in an instance dict.
 @dataclass(frozen=True)
 class Scenario:
     """A complete simulation input: infrastructure, workload and policy.
@@ -132,8 +131,7 @@ class CloudletRecord(NamedTuple):
     finish_time: float
 
 
-@dataclass(frozen=True)
-class VmUsage:
+class VmUsage(NamedTuple):
     """Per-VM accounting attached to a result."""
 
     vm_id: int

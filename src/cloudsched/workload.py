@@ -11,11 +11,10 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Cloudlet,
@@ -96,8 +95,7 @@ def _scenario(hosts, vm_mips, lengths, policy: str) -> Scenario:
     ))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Synthetic workload description.
 
     Lengths are either the benchmark mix (20000 MI with weight 5, 10000 MI
@@ -179,10 +177,8 @@ def _template(keys: tuple[str, ...], depth: int) -> str:
 
 
 # A host, VM or cloudlet is written as its fields, in declaration order.
-_HOST_FIELDS = tuple(field.name for field in fields(Host))
-_VM_FIELDS = tuple(field.name for field in fields(Vm))
-_HOST = _template(_HOST_FIELDS, 4)
-_VM = _template(_VM_FIELDS, 2)
+_HOST = _template(Host._fields, 4)
+_VM = _template(Vm._fields, 2)
 _CLOUDLET = _template(Cloudlet._fields, 2)
 _DATACENTER = '\n    {\n      "id": %r,\n      "hosts": %s\n    }'
 
@@ -217,25 +213,23 @@ def save_scenario(scenario: Scenario) -> str:
     doc: dict = {"policy": scenario.policy}
     if scenario.execution_mode is not None:
         doc["execution_mode"] = scenario.execution_mode.value
-    hosts = [list(map(attrgetter(*_HOST_FIELDS), dc.hosts))
-             for dc in scenario.datacenters]
-    vms = list(map(attrgetter(*_VM_FIELDS), scenario.vms))
     numbers = [dc.id for dc in scenario.datacenters]
-    for rows in (*hosts, vms, scenario.cloudlets):
+    for rows in (*(dc.hosts for dc in scenario.datacenters), scenario.vms,
+                 scenario.cloudlets):
         numbers += chain.from_iterable(rows)
     if set(map(type, doc.values())) == {str} and _plain_numbers(numbers):
-        datacenters = [(dc.id, _json_list(_HOST, rows, 3))
-                       for dc, rows in zip(scenario.datacenters, hosts)]
+        datacenters = [(dc.id, _json_list(_HOST, dc.hosts, 3))
+                       for dc in scenario.datacenters]
         return ("{" + "".join(f'\n  "{key}": {json.dumps(value)},'
                               for key, value in doc.items())
                 + '\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
-                + ',\n  "vms": ' + _json_list(_VM, vms, 1)
+                + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
                 + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
                 + "\n}\n")
     # A bool, NaN or infinity, which only an unvalidated scenario holds.
-    doc["datacenters"] = [{"id": dc.id, "hosts": list(map(vars, dc.hosts))}
+    doc["datacenters"] = [{"id": dc.id, "hosts": list(map(Host._asdict, dc.hosts))}
                           for dc in scenario.datacenters]
-    doc["vms"] = list(map(vars, scenario.vms))
+    doc["vms"] = list(map(Vm._asdict, scenario.vms))
     doc["cloudlets"] = list(map(Cloudlet._asdict, scenario.cloudlets))
     return json.dumps(doc, indent=2) + "\n"
 
@@ -448,7 +442,7 @@ def _scenario_from_doc(doc) -> Scenario:
 
     columns = _columns(doc["vms"], _VM_KEYS, "mips")
     if columns is not None:
-        vms = list(map(Vm, *columns))
+        vms = list(map(tuple.__new__, repeat(Vm), zip(*columns)))
     else:
         vms = []
         for i, vm_doc in enumerate(doc["vms"]):

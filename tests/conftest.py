@@ -6,7 +6,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from cloudsched import (
     Cloudlet,
@@ -27,6 +27,10 @@ MIPS_CHOICES = (250.0, 500.0, 750.0, 1000.0, 1250.0)
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           max_examples=60)
 settings.load_profile("tier1")
+# The mutation gate (tests/mutants.py) needs only a pass or a fail: it runs
+# the same examples, but neither shrinks nor explains a failing one.
+settings.register_profile("mutants", settings.get_profile("tier1"),
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):

@@ -4,7 +4,8 @@ Run from anywhere with `python tests/mutants.py`. For each mutant the
 script copies `src/` to a temporary directory, replaces the mutant's old
 text (which must occur exactly once in its file) with the new text, and
 runs `pytest -x -q` on the mutant's killing tests with `PYTHONPATH`
-pointing at the copy. A test failure or a timeout kills the mutant. The
+pointing at the copy, under the `mutants` hypothesis profile (see
+`conftest.py`). A test failure or a timeout kills the mutant. The
 killing tests first run once on the unmutated copy and must pass there.
 Prints one line per mutant and exits 1 if any mutant survives or cannot
 be run.
@@ -82,6 +83,19 @@ MUTANTS = [
      "gc.enable()", "pass",
      [_CLI + "test_only_help_leaves_through_system_exit",
       _CLI + "test_an_unexpected_exception_leaves_the_collector_on"]),
+    ("save-fast-path-guard-dropped", "cloudsched/workload.py",
+     "if set(map(type, doc.values())) == {str} and _plain_numbers(numbers):",
+     "if True:",
+     [_WORKLOAD + "test_save_writes_json_dumps_of_an_unvalidated_scenario"]),
+    ("validate-vm-id-sign-check-dropped", "cloudsched/model.py",
+     "if vm.id <= 0:", "if False:",
+     [_MODEL + "test_a_non_positive_vm_id_is_flagged"]),
+    ("validate-vm-ram-check-dropped", "cloudsched/model.py",
+     "if vm.ram_mb <= 0:", "if False:",
+     [_MODEL + "test_a_non_positive_vm_ram_is_flagged"]),
+    ("validate-host-storage-check-dropped", "cloudsched/model.py",
+     "if host.storage_mb <= 0:", "if False:",
+     [_MODEL + "test_a_non_positive_host_storage_is_flagged"]),
 ]
 
 
@@ -90,7 +104,8 @@ def _pytest(src, test_ids):
     None on a timeout."""
     env = dict(os.environ, PYTHONPATH=str(src))
     command = [sys.executable, "-m", "pytest", "-x", "-q",
-               "-p", "no:cacheprovider", *test_ids]
+               "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+               *test_ids]
     try:
         return subprocess.run(command, cwd=ROOT, env=env,
                               stdout=subprocess.DEVNULL,

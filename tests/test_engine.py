@@ -467,11 +467,11 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     a = Scenario(_two_datacenters(1000.0), vms, cloudlets, "fcfs")
     # The same VM ids on another host layout: VM 2 no longer fits host 1.
     b_direct = Scenario(_two_datacenters(500.0),
-                        tuple(replace(vm) for vm in vms),
+                        tuple(vm._replace() for vm in vms),
                         cloudlets, "fcfs")
     b_replaced = replace(a, datacenters=_two_datacenters(500.0))
     # Equal to `a` but made of other objects: placed afresh, not looked up.
-    a_equal = Scenario(_two_datacenters(1000.0), tuple(replace(vm) for vm in vms),
+    a_equal = Scenario(_two_datacenters(1000.0), tuple(vm._replace() for vm in vms),
                        cloudlets, "fcfs")
     plan = ((1, 1), (2, 2), (3, 3))
 

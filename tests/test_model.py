@@ -117,10 +117,29 @@ def test_non_positive_quantities_are_flagged():
     assert "non-positive length on cloudlet 1" in problems
 
 
+def test_a_non_positive_vm_id_is_flagged():
+    base = make_scenario([250], [1000])
+    scenario = replace(base, vms=(base.vms[0]._replace(id=0),))
+    assert violations(scenario) == ["non-positive vm id 0"]
+
+
+def test_a_non_positive_vm_ram_is_flagged():
+    base = make_scenario([250], [1000])
+    scenario = replace(base, vms=(base.vms[0]._replace(ram_mb=0),))
+    assert violations(scenario) == ["non-positive ram on vm 1"]
+
+
+def test_a_non_positive_host_storage_is_flagged():
+    base = make_scenario([250], [1000])
+    host = base.datacenters[0].hosts[0]._replace(storage_mb=0)
+    scenario = replace(base, datacenters=(Datacenter(id=1, hosts=(host,)),))
+    assert violations(scenario) == ["non-positive storage on host 1"]
+
+
 def test_non_finite_quantities_are_flagged():
     scenario = make_scenario([float("inf"), 250], [float("nan"), float("-inf")],
                              check=False)
-    host = replace(scenario.datacenters[0].hosts[0], total_mips=float("nan"))
+    host = scenario.datacenters[0].hosts[0]._replace(total_mips=float("nan"))
     scenario = replace(scenario, datacenters=(Datacenter(id=1, hosts=(host,)),))
     problems = violations(scenario)
     assert "non-finite mips on vm 1" in problems

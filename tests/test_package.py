@@ -1,6 +1,8 @@
 """The package's public names, and what it imports."""
 
 import ast
+import dataclasses
+import enum
 import sys
 from pathlib import Path
 
@@ -30,3 +32,28 @@ def test_the_package_imports_only_the_standard_library():
     assert imported
     assert sorted((file, name) for file, name in imported
                   if name.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+def test_only_the_caching_types_are_dataclasses():
+    # Scenario and SimulationResult cache in an instance dict; every other
+    # value type is a named tuple whose fields are in the order
+    # save_scenario writes them.
+    types = {name: getattr(cloudsched, name) for name in cloudsched.__all__}
+    types = {name: t for name, t in types.items() if isinstance(t, type)
+             and not issubclass(t, (Exception, enum.Enum))}
+    assert sorted(name for name, t in types.items()
+                  if dataclasses.is_dataclass(t)) == ["Scenario",
+                                                      "SimulationResult"]
+    fields = {name: t._fields for name, t in types.items()
+              if not dataclasses.is_dataclass(t) and issubclass(t, tuple)}
+    assert fields == {
+        "Cloudlet": ("id", "length", "arrival_index"),
+        "CloudletRecord": ("cloudlet_id", "vm_id", "datacenter_id",
+                           "cpu_time", "start_time", "finish_time"),
+        "Datacenter": ("id", "hosts"),
+        "GeneratorSpec": ("n_tasks", "length_range", "seed"),
+        "Host": ("id", "datacenter_id", "total_mips", "ram_mb", "storage_mb"),
+        "Vm": ("id", "mips", "ram_mb"),
+        "VmUsage": ("vm_id", "busy_time"),
+    }
+    assert len(types) == 2 + len(fields)

@@ -117,7 +117,7 @@ def test_cyclic_plan_deals_cloudlet_k_to_vm_k_mod_m(shape, data):
     vm_ids, cloudlet_ids = data.draw(_distinct_ids(m)), data.draw(_distinct_ids(n))
     base = make_scenario([250] * m, [1000] * n)
     scenario = replace(
-        base, vms=tuple(replace(vm, id=i) for vm, i in zip(base.vms, vm_ids)),
+        base, vms=tuple(vm._replace(id=i) for vm, i in zip(base.vms, vm_ids)),
         cloudlets=tuple(cl._replace(id=i)
                         for cl, i in zip(base.cloudlets, cloudlet_ids)))
     assert _cyclic_plan(scenario) == tuple(
@@ -274,11 +274,11 @@ def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
         for factor in (0.5, 2.0, 4.0):
             scaled = Scenario(
                 datacenters=tuple(
-                    replace(dc, hosts=tuple(
-                        replace(h, total_mips=h.total_mips * factor)
+                    dc._replace(hosts=tuple(
+                        h._replace(total_mips=h.total_mips * factor)
                         for h in dc.hosts))
                     for dc in scenario.datacenters),
-                vms=tuple(replace(vm, mips=vm.mips * factor)
+                vms=tuple(vm._replace(mips=vm.mips * factor)
                           for vm in scenario.vms),
                 cloudlets=scenario.cloudlets,
                 policy="gpa")

@@ -64,7 +64,7 @@ def test_increasing_relabelling_maps_plans_and_rows(case):
         base = make_scenario(mips, lengths, policy=policy)
         moved = validate_scenario(replace(
             base,
-            vms=tuple(replace(vm, id=vm_of[vm.id]) for vm in base.vms),
+            vms=tuple(vm._replace(id=vm_of[vm.id]) for vm in base.vms),
             cloudlets=tuple(cl._replace(id=cloudlet_of[cl.id])
                             for cl in base.cloudlets)))
 
@@ -75,7 +75,7 @@ def test_increasing_relabelling_maps_plans_and_rows(case):
         result = execute_plan(moved, *assign(moved))
         assert result.records == tuple(
             (cloudlet_of[c], vm_of[v], *rest) for c, v, *rest in original.records)
-        assert result.vm_usage == tuple(replace(u, vm_id=vm_of[u.vm_id])
+        assert result.vm_usage == tuple(u._replace(vm_id=vm_of[u.vm_id])
                                         for u in original.vm_usage)
 
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:

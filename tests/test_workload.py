@@ -526,3 +526,88 @@ def test_the_column_pass_and_the_per_element_code_agree(doc):
 @given(doc=_edge_documents())
 def test_the_column_pass_and_the_per_element_code_agree_on_edge_numbers(doc):
     assert _load_outcome(doc) == _load_outcome(_per_element(doc))
+
+
+# ---------------------------------------------------------------------------
+# property: save_scenario writes json.dumps(indent=2) of the document
+
+def _document(scenario):
+    """The scenario document, built field by field."""
+    doc = {"policy": scenario.policy}
+    if scenario.execution_mode is not None:
+        doc["execution_mode"] = scenario.execution_mode.value
+    doc["datacenters"] = [
+        {"id": dc.id,
+         "hosts": [{"id": h.id, "datacenter_id": h.datacenter_id,
+                    "total_mips": h.total_mips, "ram_mb": h.ram_mb,
+                    "storage_mb": h.storage_mb} for h in dc.hosts]}
+        for dc in scenario.datacenters]
+    doc["vms"] = [{"id": vm.id, "mips": vm.mips, "ram_mb": vm.ram_mb}
+                  for vm in scenario.vms]
+    doc["cloudlets"] = [{"id": cl.id, "length": cl.length,
+                         "arrival_index": cl.arrival_index}
+                        for cl in scenario.cloudlets]
+    return doc
+
+
+_modes = st.sampled_from((None, *ExecutionMode))
+_positive = (st.floats(min_value=0.0, max_value=1e12, exclude_min=True)
+             | st.integers(1, 10 ** 12))
+
+
+@st.composite
+def _validated_scenarios(draw):
+    """A valid scenario of 1-3 datacenters of 1-2 hosts each, with float
+    and int quantities; the first host holds every VM."""
+    mips = draw(st.lists(_positive, min_size=1, max_size=4))
+    lengths = draw(st.lists(_positive, min_size=1, max_size=6))
+    ids = iter(range(1, 7))
+    datacenters = []
+    for dc_id in draw(st.lists(st.integers(-3, 10 ** 20), min_size=1,
+                               max_size=3, unique=True)):
+        hosts = tuple(
+            Host(next(ids), dc_id, draw(_positive) + 2 * sum(mips),
+                 draw(st.integers(512 * len(mips), 10 ** 20)),
+                 draw(st.integers(1, 10 ** 20)))
+            for _ in range(draw(st.integers(1, 2))))
+        datacenters.append(Datacenter(dc_id, hosts))
+    return validate_scenario(Scenario(
+        tuple(datacenters),
+        tuple(Vm(i + 1, m, 512) for i, m in enumerate(mips)),
+        tuple(Cloudlet(j + 1, length, j) for j, length in enumerate(lengths)),
+        draw(st.sampled_from(POLICIES)), draw(_modes)))
+
+
+# Numbers only an API-built scenario holds: NaN, infinities, a bool, and
+# ints past float range, among ordinary ones.
+_edge_numbers = st.sampled_from((float("nan"), float("inf"), float("-inf"),
+                                 True, False, 10 ** 400, -(10 ** 400), 0,
+                                 1e308, 1.5, 7))
+
+
+def _rows(row_type):
+    return st.builds(row_type, *[_edge_numbers] * len(row_type._fields))
+
+
+# A scenario whose every host, VM and cloudlet number is drawn from
+# `_edge_numbers`, with any policy text and possibly empty lists.
+_unvalidated_scenarios = st.builds(
+    Scenario,
+    st.lists(st.builds(Datacenter, _edge_numbers,
+                       st.lists(_rows(Host), max_size=2).map(tuple)),
+             max_size=2).map(tuple),
+    st.lists(_rows(Vm), max_size=3).map(tuple),
+    st.lists(_rows(Cloudlet), max_size=3).map(tuple),
+    st.text(max_size=3), _modes)
+
+
+@given(scenario=_validated_scenarios())
+def test_save_writes_json_dumps_of_a_validated_scenario(scenario):
+    assert save_scenario(scenario) == json.dumps(_document(scenario),
+                                                 indent=2) + "\n"
+
+
+@given(scenario=_unvalidated_scenarios)
+def test_save_writes_json_dumps_of_an_unvalidated_scenario(scenario):
+    assert save_scenario(scenario) == json.dumps(_document(scenario),
+                                                 indent=2) + "\n"
