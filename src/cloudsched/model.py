@@ -63,6 +63,20 @@ class Datacenter(NamedTuple):
     hosts: tuple[Host, ...]
 
 
+# What each host, VM and cloudlet must hold beyond its fields' JSON types,
+# which are their annotations (`int`, or `float` for any finite number):
+# (the type's name in messages, whether its ids must be positive, each field
+# that must be positive -> its word in messages, the legacy keys a document
+# may carry, which are checked and then ignored).
+ROW_RULES = {
+    Host: ("host", False,
+           {"total_mips": "mips", "ram_mb": "ram", "storage_mb": "storage"}, ()),
+    Vm: ("vm", True, {"mips": "mips", "ram_mb": "ram"}, ("pe_count",)),
+    Cloudlet: ("cloudlet", True, {"length": "length"},
+               ("pe_count", "file_size", "output_size")),
+}
+
+
 # Scenario and SimulationResult are dataclasses, not named tuples: their
 # cached properties live in an instance dict.
 @dataclass(frozen=True)
@@ -104,11 +118,15 @@ class Scenario:
         return {vm: host_dc[host] for vm, host in provision_vms(self).items()}
 
     @cached_property
+    def _cloudlet_columns(self) -> tuple[tuple, ...]:
+        """The cloudlets' ids, lengths and arrival indices."""
+        return tuple(zip(*self.cloudlets)) or ((), (), ())
+
+    @cached_property
     def _index(self) -> tuple[dict[int, int], dict[int, float]]:
         """(cloudlet id -> arrival slot, cloudlet id -> length)."""
-        ids = tuple(map(attrgetter("id"), self.cloudlets))
-        return (dict(zip(ids, range(len(ids)))),
-                dict(zip(ids, map(attrgetter("length"), self.cloudlets))))
+        ids, lengths, _ = self._cloudlet_columns
+        return dict(zip(ids, range(len(ids)))), dict(zip(ids, lengths))
 
 
 # What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
@@ -262,58 +280,12 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         seen_dc.add(dc.id)
         if not dc.hosts:
             problems.append(f"datacenter {dc.id} has no hosts")
-        for host in dc.hosts:
-            if host.id in seen_host:
-                problems.append(f"duplicate host id {host.id}")
-            seen_host.add(host.id)
-            if host.datacenter_id != dc.id:
-                problems.append(
-                    f"host {host.id} declares datacenter {host.datacenter_id} "
-                    f"but sits in datacenter {dc.id}")
-            if not math.isfinite(host.total_mips):
-                problems.append(f"non-finite mips on host {host.id}")
-            elif host.total_mips <= 0:
-                problems.append(f"non-positive mips on host {host.id}")
-            if host.ram_mb <= 0:
-                problems.append(f"non-positive ram on host {host.id}")
-            if host.storage_mb <= 0:
-                problems.append(f"non-positive storage on host {host.id}")
+        problems += _row_problems(Host, tuple(zip(*dc.hosts)), seen_host, dc.id)
+    problems += _row_problems(Vm, tuple(zip(*scenario.vms)), set())
+    columns = scenario._cloudlet_columns
+    problems += _row_problems(Cloudlet, columns, set())
 
-    seen_vm: set[int] = set()
-    for vm in scenario.vms:
-        if vm.id <= 0:
-            problems.append(f"non-positive vm id {vm.id}")
-        if vm.id in seen_vm:
-            problems.append(f"duplicate vm id {vm.id}")
-        seen_vm.add(vm.id)
-        if not math.isfinite(vm.mips):
-            problems.append(f"non-finite mips on vm {vm.id}")
-        elif vm.mips <= 0:
-            problems.append(f"non-positive mips on vm {vm.id}")
-        if vm.ram_mb <= 0:
-            problems.append(f"non-positive ram on vm {vm.id}")
-
-    # Four C-level passes over the index accept the common case; only when
-    # one fails does the loop below find and name each offender.
-    slot_of, length_of = scenario._index
-    lengths = length_of.values()
-    if not (len(slot_of) == len(scenario.cloudlets)
-            and min(slot_of, default=1) > 0
-            and math.isfinite(sum(lengths, 0.0))
-            and min(lengths, default=1.0) > 0):
-        seen_cl: set[int] = set()
-        for cl_id, length, _ in scenario.cloudlets:
-            if cl_id <= 0:
-                problems.append(f"non-positive cloudlet id {cl_id}")
-            if cl_id in seen_cl:
-                problems.append(f"duplicate cloudlet id {cl_id}")
-            seen_cl.add(cl_id)
-            if not math.isfinite(length):
-                problems.append(f"non-finite length on cloudlet {cl_id}")
-            elif length <= 0:
-                problems.append(f"non-positive length on cloudlet {cl_id}")
-
-    indices = list(map(attrgetter("arrival_index"), scenario.cloudlets))
+    indices = list(columns[2])
     slots = list(range(len(indices)))
     if indices != slots:
         if sorted(indices) == slots:
@@ -326,6 +298,46 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     scenario._datacenter_of  # places the scenario, or raises
     scenario._index  # and indexes it
     return scenario
+
+
+def _row_problems(cls, columns, seen: set[int],
+                  dc_id: Optional[int] = None) -> list[str]:
+    """The `ROW_RULES` offences of the rows of type `cls` whose fields are
+    `columns`, plus an id already in `seen` (which gains each id) and a
+    host outside datacenter `dc_id`, in row order. C-level passes over the
+    columns accept the common case; only when one fails are rows walked."""
+    if not columns:  # no rows
+        return []
+    name, positive_id, positive, _ = ROW_RULES[cls]
+    ids = columns[0]
+    checked = [(columns[cls._fields.index(field)], word,
+                cls.__annotations__[field] is float)
+               for field, word in positive.items()]
+    distinct = set(ids)
+    if (len(distinct) == len(ids) and seen.isdisjoint(distinct)
+            and (not positive_id or min(ids, default=1) > 0)
+            and (dc_id is None or set(columns[1]) <= {dc_id})
+            and all((not finite or math.isfinite(sum(column, 0.0)))
+                    and min(column, default=1) > 0
+                    for column, _, finite in checked)):
+        seen |= distinct
+        return []
+    problems = []
+    for i, row_id in enumerate(ids):
+        if positive_id and row_id <= 0:
+            problems.append(f"non-positive {name} id {row_id}")
+        if row_id in seen:
+            problems.append(f"duplicate {name} id {row_id}")
+        seen.add(row_id)
+        if dc_id is not None and columns[1][i] != dc_id:  # a host's datacenter_id
+            problems.append(f"{name} {row_id} declares datacenter {columns[1][i]} "
+                            f"but sits in datacenter {dc_id}")
+        for column, word, finite in checked:
+            if finite and not math.isfinite(column[i]):
+                problems.append(f"non-finite {word} on {name} {row_id}")
+            elif column[i] <= 0:
+                problems.append(f"non-positive {word} on {name} {row_id}")
+    return problems
 
 
 def validate_plan(scenario: Scenario, plan: Plan) -> Plan:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .model import (
+    ROW_RULES,
     Cloudlet,
     Datacenter,
     ExecutionMode,
@@ -246,8 +247,8 @@ def load_scenario(source) -> Scenario:
     lists its cloudlets in arrival order, whatever order the document has
     them in.
 
-    A well-formed `vms` or `cloudlets` list is checked column by column,
-    at C speed. A list those checks do not accept is read element by
+    A well-formed list of hosts, VMs or cloudlets is checked column by
+    column, at C speed. A list those checks do not accept is read element by
     element, which names the first offender: every rejection carries the
     same located message either way.
     """
@@ -293,21 +294,6 @@ def _where(path: tuple) -> str:
     return ".".join(f"{name}[{i}]" for name, i in zip(path[::2], path[1::2]))
 
 
-def _keys(required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    """(required keys in the order a missing one is reported, the same as a
-    set, every allowed key) for `_check_keys`."""
-    return required, frozenset(required), frozenset(required + optional)
-
-
-_DOCUMENT_KEYS = _keys(("policy", "datacenters", "vms", "cloudlets"),
-                       ("execution_mode",))
-_DATACENTER_KEYS = _keys(("id", "hosts"))
-_HOST_KEYS = _keys(("id", "total_mips", "ram_mb", "storage_mb"),
-                   ("datacenter_id",))
-_VM_KEYS = _keys(("id", "mips", "ram_mb"), ("pe_count",))
-_CLOUDLET_KEYS = _keys(("id", "length", "arrival_index"),
-                       ("pe_count", "file_size", "output_size"))
-
 # json.loads builds exact dicts, lists, strs, ints, floats and bools, so the
 # checks below compare exact types: a bool is not an int here. It also reads
 # the bare tokens NaN, Infinity and -Infinity, which JSON does not have, and
@@ -315,9 +301,12 @@ _CLOUDLET_KEYS = _keys(("id", "length", "arrival_index"),
 # them where it reads them, and no other check accepts a float.
 
 
-def _check_keys(obj, path: tuple, keys) -> None:
-    required, required_set, allowed = keys
-    if type(obj) is dict and required_set <= obj.keys() <= allowed:
+def _check_keys(obj, path: tuple, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> None:
+    """`obj` is an object with the `required` keys and no key outside
+    `required` and `optional`, else the first offence is raised."""
+    allowed = {*required, *optional}
+    if type(obj) is dict and set(required) <= obj.keys() <= allowed:
         return
     if type(obj) is not dict:
         raise ScenarioFormatError(f"{_where(path)}: expected an object")
@@ -359,31 +348,30 @@ def _check_ignored(obj: dict, path: tuple) -> None:
     if "pe_count" in obj and _int(obj, path, "pe_count") < 1:
         raise ScenarioFormatError(
             f"{_where(path)}.pe_count: expected a positive integer")
-    if "file_size" in obj:
-        _number(obj, path, "file_size")
-    if "output_size" in obj:
-        _number(obj, path, "output_size")
+    for key in ("file_size", "output_size"):
+        if key in obj:
+            _number(obj, path, key)
 
 
-def _columns(docs: list, keys, number_key: str) -> Optional[list[list]]:
-    """The columns of `docs` in required-key order, the `number_key`
-    column as floats, when every element is an object with exactly the
-    required keys, every other column holds only ints, and the numbers are
-    finite and within float range; else None. Each check is one C-level
-    pass over the list or a column. It only accepts: on None the caller's
-    per-element code finds the first offender and names it."""
-    required = keys[0]
-    # Exactly the required keys: as many keys as required, and each present.
-    if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(required)}:
+def _columns(docs: list, cls) -> Optional[list[list]]:
+    """The columns of `docs`, one per field of row type `cls` in field
+    order, each `float` field's as floats, when every element is an object
+    with exactly those keys, every `int` field holds only ints, and the
+    numbers are finite and within float range; else None. Each check is
+    one C-level pass over the list or a column. It only accepts: on None
+    `_rows` reads element by element, which finds the first offender."""
+    fields = cls._fields
+    # Exactly the fields as keys: as many keys as fields, and each present.
+    if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(fields)}:
         return None
     columns = []
-    for key in required:
+    for key in fields:
         try:
             column = list(map(itemgetter(key), docs))
         except KeyError:
             return None
         types = set(map(type, column))
-        if key != number_key:
+        if cls.__annotations__[key] is not float:
             if types != {int}:
                 return None
         elif types <= {int, float}:
@@ -401,8 +389,27 @@ def _columns(docs: list, keys, number_key: str) -> Optional[list[list]]:
     return columns
 
 
+def _rows(cls, docs: list, path: tuple) -> list:
+    """The rows of type `cls` that the objects `docs` at `path` describe,
+    read by `_columns`, else object by object in field order, which raises
+    the located message of the first offender."""
+    columns = _columns(docs, cls)
+    if columns is not None:
+        return list(map(tuple.__new__, repeat(cls), zip(*columns)))
+    rows = []
+    for i, obj in enumerate(docs):
+        where = path + (i,)
+        _check_keys(obj, where, cls._fields, ROW_RULES[cls][3])
+        rows.append(tuple.__new__(cls, [
+            (_number if cls.__annotations__[key] is float else _int)(obj, where, key)
+            for key in cls._fields]))
+        _check_ignored(obj, where)
+    return rows
+
+
 def _scenario_from_doc(doc) -> Scenario:
-    _check_keys(doc, (), _DOCUMENT_KEYS)
+    _check_keys(doc, (), ("policy", "datacenters", "vms", "cloudlets"),
+                ("execution_mode",))
     if type(doc["policy"]) is not str:
         raise ScenarioFormatError("document.policy: expected a string")
 
@@ -422,51 +429,17 @@ def _scenario_from_doc(doc) -> Scenario:
     datacenters = []
     for i, dc_doc in enumerate(doc["datacenters"]):
         path = ("datacenters", i)
-        _check_keys(dc_doc, path, _DATACENTER_KEYS)
+        _check_keys(dc_doc, path, ("id", "hosts"))
         dc_id = _int(dc_doc, path, "id")
         if type(dc_doc["hosts"]) is not list:
             raise ScenarioFormatError(f"{_where(path)}.hosts: expected a list")
-        hosts = []
-        for j, host_doc in enumerate(dc_doc["hosts"]):
-            hpath = path + ("hosts", j)
-            _check_keys(host_doc, hpath, _HOST_KEYS)
-            hosts.append(Host(
-                id=_int(host_doc, hpath, "id"),
-                datacenter_id=(_int(host_doc, hpath, "datacenter_id")
-                               if "datacenter_id" in host_doc else dc_id),
-                total_mips=_number(host_doc, hpath, "total_mips"),
-                ram_mb=_int(host_doc, hpath, "ram_mb"),
-                storage_mb=_int(host_doc, hpath, "storage_mb"),
-            ))
-        datacenters.append(Datacenter(id=dc_id, hosts=tuple(hosts)))
-
-    columns = _columns(doc["vms"], _VM_KEYS, "mips")
-    if columns is not None:
-        vms = list(map(tuple.__new__, repeat(Vm), zip(*columns)))
-    else:
-        vms = []
-        for i, vm_doc in enumerate(doc["vms"]):
-            path = ("vms", i)
-            _check_keys(vm_doc, path, _VM_KEYS)
-            vms.append(Vm(
-                id=_int(vm_doc, path, "id"),
-                mips=_number(vm_doc, path, "mips"),
-                ram_mb=_int(vm_doc, path, "ram_mb"),
-            ))
-            _check_ignored(vm_doc, path)
-
-    columns = _columns(doc["cloudlets"], _CLOUDLET_KEYS, "length")
-    if columns is not None:
-        cloudlets = list(map(tuple.__new__, repeat(Cloudlet), zip(*columns)))
-    else:
-        cloudlets = []
-        for i, cl_doc in enumerate(doc["cloudlets"]):
-            path = ("cloudlets", i)
-            _check_keys(cl_doc, path, _CLOUDLET_KEYS)
-            cloudlets.append(Cloudlet(_int(cl_doc, path, "id"),
-                                      _number(cl_doc, path, "length"),
-                                      _int(cl_doc, path, "arrival_index")))
-            _check_ignored(cl_doc, path)
+        # A host's datacenter_id defaults to the datacenter that lists it.
+        hosts = [{"datacenter_id": dc_id, **host} if type(host) is dict else host
+                 for host in dc_doc["hosts"]]
+        datacenters.append(Datacenter(dc_id, tuple(
+            _rows(Host, hosts, path + ("hosts",)))))
+    vms = _rows(Vm, doc["vms"], ("vms",))
+    cloudlets = _rows(Cloudlet, doc["cloudlets"], ("cloudlets",))
     # Every later stage reads tuple order as arrival order.
     cloudlets.sort(key=attrgetter("arrival_index"))
 

@@ -54,16 +54,31 @@ MUTANTS = [
     ("loader-finite-sum-dropped", "cloudsched/workload.py",
      "if not math.isfinite(sum(column)):", "if False:",
      [_WORKLOAD + "test_load_rejects_non_finite_tokens_with_location"]),
+    ("loader-host-merge-overrides-document", "cloudsched/workload.py",
+     '{"datacenter_id": dc_id, **host}', '{**host, "datacenter_id": dc_id}',
+     [_WORKLOAD + "test_host_datacenter_mismatch_is_a_validation_error"]),
     ("validate-duplicate-id-check-dropped", "cloudsched/model.py",
-     "len(slot_of) == len(scenario.cloudlets)", "True",
+     "len(distinct) == len(ids)", "True",
      [_MODEL + "test_duplicate_cloudlet_ids_are_flagged"]),
+    ("validate-repeat-across-lists-dropped", "cloudsched/model.py",
+     "and seen.isdisjoint(distinct)", "",
+     [_MODEL + "test_duplicate_datacenter_and_host_ids_are_flagged"]),
     ("validate-id-sign-check-dropped", "cloudsched/model.py",
-     "and min(slot_of, default=1) > 0", "",
+     "and (not positive_id or min(ids, default=1) > 0)", "",
      [_MODEL + "test_a_non_positive_cloudlet_id_is_flagged"]),
+    ("validate-datacenter-pass-dropped", "cloudsched/model.py",
+     "and (dc_id is None or set(columns[1]) <= {dc_id})", "",
+     [_MODEL + "test_host_datacenter_mismatch_is_flagged"]),
     ("validate-finite-sum-dropped", "cloudsched/model.py",
-     "and math.isfinite(sum(lengths, 0.0))", "",
+     "(not finite or math.isfinite(sum(column, 0.0)))", "True",
      [_MODEL
       + "test_one_infinite_or_nan_length_among_positive_ones_is_flagged"]),
+    ("validate-positivity-pass-always-true", "cloudsched/model.py",
+     "and min(column, default=1) > 0", "and True",
+     [_MODEL + "test_violations_match_a_per_row_reference_walk"]),
+    ("validate-walk-positivity-dropped", "cloudsched/model.py",
+     "elif column[i] <= 0:", "elif False:",
+     [_MODEL + "test_non_positive_quantities_are_flagged"]),
     ("ps-active-count-dropped", "cloudsched/engine.py",
      "(target - served) * active / mips", "(target - served) / mips",
      [_ENGINE + "test_ps_equal_jobs_finish_together_exactly"]),
@@ -88,13 +103,13 @@ MUTANTS = [
      "if True:",
      [_WORKLOAD + "test_save_writes_json_dumps_of_an_unvalidated_scenario"]),
     ("validate-vm-id-sign-check-dropped", "cloudsched/model.py",
-     "if vm.id <= 0:", "if False:",
+     'Vm: ("vm", True,', 'Vm: ("vm", False,',
      [_MODEL + "test_a_non_positive_vm_id_is_flagged"]),
     ("validate-vm-ram-check-dropped", "cloudsched/model.py",
-     "if vm.ram_mb <= 0:", "if False:",
+     '{"mips": "mips", "ram_mb": "ram"}', '{"mips": "mips"}',
      [_MODEL + "test_a_non_positive_vm_ram_is_flagged"]),
     ("validate-host-storage-check-dropped", "cloudsched/model.py",
-     "if host.storage_mb <= 0:", "if False:",
+     ', "storage_mb": "storage"}', "}",
      [_MODEL + "test_a_non_positive_host_storage_is_flagged"]),
 ]
 

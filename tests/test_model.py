@@ -1,8 +1,11 @@
 """Domain model: validation catalogue, lookups, plan checking."""
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudsched import (
     Cloudlet,
@@ -175,6 +178,87 @@ def test_cloudlet_violations_are_listed_per_offender_in_cloudlet_order():
         "non-finite length on cloudlet -2",
         "duplicate cloudlet id 3",
     ]
+
+
+# ---------------------------------------------------------------------------
+# property: validation reports what a per-row walk reports, in its order
+
+def _reference_violations(scenario):
+    """Each host, VM and cloudlet offence, found by walking the rows one by
+    one, in the order `validate_scenario` reports them."""
+    problems = []
+
+    def quantity(word, value, where, finite=False):
+        if finite and not math.isfinite(value):
+            problems.append(f"non-finite {word} on {where}")
+        elif value <= 0:
+            problems.append(f"non-positive {word} on {where}")
+
+    seen_dc, seen_host, seen_vm, seen_cl = set(), set(), set(), set()
+    for dc in scenario.datacenters:
+        if dc.id in seen_dc:
+            problems.append(f"duplicate datacenter id {dc.id}")
+        seen_dc.add(dc.id)
+        if not dc.hosts:
+            problems.append(f"datacenter {dc.id} has no hosts")
+        for host in dc.hosts:
+            if host.id in seen_host:
+                problems.append(f"duplicate host id {host.id}")
+            seen_host.add(host.id)
+            if host.datacenter_id != dc.id:
+                problems.append(f"host {host.id} declares datacenter "
+                                f"{host.datacenter_id} but sits in datacenter {dc.id}")
+            quantity("mips", host.total_mips, f"host {host.id}", finite=True)
+            quantity("ram", host.ram_mb, f"host {host.id}")
+            quantity("storage", host.storage_mb, f"host {host.id}")
+    for vm in scenario.vms:
+        if vm.id <= 0:
+            problems.append(f"non-positive vm id {vm.id}")
+        if vm.id in seen_vm:
+            problems.append(f"duplicate vm id {vm.id}")
+        seen_vm.add(vm.id)
+        quantity("mips", vm.mips, f"vm {vm.id}", finite=True)
+        quantity("ram", vm.ram_mb, f"vm {vm.id}")
+    for cl in scenario.cloudlets:
+        if cl.id <= 0:
+            problems.append(f"non-positive cloudlet id {cl.id}")
+        if cl.id in seen_cl:
+            problems.append(f"duplicate cloudlet id {cl.id}")
+        seen_cl.add(cl.id)
+        quantity("length", cl.length, f"cloudlet {cl.id}", finite=True)
+    return problems
+
+
+# Ids and quantities drawn from small pools, so that repeats and faults are
+# common but most rows hold none. A valid host holds every VM.
+_ids = st.sampled_from((1, 2, 3, 4, 5, 0, -1))
+_sizes = st.sampled_from((10 ** 6, 10 ** 6, 10 ** 6, 0, -1))
+_numbers = st.sampled_from((250.0, 1000.0, 1000.0, 0.0, -1.0, float("nan"),
+                            float("inf"), float("-inf")))
+
+
+@st.composite
+def _faulty_scenarios(draw):
+    """An API-built scenario of 1-3 datacenters, 1-4 VMs and 1-4 cloudlets,
+    listed in arrival order, whose ids and quantities may be faulty."""
+    datacenters = []
+    for dc_id in draw(st.lists(st.sampled_from((1, 2, 0, -1)), min_size=1,
+                               max_size=3)):
+        hosts = draw(st.lists(st.builds(
+            Host, _ids, st.sampled_from((dc_id, dc_id, 9)),
+            _numbers.map(lambda x: x * 1000), _sizes, _sizes), max_size=2))
+        datacenters.append(Datacenter(dc_id, tuple(hosts)))
+    vms = draw(st.lists(st.builds(Vm, _ids, _numbers,
+                                  st.sampled_from((512, 512, 0, -1))),
+                        min_size=1, max_size=4))
+    lengths = draw(st.lists(_numbers, min_size=1, max_size=4))
+    cloudlets = [Cloudlet(draw(_ids), length, k) for k, length in enumerate(lengths)]
+    return Scenario(tuple(datacenters), tuple(vms), tuple(cloudlets), "fcfs")
+
+
+@given(scenario=_faulty_scenarios())
+def test_violations_match_a_per_row_reference_walk(scenario):
+    assert violations(scenario) == _reference_violations(scenario)
 
 
 def test_arrival_indices_must_be_contiguous():

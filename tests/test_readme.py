@@ -1,7 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its scenario
+documents load."""
 
 import re
 from pathlib import Path
+
+from cloudsched import load_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,11 @@ def test_readme_python_blocks_run_and_print_what_they_say(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "30.0 80.0\n" in capsys.readouterr().out
+
+
+def test_readme_json_blocks_load_as_scenarios():
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        load_scenario(block)

@@ -3,6 +3,7 @@
 import json
 import re
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -224,11 +225,17 @@ def test_a_well_formed_list_is_read_without_the_per_element_code(monkeypatch):
     def per_element(*args):
         raise AssertionError("the per-element loader ran")
 
-    # Only the per-element VM and cloudlet code calls it.
+    # Only the per-element code calls it.
     monkeypatch.setattr(workload, "_check_ignored", per_element)
     for scenario in (builtin_scenario("paper12-gpa"),
                      generate(GeneratorSpec(n_tasks=50, length_range=(1, 9)))):
         assert load_scenario(save_scenario(scenario)) == scenario
+    # Hosts that leave their datacenter_id to the datacenter listing them.
+    doc = json.loads(save_scenario(builtin_scenario("paper12-gpa")))
+    for dc in doc["datacenters"]:
+        for host in dc["hosts"]:
+            del host["datacenter_id"]
+    assert load_scenario(json.dumps(doc)) == builtin_scenario("paper12-gpa")
 
 
 def test_load_delegates_semantic_checks_to_validation():
@@ -413,11 +420,15 @@ def _containers(node):
 
 @st.composite
 def _valid_documents(draw):
-    """A valid scenario document: 1-3 VMs, 1-4 cloudlets, any policy."""
+    """A valid scenario document: 1-3 VMs, 1-4 cloudlets, any policy, and
+    one datacenter of two hosts, the first of which holds every VM."""
     vm_mips = draw(st.lists(st.sampled_from([250, 500, 1000]), min_size=1, max_size=3))
     lengths = draw(st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
-    return json.loads(save_scenario(
+    doc = json.loads(save_scenario(
         make_scenario(vm_mips, lengths, policy=draw(st.sampled_from(POLICIES)))))
+    hosts = doc["datacenters"][0]["hosts"]
+    hosts.append(dict(hosts[0], id=2))
+    return doc
 
 
 @st.composite
@@ -480,28 +491,27 @@ def _load_outcome(doc):
         return type(err), str(err)
 
 
-def _per_element(doc):
-    """`doc` with a legacy `pe_count` of 1 on every VM and cloudlet object
-    that lacks one: the column pass declines such a list, so the
-    per-element code reads it, and a valid `pe_count` changes nothing."""
-    doc = json.loads(json.dumps(doc))
-    if type(doc) is dict:
-        for key in ("vms", "cloudlets"):
-            if type(doc.get(key)) is list:
-                for entry in doc[key]:
-                    if type(entry) is dict:
-                        entry.setdefault("pe_count", 1)
-    return doc
+def _per_element_outcome(doc):
+    """`_load_outcome(doc)` with every host, VM and cloudlet list read by
+    the per-element code: the column pass declines each one."""
+    with patch.object(workload, "_columns", return_value=None):
+        return _load_outcome(doc)
 
 
 # Values the column pass must accept, decline, or leave to a located
 # error, by field: an int, a float whose sum with another overflows, an int
-# past float range, a NaN, and a bool where a number or an int belongs.
+# past float range, a NaN, and a bool where a number or an int belongs; a
+# host's datacenter_id may also name another datacenter or be left out.
 _NUMBER_EDGES = (7, 1e308, 10 ** 400, float("nan"), True)
+_OMITTED = object()
 _EDGES = {("vms", "mips"): _NUMBER_EDGES,
           ("cloudlets", "length"): _NUMBER_EDGES,
+          ("hosts", "total_mips"): _NUMBER_EDGES,
           ("vms", "ram_mb"): (True,),
-          ("cloudlets", "arrival_index"): (True,)}
+          ("cloudlets", "arrival_index"): (True,),
+          ("hosts", "ram_mb"): (True,),
+          ("hosts", "storage_mb"): (True,),
+          ("hosts", "datacenter_id"): (True, 2, _OMITTED)}
 
 
 @st.composite
@@ -509,23 +519,28 @@ def _edge_documents(draw):
     """A valid document in which each field of `_EDGES` may hold one of its
     edge values in some of its objects."""
     doc = draw(_valid_documents())
+    lists = {"hosts": doc["datacenters"][0]["hosts"],
+             "vms": doc["vms"], "cloudlets": doc["cloudlets"]}
     for (key, field), values in _EDGES.items():
         value = draw(st.sampled_from((None, *values)))
         if value is not None:
-            for entry in doc[key]:
+            for entry in lists[key]:
                 if draw(st.booleans()):
-                    entry[field] = value
+                    if value is _OMITTED:
+                        del entry[field]
+                    else:
+                        entry[field] = value
     return doc
 
 
 @given(doc=_scenario_documents())
 def test_the_column_pass_and_the_per_element_code_agree(doc):
-    assert _load_outcome(doc) == _load_outcome(_per_element(doc))
+    assert _load_outcome(doc) == _per_element_outcome(doc)
 
 
 @given(doc=_edge_documents())
 def test_the_column_pass_and_the_per_element_code_agree_on_edge_numbers(doc):
-    assert _load_outcome(doc) == _load_outcome(_per_element(doc))
+    assert _load_outcome(doc) == _per_element_outcome(doc)
 
 
 # ---------------------------------------------------------------------------
