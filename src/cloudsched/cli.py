@@ -1,5 +1,7 @@
 """Command-line front end: run scenarios, compare policies, sweep task counts.
 
+Each flag's value is checked once, by its argparse type as argparse reads
+it; a rule that joins flags is checked where the command uses them.
 Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
@@ -15,7 +17,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -89,6 +91,9 @@ def _pretty(table: Table) -> str:
 def _resolve_jobs(args: argparse.Namespace) -> list[Scenario]:
     """Turn the source + policy flags into one scenario per run, each
     bound to the policy it runs under."""
+    if args.seed is not None and args.generate is None:
+        raise UsageError("--seed needs --generate: a builtin or a "
+                         "scenario file has no seed")
     picked = sum([bool(args.builtin),
                   args.scenario is not None,
                   args.generate is not None])
@@ -169,8 +174,6 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     the others. Timings go to sweep_timing.csv, kept out of the sweep
     table so its files are byte-deterministic.
     """
-    if any(n < 1 for n in args.counts):
-        raise UsageError("task counts must be >= 1")
     policies = args.policy or POLICIES
     rows, timing_rows = [], []
     for n in args.counts:
@@ -198,41 +201,57 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    """The non-empty parts of a comma-separated list; a list with none
-    (`,` or the empty string) is an error, not a silent default."""
-    parts = tuple(part for part in text.split(",") if part)
-    if not parts:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return parts
+def _int_type(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """The argparse type of an integer from `low` to `high`."""
+    def integer(text: str) -> int:  # argparse: "invalid integer value: 'x'"
+        if not low <= (value := int(text)) <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from {low} to {high}, not {text!r}")
+        return value
+    return integer
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, _str_list(text)))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_type(known) -> Callable[[str], tuple]:
+    """The argparse type of a comma-separated list flag: its entries, each
+    one of the `known` names (for `int`, an integer >= 1), none repeated: a
+    repeat would run twice and, in `run`, overwrite its own files. A list
+    with no entries (`,` or the empty string) is an error, not a default."""
+    def comma_list(text: str) -> tuple:  # argparse: "invalid comma_list value"
+        entries = tuple(part for part in text.split(",") if part)
+        if not entries:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        if known is int:
+            entries = tuple(map(_int_type(1), entries))
+        for entry in entries:
+            if known is not int and entry not in known:
+                raise argparse.ArgumentTypeError(
+                    f"unknown entry {entry!r} (choose from {', '.join(known)})")
+        if len(set(entries)) != len(entries):
+            raise argparse.ArgumentTypeError(f"duplicate entry in {text}")
+        return entries
+    return comma_list
 
 
 def _add_common(sub: argparse.ArgumentParser, with_source: bool) -> None:
     if with_source:
-        sub.add_argument("--builtin", type=_str_list, default=(),
+        sub.add_argument("--builtin", type=_list_type(BUILTIN_NAMES), default=(),
                          metavar="NAME[,NAME...]",
                          help=f"built-in scenario(s): {', '.join(BUILTIN_NAMES)}")
         sub.add_argument("--scenario", metavar="PATH",
                          help="scenario JSON file")
-        sub.add_argument("--generate", type=int, metavar="N",
+        sub.add_argument("--generate", type=_int_type(1), metavar="N",
                          help="generate a synthetic scenario with N cloudlets")
-    sub.add_argument("--policy", type=_str_list, default=(),
+    sub.add_argument("--policy", type=_list_type(POLICIES), default=(),
                      metavar="P[,P...]",
                      help="policies to run (default: all of %s)" % ",".join(POLICIES))
     # run and compare take a seed only with --generate (None: not given);
     # sweep always generates.
-    sub.add_argument("--seed", type=int, default=None if with_source else 0,
+    sub.add_argument("--seed", type=_int_type(0, 2 ** 64 - 1),
+                     default=None if with_source else 0,
                      metavar="U64", help="workload seed (default 0)")
     sub.add_argument("--out", metavar="DIR",
                      help="output directory (default: $CLOUDSCHED_OUT or .)")
-    sub.add_argument("--format", type=_str_list, default=("csv",),
+    sub.add_argument("--format", type=_list_type(FORMATS), default=("csv",),
                      metavar="F[,F...]",
                      help="output formats: csv, tsv, pretty (default csv)")
 
@@ -250,35 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
             ("sweep", cmd_sweep, "task-count sweep on generated workloads")):
         sub = subs.add_parser(name, help=help_)
         if name == "sweep":
-            sub.add_argument("--counts", type=_int_list, required=True,
+            sub.add_argument("--counts", type=_list_type(int), required=True,
                              metavar="N[,N...]", help="task counts, e.g. 100,200,300")
         _add_common(sub, with_source=name != "sweep")
         sub.set_defaults(command_fn=command_fn)
     return parser
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject the flag values argparse lets through."""
-    # A repeated entry would run twice and, in `run`, overwrite its own files.
-    for flag in ("builtin", "policy", "format", "counts"):
-        values = getattr(args, flag, ())
-        if len(set(values)) != len(values):
-            raise UsageError(f"duplicate entry in --{flag}: "
-                             f"{','.join(map(str, values))}")
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise UsageError("--seed must fit in an unsigned 64-bit integer")
-        if getattr(args, "generate", 0) is None:  # sweep has no --generate
-            raise UsageError("--seed needs --generate: a builtin or a "
-                             "scenario file has no seed")
-    for flag, known in (("format", FORMATS), ("policy", POLICIES)):
-        for value in getattr(args, flag):
-            if value not in known:
-                raise UsageError(f"unknown {flag} {value!r} "
-                                 f"(choose from {', '.join(known)})")
-    generate_n = getattr(args, "generate", None)
-    if generate_n is not None and generate_n < 1:
-        raise UsageError("--generate needs at least one cloudlet")
 
 
 def main(argv=None) -> int:
@@ -302,7 +297,6 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        _check_args(args)
         tables, files = args.command_fn(args)
         named = [(f"{t[0]}.{fmt}", t) for fmt in args.format if fmt != "pretty"
                  for t in tables] + [(t[0], t) for t in files]

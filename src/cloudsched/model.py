@@ -66,14 +66,14 @@ class Datacenter(NamedTuple):
 # What each host, VM and cloudlet must hold beyond its fields' JSON types,
 # which are their annotations (`int`, or `float` for any finite number):
 # (the type's name in messages, whether its ids must be positive, each field
-# that must be positive -> its word in messages, the legacy keys a document
-# may carry, which are checked and then ignored).
+# that must be positive -> its word in messages, each legacy key a document
+# may carry -> its JSON type, an `int` one positive; checked, then ignored).
 ROW_RULES = {
     Host: ("host", False,
-           {"total_mips": "mips", "ram_mb": "ram", "storage_mb": "storage"}, ()),
-    Vm: ("vm", True, {"mips": "mips", "ram_mb": "ram"}, ("pe_count",)),
+           {"total_mips": "mips", "ram_mb": "ram", "storage_mb": "storage"}, {}),
+    Vm: ("vm", True, {"mips": "mips", "ram_mb": "ram"}, {"pe_count": int}),
     Cloudlet: ("cloudlet", True, {"length": "length"},
-               ("pe_count", "file_size", "output_size")),
+               {"pe_count": int, "file_size": float, "output_size": float}),
 }
 
 
@@ -314,14 +314,17 @@ def _row_problems(cls, columns, seen: set[int],
                 cls.__annotations__[field] is float)
                for field, word in positive.items()]
     distinct = set(ids)
-    if (len(distinct) == len(ids) and seen.isdisjoint(distinct)
-            and (not positive_id or min(ids, default=1) > 0)
-            and (dc_id is None or set(columns[1]) <= {dc_id})
-            and all((not finite or math.isfinite(sum(column, 0.0)))
-                    and min(column, default=1) > 0
-                    for column, _, finite in checked)):
-        seen |= distinct
-        return []
+    try:
+        if (len(distinct) == len(ids) and seen.isdisjoint(distinct)
+                and (not positive_id or min(ids, default=1) > 0)
+                and (dc_id is None or set(columns[1]) <= {dc_id})
+                and all((not finite or math.isfinite(sum(column, 0.0)))
+                        and min(column, default=1) > 0
+                        for column, _, finite in checked)):
+            seen |= distinct
+            return []
+    except OverflowError:  # an int past float range, which the walk names
+        pass
     problems = []
     for i, row_id in enumerate(ids):
         if positive_id and row_id <= 0:
@@ -333,10 +336,13 @@ def _row_problems(cls, columns, seen: set[int],
             problems.append(f"{name} {row_id} declares datacenter {columns[1][i]} "
                             f"but sits in datacenter {dc_id}")
         for column, word, finite in checked:
-            if finite and not math.isfinite(column[i]):
-                problems.append(f"non-finite {word} on {name} {row_id}")
-            elif column[i] <= 0:
-                problems.append(f"non-positive {word} on {name} {row_id}")
+            try:
+                if finite and not math.isfinite(column[i]):
+                    problems.append(f"non-finite {word} on {name} {row_id}")
+                elif column[i] <= 0:
+                    problems.append(f"non-positive {word} on {name} {row_id}")
+            except OverflowError:  # an int that no float can hold
+                problems.append(f"{word} out of float range on {name} {row_id}")
     return problems
 
 

@@ -285,15 +285,6 @@ def _unconvertible_int_at(text: str) -> int:
     return 0
 
 
-def _where(path: tuple) -> str:
-    """Location text of an element from its path of (list name, index)
-    pairs: () is "document", ("datacenters", 0, "hosts", 1) is
-    "datacenters[0].hosts[1]". Built only for an error message."""
-    if not path:
-        return "document"
-    return ".".join(f"{name}[{i}]" for name, i in zip(path[::2], path[1::2]))
-
-
 # json.loads builds exact dicts, lists, strs, ints, floats and bools, so the
 # checks below compare exact types: a bool is not an int here. It also reads
 # the bare tokens NaN, Infinity and -Infinity, which JSON does not have, and
@@ -301,7 +292,7 @@ def _where(path: tuple) -> str:
 # them where it reads them, and no other check accepts a float.
 
 
-def _check_keys(obj, path: tuple, required: tuple[str, ...],
+def _check_keys(obj, where: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     """`obj` is an object with the `required` keys and no key outside
     `required` and `optional`, else the first offence is raised."""
@@ -309,48 +300,35 @@ def _check_keys(obj, path: tuple, required: tuple[str, ...],
     if type(obj) is dict and set(required) <= obj.keys() <= allowed:
         return
     if type(obj) is not dict:
-        raise ScenarioFormatError(f"{_where(path)}: expected an object")
+        raise ScenarioFormatError(f"{where}: expected an object")
     for key in obj:
         if key not in allowed:
-            raise ScenarioFormatError(f"{_where(path)}: unknown key {key!r}")
+            raise ScenarioFormatError(f"{where}: unknown key {key!r}")
     key = next(k for k in required if k not in obj)
-    raise ScenarioFormatError(f"{_where(path)}: missing key {key!r}")
+    raise ScenarioFormatError(f"{where}: missing key {key!r}")
 
 
-def _int(obj: dict, path: tuple, key: str) -> int:
+def _int(obj: dict, where: str, key: str) -> int:
     value = obj[key]
     if type(value) is not int:
-        raise ScenarioFormatError(f"{_where(path)}.{key}: expected an integer")
+        raise ScenarioFormatError(f"{where}.{key}: expected an integer")
     return value
 
 
-def _number(obj: dict, path: tuple, key: str) -> float:
+def _number(obj: dict, where: str, key: str) -> float:
     value = obj[key]
     if type(value) is float:
         if math.isfinite(value):
             return value
         raise ScenarioFormatError(
-            f"{_where(path)}.{key}: non-finite number {value} is not allowed")
+            f"{where}.{key}: non-finite number {value} is not allowed")
     if type(value) is not int:
-        raise ScenarioFormatError(f"{_where(path)}.{key}: expected a number")
+        raise ScenarioFormatError(f"{where}.{key}: expected a number")
     try:
         return float(value)
     except OverflowError:
         raise ScenarioFormatError(
-            f"{_where(path)}.{key}: number out of range") from None
-
-
-def _check_ignored(obj: dict, path: tuple) -> None:
-    """`pe_count`, `file_size` and `output_size` are accepted for
-    compatibility and ignored (execution depends only on length and MIPS),
-    but each is still checked: a `pe_count` must be a positive integer and
-    a size a finite number."""
-    if "pe_count" in obj and _int(obj, path, "pe_count") < 1:
-        raise ScenarioFormatError(
-            f"{_where(path)}.pe_count: expected a positive integer")
-    for key in ("file_size", "output_size"):
-        if key in obj:
-            _number(obj, path, key)
+            f"{where}.{key}: number out of range") from None
 
 
 def _columns(docs: list, cls) -> Optional[list[list]]:
@@ -389,26 +367,31 @@ def _columns(docs: list, cls) -> Optional[list[list]]:
     return columns
 
 
-def _rows(cls, docs: list, path: tuple) -> list:
-    """The rows of type `cls` that the objects `docs` at `path` describe,
-    read by `_columns`, else object by object in field order, which raises
-    the located message of the first offender."""
+def _rows(cls, docs: list, where: str) -> list:
+    """The rows of type `cls` that the objects `docs` at `where` describe,
+    read by `_columns`, else object by object (its fields, then its legacy
+    keys), which raises the located message of the first offender."""
     columns = _columns(docs, cls)
     if columns is not None:
         return list(map(tuple.__new__, repeat(cls), zip(*columns)))
+    legacy = ROW_RULES[cls][3]
     rows = []
     for i, obj in enumerate(docs):
-        where = path + (i,)
-        _check_keys(obj, where, cls._fields, ROW_RULES[cls][3])
+        at = f"{where}[{i}]"
+        _check_keys(obj, at, cls._fields, tuple(legacy))
         rows.append(tuple.__new__(cls, [
-            (_number if cls.__annotations__[key] is float else _int)(obj, where, key)
-            for key in cls._fields]))
-        _check_ignored(obj, where)
+            (_number if kind is float else _int)(obj, at, key)
+            for key, kind in cls.__annotations__.items()]))
+        for key, kind in legacy.items():
+            if key in obj and kind is float:
+                _number(obj, at, key)
+            elif key in obj and _int(obj, at, key) < 1:
+                raise ScenarioFormatError(f"{at}.{key}: expected a positive integer")
     return rows
 
 
 def _scenario_from_doc(doc) -> Scenario:
-    _check_keys(doc, (), ("policy", "datacenters", "vms", "cloudlets"),
+    _check_keys(doc, "document", ("policy", "datacenters", "vms", "cloudlets"),
                 ("execution_mode",))
     if type(doc["policy"]) is not str:
         raise ScenarioFormatError("document.policy: expected a string")
@@ -428,18 +411,18 @@ def _scenario_from_doc(doc) -> Scenario:
 
     datacenters = []
     for i, dc_doc in enumerate(doc["datacenters"]):
-        path = ("datacenters", i)
-        _check_keys(dc_doc, path, ("id", "hosts"))
-        dc_id = _int(dc_doc, path, "id")
+        where = f"datacenters[{i}]"
+        _check_keys(dc_doc, where, ("id", "hosts"))
+        dc_id = _int(dc_doc, where, "id")
         if type(dc_doc["hosts"]) is not list:
-            raise ScenarioFormatError(f"{_where(path)}.hosts: expected a list")
+            raise ScenarioFormatError(f"{where}.hosts: expected a list")
         # A host's datacenter_id defaults to the datacenter that lists it.
         hosts = [{"datacenter_id": dc_id, **host} if type(host) is dict else host
                  for host in dc_doc["hosts"]]
         datacenters.append(Datacenter(dc_id, tuple(
-            _rows(Host, hosts, path + ("hosts",)))))
-    vms = _rows(Vm, doc["vms"], ("vms",))
-    cloudlets = _rows(Cloudlet, doc["cloudlets"], ("cloudlets",))
+            _rows(Host, hosts, f"{where}.hosts"))))
+    vms = _rows(Vm, doc["vms"], "vms")
+    cloudlets = _rows(Cloudlet, doc["cloudlets"], "cloudlets")
     # Every later stage reads tuple order as arrival order.
     cloudlets.sort(key=attrgetter("arrival_index"))
 

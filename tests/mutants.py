@@ -6,7 +6,8 @@ text (which must occur exactly once in its file) with the new text, and
 runs `pytest -x -q` on the mutant's killing tests with `PYTHONPATH`
 pointing at the copy, under the `mutants` hypothesis profile (see
 `conftest.py`). A test failure or a timeout kills the mutant. The
-killing tests first run once on the unmutated copy and must pass there.
+killing tests first run once on the unmutated copy and must pass there;
+then `WORKERS` mutants are tested at a time.
 Prints one line per mutant and exits 1 if any mutant survives or cannot
 be run.
 
@@ -20,11 +21,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TIMEOUT_S = 120
+# pytest processes at once: each is single-threaded.
+WORKERS = 2
 
 _CLI = "tests/test_cli.py::"
 _ENGINE = "tests/test_engine.py::"
@@ -111,6 +115,32 @@ MUTANTS = [
     ("validate-host-storage-check-dropped", "cloudsched/model.py",
      ', "storage_mb": "storage"}', "}",
      [_MODEL + "test_a_non_positive_host_storage_is_flagged"]),
+    ("validate-overflow-escapes-the-walk", "cloudsched/model.py",
+     "except OverflowError:  # an int that no float can hold",
+     "except ZeroDivisionError:",
+     [_MODEL
+      + "test_an_int_past_float_range_in_a_number_field_is_flagged_not_raised"]),
+    ("loader-legacy-size-read-dropped", "cloudsched/workload.py",
+     "if key in obj and kind is float:\n                _number(obj, at, key)",
+     "if key in obj and kind is float:\n                pass",
+     [_WORKLOAD + "test_load_rejects_non_finite_tokens_with_location"]),
+    ("loader-pe-count-zero-accepted", "cloudsched/workload.py",
+     "elif key in obj and _int(obj, at, key) < 1:",
+     "elif key in obj and _int(obj, at, key) < 0:",
+     [_WORKLOAD + "test_load_accepts_legacy_pe_count_and_rejects_a_bad_one"]),
+    ("cli-repeated-entry-accepted", "cloudsched/cli.py",
+     "if len(set(entries)) != len(entries):", "if False:",
+     [_CLI + "test_a_repeated_list_entry_is_an_error"]),
+    ("cli-unknown-entry-accepted", "cloudsched/cli.py",
+     "if known is not int and entry not in known:", "if False:",
+     [_CLI + "test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1"]),
+    ("cli-seed-upper-bound-dropped", "cloudsched/cli.py",
+     "type=_int_type(0, 2 ** 64 - 1)", "type=_int_type(0)",
+     [_CLI + "test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1"]),
+    ("cli-count-lower-bound-dropped", "cloudsched/cli.py",
+     "entries = tuple(map(_int_type(1), entries))",
+     "entries = tuple(map(int, entries))",
+     [_CLI + "test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1"]),
 ]
 
 
@@ -130,6 +160,31 @@ def _pytest(src, test_ids):
         return None
 
 
+def _run_mutant(tmp, mutant):
+    """(verdict line, whether the mutant was not killed) for one mutant,
+    tested on its own mutated copy of `src/` under `tmp`."""
+    name, file, old, new, tests = mutant
+    copy = Path(tmp) / name
+    shutil.copytree(SRC, copy)
+    path = copy / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return (f"error     {name}: old text occurs "
+                f"{text.count(old)} times in {file}"), True
+    path.write_text(text.replace(old, new))
+    started = time.perf_counter()
+    code = _pytest(copy, tests)
+    took = time.perf_counter() - started
+    if code is None:
+        return f"killed    {name} (timeout after {TIMEOUT_S} s)", False
+    if code == 1:
+        return f"killed    {name} ({took:.1f} s)", False
+    # 0 is a survivor; any other exit means pytest could not run the
+    # tests, which proves nothing.
+    return (f"{'SURVIVED' if code == 0 else 'error':<9} "
+            f"{name} (pytest exit {code})"), True
+
+
 def main():
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,31 +196,14 @@ def main():
             print(f"error: the killing tests fail on unmutated src/ "
                   f"(pytest exit {code})")
             return 1
-        for name, file, old, new, tests in MUTANTS:
-            copy = Path(tmp) / name
-            shutil.copytree(SRC, copy)
-            path = copy / file
-            text = path.read_text()
-            if text.count(old) != 1:
-                print(f"error     {name}: old text occurs "
-                      f"{text.count(old)} times in {file}")
-                problems.append(name)
-                continue
-            path.write_text(text.replace(old, new))
-            started = time.perf_counter()
-            code = _pytest(copy, tests)
-            took = time.perf_counter() - started
-            if code is None:
-                verdict = f"killed    {name} (timeout after {TIMEOUT_S} s)"
-            elif code == 1:
-                verdict = f"killed    {name} ({took:.1f} s)"
-            else:
-                # 0 is a survivor; any other exit means pytest could not
-                # run the tests, which proves nothing.
-                verdict = (f"{'SURVIVED' if code == 0 else 'error':<9} "
-                           f"{name} (pytest exit {code})")
-                problems.append(name)
-            print(verdict)
+        # Each mutant has its own copy, so WORKERS of them run at once;
+        # verdicts print in list order.
+        with ThreadPoolExecutor(WORKERS) as pool:
+            verdicts = pool.map(lambda mutant: _run_mutant(tmp, mutant), MUTANTS)
+            for (name, *_), (verdict, failed) in zip(MUTANTS, verdicts):
+                print(verdict, flush=True)
+                if failed:
+                    problems.append(name)
     if problems:
         print(f"{len(problems)} of {len(MUTANTS)} mutants not killed: "
               f"{', '.join(problems)}")

@@ -510,17 +510,29 @@ def test_only_help_leaves_through_system_exit(capsys):
     assert gc.isenabled()
 
 
+# The last flag on each command line is the one at fault.
 @pytest.mark.parametrize("argv", [
     ["sweep", "--counts", "a,b"],
+    ["sweep", "--counts", "0,10"],
     ["run", "--bogus"],
     ["run", "--generate", "x"],
+    ["run", "--generate", "0"],
+    ["run", "--generate", "5", "--seed", str(2 ** 64)],
+    ["run", "--builtin", "paper13"],
+    ["run", "--builtin", "paper12-gpa", "--format", "xml"],
     ["sweep"],
     ["bogus"],
 ], ids=" ".join)
-def test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1(argv, capsys):
-    assert main(argv) == 1
+def test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1(argv, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    flags = [arg for arg in argv if arg.startswith("--")]
+    if flags:
+        assert flags[-1] in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

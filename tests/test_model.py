@@ -167,6 +167,22 @@ def test_a_non_positive_cloudlet_id_is_flagged():
         "non-positive cloudlet id 0"]
 
 
+def test_an_int_past_float_range_in_a_number_field_is_flagged_not_raised():
+    # No float holds these ints: summing or testing them as floats raises
+    # OverflowError, which must not escape validation.
+    base = make_scenario([250], [1000, 1000], check=False)
+    host = base.datacenters[0].hosts[0]._replace(total_mips=-10 ** 400)
+    scenario = replace(base, datacenters=(Datacenter(1, (host,)),),
+                       vms=(Vm(1, 10 ** 400, 512),),
+                       cloudlets=(Cloudlet(1, 1000.0, 0), Cloudlet(2, 10 ** 400, 1)))
+    assert violations(scenario) == ["mips out of float range on host 1",
+                                    "mips out of float range on vm 1",
+                                    "length out of float range on cloudlet 2"]
+    # The largest int that float() rounds down, not up, is in range.
+    edge = replace(base, vms=(Vm(1, 2 ** 1024 - 2 ** 970 - 1, 512),))
+    assert not any("range" in p for p in violations(edge))
+
+
 def test_cloudlet_violations_are_listed_per_offender_in_cloudlet_order():
     base = make_scenario([250], [1000, 1000, 1000, 1000], check=False)
     cloudlets = (Cloudlet(3, 1000.0, 0), Cloudlet(0, -1.0, 1),
@@ -189,7 +205,10 @@ def _reference_violations(scenario):
     problems = []
 
     def quantity(word, value, where, finite=False):
-        if finite and not math.isfinite(value):
+        if finite and type(value) is int and abs(value) >= 2 ** 1024 - 2 ** 970:
+            # float() rounds such an int to infinity, so it raises instead.
+            problems.append(f"{word} out of float range on {where}")
+        elif finite and not math.isfinite(value):
             problems.append(f"non-finite {word} on {where}")
         elif value <= 0:
             problems.append(f"non-positive {word} on {where}")
@@ -234,7 +253,7 @@ def _reference_violations(scenario):
 _ids = st.sampled_from((1, 2, 3, 4, 5, 0, -1))
 _sizes = st.sampled_from((10 ** 6, 10 ** 6, 10 ** 6, 0, -1))
 _numbers = st.sampled_from((250.0, 1000.0, 1000.0, 0.0, -1.0, float("nan"),
-                            float("inf"), float("-inf")))
+                            float("inf"), float("-inf"), 10 ** 400))
 
 
 @st.composite

@@ -226,7 +226,7 @@ def test_a_well_formed_list_is_read_without_the_per_element_code(monkeypatch):
         raise AssertionError("the per-element loader ran")
 
     # Only the per-element code calls it.
-    monkeypatch.setattr(workload, "_check_ignored", per_element)
+    monkeypatch.setattr(workload, "_number", per_element)
     for scenario in (builtin_scenario("paper12-gpa"),
                      generate(GeneratorSpec(n_tasks=50, length_range=(1, 9)))):
         assert load_scenario(save_scenario(scenario)) == scenario
