@@ -5,10 +5,14 @@ it; a rule that joins flags is checked where the command uses them.
 Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
-times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Nothing
-is printed or written until every output has rendered. "pretty" replaces
-only the table files: the output directory is still created, and
-compare.dat and sweep_timing.csv are still written.
+times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Tables
+are columns, and each column becomes text once per command, whatever the
+formats: `run` formats the cloudlet ids once for every policy, looks each
+VM and datacenter id up in the scenario's, and reuses a table's finish
+text for its starts and, time-shared, its cpu_time. Nothing is printed
+or written until every output has rendered.
+"pretty" replaces only the table files: the output directory is still
+created, and compare.dat and sweep_timing.csv are still written.
 """
 
 import argparse
@@ -17,13 +21,14 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable, Sequence
-from itertools import chain
-from operator import itemgetter
+from collections.abc import Callable, Iterator, Sequence
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import execute_plan
-from .model import POLICIES, Scenario, SimulationResult, compare, summarize
+from .model import (POLICIES, ExecutionMode, Scenario, SimulationResult,
+                    compare, summarize)
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -41,43 +46,82 @@ class UsageError(ValueError):
     """Bad flag combination or value; reported on stderr with exit 1."""
 
 
-# (name, header, blocks). A block is one `%` spec per column and rows of
-# raw values, a value per spec that has a `%` (one without is a fixed cell),
-# so every number becomes text in `_render` alone.
+# (name, header, blocks). A block is one `%` spec per column and a column
+# of raw values (or a `Lookup`) per spec that has a `%`, at least one; a
+# spec without one is a fixed cell. Every column is as long as the block
+# has rows. Every number becomes text in `_cells` alone, once per column
+# object and spec in a command.
 Table = tuple[str, Sequence[str], list[tuple[Sequence[str], Sequence[Sequence]]]]
 _DELIMITERS = {"csv": ",", "tsv": "\t", "dat": " "}
+
+
+class Lookup(NamedTuple):
+    """A column whose values are found, by value, among those of its
+    `sources`: each cell is looked up in their text, not formatted. A value
+    must print as the source value equal to it does (so no -0.0 where a
+    source holds 0.0, nor `True` for 1). Should a value be in none of them,
+    the column is formatted as any other."""
+
+    values: Sequence
+    sources: tuple[Sequence, ...]
 
 
 # ---------------------------------------------------------------------------
 # table rendering
 
-def _render(table: Table, delim: str) -> str:
-    """One line per row, cells joined by `delim`: one `%` per block.
+def _cells(spec: str, column: Sequence | Lookup, memo: dict) -> list[str]:
+    """`column` as text under `spec`, one cell per value, by one `%` over
+    the whole column. `memo` holds the text for the command: it is keyed
+    by spec and column object, and keeps the column, so no id is reused.
 
     A result that overflowed a float is an error, not an `inf` cell. A
     finite column sum means finite members; only a column whose sum is not
     finite (it can overflow) is checked value by value."""
-    _, header, blocks = table
-    parts = [delim.join(header) + "\n"]
-    for specs, rows in blocks:
-        values = tuple(chain.from_iterable(rows))
-        fields = [spec for spec in specs if "%" in spec]
-        for j, spec in enumerate(fields):
-            column = values[j::len(fields)]
-            if spec.endswith("f") and not math.isfinite(sum(column)):
-                for x in column:
-                    if not math.isfinite(x):
-                        raise ValueError(f"result {x} is not a finite number "
-                                         f"(the scenario overflows a float)")
-        parts.append((delim.join(specs) + "\n") * len(rows) % values)
-    return "".join(parts)
+    key = (spec, id(column))
+    if key in memo:
+        return memo[key][1]
+    if isinstance(column, Lookup):
+        text_of = {}
+        for source in column.sources:
+            text_of.update(zip(source, _cells(spec, source, memo)))
+        try:
+            cells = list(map(text_of.__getitem__, column.values))
+        except KeyError:
+            cells = _cells(spec, column.values, memo)
+    else:
+        if spec.endswith("f") and not math.isfinite(sum(column)):
+            for x in column:
+                if not math.isfinite(x):
+                    raise ValueError(f"result {x} is not a finite number "
+                                     f"(the scenario overflows a float)")
+        # NUL cannot occur in a cell, so it splits the column's text.
+        text = (spec + "\0") * len(column) % tuple(column)
+        cells = text.split("\0")[:-1]
+    memo[key] = column, cells
+    return cells
 
 
-def _pretty(table: Table) -> str:
+def _rows(table: Table, memo: dict) -> Iterator[Sequence[str]]:
+    """The header, then every row of every block, as cells."""
+    blocks = []
+    for specs, columns in table[2]:
+        values = iter(columns)
+        blocks.append(zip(*[_cells(spec, next(values), memo) if "%" in spec
+                            else repeat(spec) for spec in specs]))
+    return chain([table[1]], *blocks)
+
+
+def _render(table: Table, delim: str, memo: dict) -> str:
+    """One line per row, cells joined by `delim`."""
+    lines = list(map(delim.join, _rows(table, memo)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _pretty(table: Table, memo: dict) -> str:
     """A console listing: a title, then every column padded to its widest
     cell, with a rule under the header and no trailing blanks."""
-    # NUL cannot occur in a cell, so it splits the rendered cells back out.
-    lines = [line.split("\0") for line in _render(table, "\0").split("\n")[:-1]]
+    lines = list(_rows(table, memo))
     widths = [max(map(len, column)) for column in zip(*lines)]
     lines.insert(1, ["-" * w for w in widths])
     body = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
@@ -123,6 +167,9 @@ def _simulate(scenario: Scenario) -> SimulationResult:
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
 _RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
+# A time-shared cpu_time is its finish, and every start 0.0.
+_TIME_SHARED_SPECS = ("%s", "%s", "%s", "%.2f", "0.00", "%.2f")
+_ZERO = (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +179,25 @@ _RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
 def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Run each requested policy: one <policy> table per run."""
     tables = []
+    ids = ()
     for scenario in _resolve_jobs(args):
         result = _simulate(scenario)
-        # Records are tuples in CloudletRecord field order, the VM before
-        # the datacenter; the table swaps the two.
-        rows = list(map(itemgetter(0, 2, 1, 3, 4, 5), result.records))
+        # Records are in CloudletRecord field order, the VM before the
+        # datacenter; the table swaps the two.
+        cloudlet_ids, vm_ids, dc_ids, cpu, start, finish = zip(*result.records)
+        if cloudlet_ids != ids:  # else one object: formatted once
+            ids = cloudlet_ids
+        # Few distinct ids: each is looked up in the text of the scenario's.
+        dc_ids = Lookup(dc_ids, (tuple(dc.id for dc in scenario.datacenters),))
+        vm_ids = Lookup(vm_ids, (tuple(vm.id for vm in scenario.vms),))
+        if result.mode is ExecutionMode.TIME_SHARED:
+            block = (_TIME_SHARED_SPECS, (ids, dc_ids, vm_ids, finish, finish))
+        else:
+            # Each start is the finish before it on the same VM, or 0.0.
+            block = (_RUN_SPECS, (ids, dc_ids, vm_ids, cpu,
+                                  Lookup(start, (finish, _ZERO)), finish))
         tables.append((scenario.policy, _RUN_HEADER, [
-            (_RUN_SPECS, rows),
+            block,
             (("mean", "", "", "%.2f", "", ""), [(result.mean_cpu_time,)])]))
     return tables, []
 
@@ -162,9 +221,9 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
             for r, pct in zip(results, improvements)]
     # Plot data for `plot "compare.dat" using 2:xtic(1)` style bar charts.
     dat = [(r.policy, r.headline_mean, r.makespan) for r in results]
-    return ([("compare", _COMPARE_HEADER, [(_COMPARE_SPECS, rows)])],
+    return ([("compare", _COMPARE_HEADER, [(_COMPARE_SPECS, list(zip(*rows)))])],
             [("compare.dat", ["# policy", "headline_mean", "makespan"],
-              [(("%s", "%.2f", "%.2f"), dat)])])
+              [(("%s", "%.2f", "%.2f"), list(zip(*dat)))])])
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
@@ -185,9 +244,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
             rows.append((n, policy, result.mean_cpu_time, result.makespan))
             timing_rows.append((n, policy, elapsed_ms))
     return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"],
-              [(("%s", "%s", "%.2f", "%.2f"), rows)])],
+              [(("%s", "%s", "%.2f", "%.2f"), list(zip(*rows)))])],
             [("sweep_timing.csv", ["n", "policy", "wall_clock_ms"],
-              [(("%s", "%s", "%.3f"), timing_rows)])])
+              [(("%s", "%s", "%.3f"), list(zip(*timing_rows)))])])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +359,11 @@ def main(argv=None) -> int:
         tables, files = args.command_fn(args)
         named = [(f"{t[0]}.{fmt}", t) for fmt in args.format if fmt != "pretty"
                  for t in tables] + [(t[0], t) for t in files]
-        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]]))
+        memo: dict = {}  # every column's text, for every format
+        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]], memo))
                  for name, t in named]
-        listing = "".join(map(_pretty, tables)) if "pretty" in args.format else ""
+        listing = ("".join(_pretty(t, memo) for t in tables)
+                   if "pretty" in args.format else "")
         out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         sys.stdout.write(listing)

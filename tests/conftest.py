@@ -1,9 +1,11 @@
-"""Shared test helpers: scenario builders and the PS reference integrator."""
+"""Shared test helpers: scenario builders, the PS reference integrator and
+the row-wise table renderer."""
 
 import json
 import math
 import random
 import signal
+from itertools import chain
 
 import pytest
 from hypothesis import Phase, settings
@@ -119,6 +121,38 @@ def integrate_ps(lengths, mips, dt=0.001):
                 still_running.append(i)
         active = still_running
     return finish
+
+
+def row_render_reference(table, delim):
+    """The CLI's renderer as it was before tables became columns: `table`
+    is (name, header, blocks) with each block (specs, rows), every row a
+    value per spec that has a `%`, and one `%` per block."""
+    _, header, blocks = table
+    parts = [delim.join(header) + "\n"]
+    for specs, rows in blocks:
+        values = tuple(chain.from_iterable(rows))
+        fields = [spec for spec in specs if "%" in spec]
+        for j, spec in enumerate(fields):
+            column = values[j::len(fields)]
+            if spec.endswith("f") and not math.isfinite(sum(column)):
+                for x in column:
+                    if not math.isfinite(x):
+                        raise ValueError(f"result {x} is not a finite number "
+                                         f"(the scenario overflows a float)")
+        parts.append((delim.join(specs) + "\n") * len(rows) % values)
+    return "".join(parts)
+
+
+def row_pretty_reference(table):
+    """The CLI's `pretty` listing of a row-wise `table`, as it was."""
+    # NUL cannot occur in a cell, so it splits the rendered cells back out.
+    lines = [line.split("\0")
+             for line in row_render_reference(table, "\0").split("\n")[:-1]]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    lines.insert(1, ["-" * w for w in widths])
+    body = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+            for line in lines]
+    return "\n".join([f"== {table[0]} ==", *body, "", ""])
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
@@ -22,8 +23,13 @@ from cloudsched import (
     save_scenario,
     write_scenario,
 )
-from cloudsched.cli import FORMATS, main
-from conftest import make_scenario, make_shuffled_arrival_document
+from cloudsched.cli import FORMATS, Lookup, _pretty, _render, main
+from conftest import (
+    make_scenario,
+    make_shuffled_arrival_document,
+    row_pretty_reference,
+    row_render_reference,
+)
 from test_workload import _scenario_documents
 
 FCFS_GOLDEN = """\
@@ -191,6 +197,109 @@ def test_a_column_whose_sum_overflows_is_written(tmp_path):
     assert [row.split(",")[4] for row in rows] == [
         "0.00", big, "%.2f" % (9e307 + 1), "%.2f" % (9e307 + 2), ""]
     assert rows[-1] == "mean,,,%.2f,," % ((9e307 + 3) / 4)
+
+
+# ---------------------------------------------------------------------------
+# table rendering: columns against the row-wise reference
+
+_RENDER_DELIMITERS = (",", "\t", " ")
+
+
+def _rows_of(table):
+    """The row-wise form of a column-wise `table`, as the reference reads it."""
+    name, header, blocks = table
+    return name, header, [
+        (specs, list(zip(*[c.values if isinstance(c, Lookup) else c
+                           for c in columns])))
+        for specs, columns in blocks]
+
+
+def _assert_renders_like_the_reference(table):
+    rows = _rows_of(table)
+    memo = {}  # one command's: every format reads the same text
+    for delim in _RENDER_DELIMITERS:
+        assert _render(table, delim, memo) == row_render_reference(rows, delim)
+    assert _pretty(table, memo) == row_pretty_reference(rows)
+    assert _pretty(table, {}) == row_pretty_reference(rows)
+
+
+def test_one_column_under_two_specs_is_text_under_each():
+    column = (1.2345, 0.5, 1e300)
+    _assert_renders_like_the_reference(
+        ("t", ["a", "b"], [(("%.2f", "%.3f"), (column, column))]))
+
+
+def test_a_lookup_value_outside_its_source_is_formatted():
+    finish = (2.5, 9.125)
+    start = Lookup((0.0, 2.5, 7.25), (finish, (0.0,)))
+    _assert_renders_like_the_reference(
+        ("t", ["start", "finish"], [(("%.2f", "%.2f"), (start, finish + (1.0,)))]))
+    assert _render(("t", ["s"], [(("%.2f",), (start,))]), ",", {}) == \
+        "s\n0.00\n2.50\n7.25\n"
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 0.005, 2.675)
+_NUMBERS = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-10 ** 6, 10 ** 6))
+_FLOAT_SPECS = ("%.2f", "%.3f", "%.1f")
+
+
+def _copy(x):
+    """An equal number that is another object (small ints excepted)."""
+    return float(repr(x)) if isinstance(x, float) else int(str(x))
+
+
+@st.composite
+def _column_tables(draw):
+    """A column-wise table: ints, floats (both zeros, subnormals, 1e300)
+    and text; one float object in several cells, equal floats that are
+    distinct objects; fixed cells; blocks of zero or one row among others;
+    one column object under several specs; and `Lookup` columns, whose
+    values may fall outside their source."""
+    width = draw(st.integers(1, 4))
+    spec = st.sampled_from(("%s", *_FLOAT_SPECS, "", "mean", "0.00"))
+    numeric = []  # the number columns drawn so far, for reuse
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from((0, 1, 1, 2, 5)))
+        specs = draw(st.lists(spec, min_size=width, max_size=width)
+                     .filter(lambda specs: any("%" in s for s in specs)))
+        columns = []
+        for s in specs:
+            if "%" not in s:
+                continue
+            same_length = [c for c in numeric if len(c) == n]
+            if same_length and draw(st.booleans()):
+                columns.append(draw(st.sampled_from(same_length)))
+                continue
+            if s == "%s" and draw(st.booleans()):
+                columns.append(tuple(draw(st.lists(
+                    st.text("ab ,\t-", max_size=3), min_size=n, max_size=n))))
+                continue
+            pool = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+            picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                                  min_size=n, max_size=n))
+            column = tuple(_copy(x) if copy else x for x, copy in picks)
+            numeric.append(column)
+            if s in _FLOAT_SPECS and draw(st.booleans()):
+                # Under a float spec only a zero can print otherwise than
+                # the source value equal to it: a value is 0.0 only where
+                # the last source is (0.0,), and never -0.0.
+                sources = draw(st.sampled_from(((column,), (column, (0.0,)))))
+                allowed = ((lambda x: x != 0) if len(sources) == 1 else
+                           (lambda x: x != 0 or math.copysign(1, x) > 0))
+                value = (st.sampled_from(pool) | _NUMBERS).filter(allowed)
+                column = Lookup(tuple(draw(st.lists(value, min_size=n,
+                                                    max_size=n))), sources)
+            columns.append(column)
+        blocks.append((specs, columns))
+    return "t", [f"h{j}" for j in range(width)], blocks
+
+
+@given(table=_column_tables())
+def test_columns_render_the_bytes_of_the_row_wise_reference(table):
+    _assert_renders_like_the_reference(table)
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

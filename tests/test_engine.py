@@ -33,6 +33,7 @@ from conftest import (
     make_scenario,
     make_shuffled_arrival_document,
     violations,
+    vm_queues,
 )
 
 
@@ -428,6 +429,41 @@ def test_work_conservation_per_vm_both_modes():
                 work = expected[usage.vm_id] / mips[usage.vm_id]
                 assert math.isclose(usage.busy_time, work,
                                     rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _random_run_inputs(rng):
+    """A small scenario, round-numbered or not (tiny lengths, whose times
+    underflow to 0.0, included), and a plan from one of the policies."""
+    if rng.random() < 0.5:
+        scenario = make_random_scenario(rng)
+    else:
+        lengths = [rng.choice((5e-324, rng.uniform(1e-3, 1e6)))
+                   for _ in range(rng.randint(1, 16))]
+        scenario = make_scenario([rng.uniform(1.0, 3000.0)
+                                  for _ in range(rng.randint(1, 6))], lengths,
+                                 policy=rng.choice(POLICIES))
+    return scenario, assign(scenario)[0]
+
+
+def test_the_times_the_run_table_reuses_are_bitwise_what_it_assumes():
+    # `cli.cmd_run` prints a time-shared record's finish as its cpu_time
+    # and "0.00" as its start, and finds each space-shared start's text
+    # in the finishes' text: that needs these equalities bit for bit
+    # (float.hex tells +0.0 from -0.0).
+    rng = random.Random(41)
+    for _ in range(200):
+        scenario, plan = _random_run_inputs(rng)
+        shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
+        for record in shared.records:
+            assert record.start_time.hex() == (0.0).hex()
+            assert record.cpu_time.hex() == record.finish_time.hex()
+        space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
+        by_id = {record.cloudlet_id: record for record in space.records}
+        for queue in vm_queues(plan).values():
+            starts = [by_id[c].start_time.hex() for c in queue]
+            before = [(0.0).hex()] + [by_id[c].finish_time.hex()
+                                      for c in queue[:-1]]
+            assert starts == before
 
 
 # ---------------------------------------------------------------------------

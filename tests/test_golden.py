@@ -65,6 +65,42 @@ def test_cli_output_bytes_match_their_digests(argv, tmp_path):
             for name in expected} == expected
 
 
+# `--format pretty` writes its listing to stdout, not to a file.
+PRETTY_GOLDEN = {
+    ("run", "--generate", "500", "--seed", "3"):
+        "0c51b58dd94812b6dcb3d1f47254b60f45ffca6f94c5c945fbf64078b57ebe60",
+    ("compare", "--generate", "500", "--seed", "3"):
+        "13576cb35ebe11a035f7447602d5c197e4668bcf2f2096dac143ee3e7b961e6c",
+}
+
+
+@pytest.mark.parametrize("argv", list(PRETTY_GOLDEN), ids=" ".join)
+def test_pretty_listing_matches_its_digest(argv, tmp_path, capsys):
+    assert main([*argv, "--format", "pretty", "--out", str(tmp_path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == PRETTY_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(PRETTY_GOLDEN), ids=" ".join)
+def test_three_formats_at_once_write_the_bytes_of_three_single_runs(
+        argv, tmp_path, capsys):
+    # Text rendered for one format is reused by the next; none of it may
+    # show in another format's bytes.
+    assert main([*argv, "--format", "csv,tsv,pretty",
+                 "--out", str(tmp_path / "all")]) == 0
+    together = capsys.readouterr().out
+    alone = {}
+    for fmt in ("csv", "tsv", "pretty"):
+        assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        alone[fmt] = capsys.readouterr().out
+    assert together == alone["pretty"]
+    written = {path.name: path.read_bytes()
+               for path in (tmp_path / "all").iterdir()}
+    assert written == {path.name: path.read_bytes()
+                       for fmt in ("csv", "tsv", "pretty")
+                       for path in (tmp_path / fmt).iterdir()}
+    assert any(name.endswith(".tsv") for name in written)
+
+
 @pytest.mark.parametrize("spec, digest", [
     (GeneratorSpec(n_tasks=500, seed=3),
      "e38b4f763ef50071af196c6e7cc248e801b81ee8bf23dd4636dc633f5db9f47b"),
