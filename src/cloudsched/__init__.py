@@ -10,7 +10,6 @@ from .engine import execute_plan
 from .model import (
     POLICIES,
     Cloudlet,
-    CloudletRecord,
     Datacenter,
     ExecutionMode,
     Host,
@@ -18,7 +17,6 @@ from .model import (
     SimulationResult,
     ValidationError,
     Vm,
-    VmUsage,
     compare,
     provision_vms,
     summarize,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_NAMES",
     "Cloudlet",
-    "CloudletRecord",
     "Datacenter",
     "ExecutionMode",
     "GeneratorSpec",
@@ -53,7 +50,6 @@ __all__ = [
     "SimulationResult",
     "ValidationError",
     "Vm",
-    "VmUsage",
     "assign",
     "builtin_scenario",
     "compare",

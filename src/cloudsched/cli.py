@@ -7,10 +7,11 @@ CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
 times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Tables
 are columns, and each column becomes text once per command, whatever the
-formats: `run` formats the cloudlet ids once for every policy, looks each
-VM and datacenter id up in the scenario's, and reuses a table's finish
-text for its starts and, time-shared, its cpu_time. Nothing is printed
-or written until every output has rendered.
+formats. `run` renders a result's own columns: the cloudlet ids, one
+object for every policy, are formatted once; each VM and datacenter id is
+looked up in the scenario's; a table's starts reuse its finish text, and a
+time-shared cpu_time column, being its finish column, is that text too.
+Nothing is printed or written until every output has rendered.
 "pretty" replaces only the table files: the output directory is still
 created, and compare.dat and sweep_timing.csv are still written.
 """
@@ -27,8 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .engine import execute_plan
-from .model import (POLICIES, ExecutionMode, Scenario, SimulationResult,
-                    compare, summarize)
+from .model import POLICIES, Scenario, SimulationResult, compare, summarize
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -167,8 +167,6 @@ def _simulate(scenario: Scenario) -> SimulationResult:
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
 _RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
-# A time-shared cpu_time is its finish, and every start 0.0.
-_TIME_SHARED_SPECS = ("%s", "%s", "%s", "%.2f", "0.00", "%.2f")
 _ZERO = (0.0,)
 
 
@@ -179,26 +177,18 @@ _ZERO = (0.0,)
 def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Run each requested policy: one <policy> table per run."""
     tables = []
-    ids = ()
     for scenario in _resolve_jobs(args):
-        result = _simulate(scenario)
-        # Records are in CloudletRecord field order, the VM before the
-        # datacenter; the table swaps the two.
-        cloudlet_ids, vm_ids, dc_ids, cpu, start, finish = zip(*result.records)
-        if cloudlet_ids != ids:  # else one object: formatted once
-            ids = cloudlet_ids
+        r = _simulate(scenario)
         # Few distinct ids: each is looked up in the text of the scenario's.
-        dc_ids = Lookup(dc_ids, (tuple(dc.id for dc in scenario.datacenters),))
-        vm_ids = Lookup(vm_ids, (tuple(vm.id for vm in scenario.vms),))
-        if result.mode is ExecutionMode.TIME_SHARED:
-            block = (_TIME_SHARED_SPECS, (ids, dc_ids, vm_ids, finish, finish))
-        else:
-            # Each start is the finish before it on the same VM, or 0.0.
-            block = (_RUN_SPECS, (ids, dc_ids, vm_ids, cpu,
-                                  Lookup(start, (finish, _ZERO)), finish))
+        dc_ids = Lookup(r.datacenter_ids,
+                        (tuple(dc.id for dc in scenario.datacenters),))
+        vm_ids = Lookup(r.vm_ids, (tuple(vm.id for vm in scenario.vms),))
+        # Each start is the finish before it on the same VM, or 0.0.
+        starts = Lookup(r.start_times, (r.finish_times, _ZERO))
         tables.append((scenario.policy, _RUN_HEADER, [
-            block,
-            (("mean", "", "", "%.2f", "", ""), [(result.mean_cpu_time,)])]))
+            (_RUN_SPECS, (r.cloudlet_ids, dc_ids, vm_ids, r.cpu_times,
+                          starts, r.finish_times)),
+            (("mean", "", "", "%.2f", "", ""), [(r.mean_cpu_time,)])]))
     return tables, []
 
 
@@ -210,10 +200,8 @@ _COMPARE_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f", "%.2f", "%.3f", "%.1
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Summarize >= 2 policy runs side by side (compare table + compare.dat)."""
-    jobs = _resolve_jobs(args)
-    if len(jobs) < 2:
-        raise UsageError("need >= 2 policies to compare")
-    results = [summarize(_simulate(sc), policy=sc.policy) for sc in jobs]
+    results = [summarize(_simulate(sc), policy=sc.policy)
+               for sc in _resolve_jobs(args)]
     improvements = compare(results)
     rows = [(r.policy, r.mode.value, r.n_cloudlets, r.mean_cpu_time,
              r.mean_completion_time, r.headline_mean, r.makespan,
@@ -264,8 +252,9 @@ def _int_type(low: int, high: float = math.inf) -> Callable[[str], int]:
     """The argparse type of an integer from `low` to `high`."""
     def integer(text: str) -> int:  # argparse: "invalid integer value: 'x'"
         if not low <= (value := int(text)) <= high:
+            bounds = f"from {low} to {high}" if high < math.inf else f">= {low}"
             raise argparse.ArgumentTypeError(
-                f"expected an integer from {low} to {high}, not {text!r}")
+                f"expected an integer {bounds}, not {text!r}")
         return value
     return integer
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 POLICIES = ("fcfs", "rr", "gpa")
@@ -134,51 +134,37 @@ class Scenario:
 Plan = tuple[tuple[int, int], ...]
 
 
-class CloudletRecord(NamedTuple):
-    """Execution outcome of one cloudlet (all times in seconds).
-
-    A named tuple, not a dataclass: a run builds one per cloudlet, and a
-    tuple costs about a third of a frozen dataclass to build.
-    """
-
-    cloudlet_id: int
-    vm_id: int
-    datacenter_id: int
-    cpu_time: float
-    start_time: float
-    finish_time: float
-
-
-class VmUsage(NamedTuple):
-    """Per-VM accounting attached to a result."""
-
-    vm_id: int
-    busy_time: float
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """One run, and the numbers the policies are ranked by. Space-shared
     runs are compared on mean CPU (service) time, time-shared runs on mean
     completion time; a result carries both. `policy` labels the run
-    (`summarize`). Each scan of the records runs once per result."""
+    (`summarize`). The outcome is one column per field, in arrival order
+    (times in seconds), and each VM's last finish in `Scenario.vms` order;
+    a time-shared `cpu_times` is its `finish_times`. Each scan of a column
+    runs once per result."""
 
     mode: ExecutionMode
-    records: tuple[CloudletRecord, ...]
-    vm_usage: tuple[VmUsage, ...]
+    cloudlet_ids: tuple[int, ...]
+    vm_ids: tuple[int, ...]
+    datacenter_ids: tuple[int, ...]
+    cpu_times: tuple[float, ...]
+    start_times: tuple[float, ...]
+    finish_times: tuple[float, ...]
+    busy_times: tuple[float, ...]
     policy: str = ""
 
     @property
     def n_cloudlets(self) -> int:
-        return len(self.records)
+        return len(self.cloudlet_ids)
 
     @cached_property
     def mean_cpu_time(self) -> float:
-        return sum(map(attrgetter("cpu_time"), self.records)) / len(self.records)
+        return sum(self.cpu_times) / len(self.cpu_times)
 
     @cached_property
     def mean_completion_time(self) -> float:
-        return sum(map(attrgetter("finish_time"), self.records)) / len(self.records)
+        return sum(self.finish_times) / len(self.finish_times)
 
     @property
     def headline_mean(self) -> float:
@@ -190,19 +176,19 @@ class SimulationResult:
 
     @cached_property
     def makespan(self) -> float:
-        return max(map(attrgetter("finish_time"), self.records))
+        return max(self.finish_times)
 
     @property
     def mean_utilization(self) -> float:
         """Mean over VMs of busy time / makespan."""
         makespan = self.makespan  # a cached attribute reads slower than a local
-        return (sum(u.busy_time / makespan for u in self.vm_usage)
-                / len(self.vm_usage))
+        return (sum(busy / makespan for busy in self.busy_times)
+                / len(self.busy_times))
 
 
 def summarize(result: SimulationResult, policy: str = "") -> SimulationResult:
     """`result` labelled with the policy that produced it."""
-    if not result.records:
+    if not result.cloudlet_ids:
         raise ValueError("empty result")
     return replace(result, policy=policy)
 
@@ -216,7 +202,7 @@ def compare(results: list[SimulationResult]) -> list[float]:
     is an error: a length that small underflows a float.
     """
     if len(results) < 2:
-        raise ValueError("need at least 2 results to compare")
+        raise ValueError("need >= 2 policies to compare")
     counts = {r.n_cloudlets for r in results}
     if len(counts) > 1:
         raise ValueError(f"mismatched cloudlet counts: {sorted(counts)}")

@@ -1,11 +1,12 @@
-"""Shared test helpers: scenario builders, the PS reference integrator and
-the row-wise table renderer."""
+"""Shared test helpers: scenario builders, a result's rows, the PS
+reference integrator and the row-wise table renderer."""
 
 import json
 import math
 import random
 import signal
 from itertools import chain
+from typing import NamedTuple
 
 import pytest
 from hypothesis import Phase, settings
@@ -65,13 +66,38 @@ def violations(scenario):
 
 def make_shuffled_arrival_document(seed=3, n=12):
     """Scenario document whose `cloudlets` list is a shuffle of its arrival
-    order, so code that confuses the two puts records or rows in the wrong
+    order, so code that confuses the two puts columns or rows in the wrong
     order. Returns (document text, cloudlet ids in arrival order)."""
     scenario = make_scenario([250, 500, 1000], [1000 * (k + 1) for k in range(n)])
     doc = json.loads(save_scenario(scenario))
     random.Random(seed).shuffle(doc["cloudlets"])
     assert [cl["arrival_index"] for cl in doc["cloudlets"]] != list(range(n))
     return json.dumps(doc), [cl.id for cl in scenario.cloudlets]
+
+
+class Row(NamedTuple):
+    """One cloudlet's outcome, read across a result's columns."""
+
+    cloudlet_id: int
+    vm_id: int
+    datacenter_id: int
+    cpu_time: float
+    start_time: float
+    finish_time: float
+
+
+def result_rows(result):
+    """A result's columns zipped into one `Row` per cloudlet, in arrival
+    order; a column of another length is an error, not a shorter list."""
+    return [Row(*row) for row in zip(
+        result.cloudlet_ids, result.vm_ids, result.datacenter_ids,
+        result.cpu_times, result.start_times, result.finish_times, strict=True)]
+
+
+def busy_of(scenario, result):
+    """vm id -> busy time, from `result.busy_times` in `scenario.vms` order."""
+    return dict(zip([vm.id for vm in scenario.vms], result.busy_times,
+                    strict=True))
 
 
 def vm_queues(plan):

@@ -32,6 +32,7 @@ WORKERS = 2
 
 _CLI = "tests/test_cli.py::"
 _ENGINE = "tests/test_engine.py::"
+_METRICS = "tests/test_metrics.py::"
 _MODEL = "tests/test_model.py::"
 _POLICIES = "tests/test_policies.py::"
 _WORKLOAD = "tests/test_workload.py::"
@@ -92,6 +93,18 @@ MUTANTS = [
     ("arrival-order-check-dropped", "cloudsched/model.py",
      "if indices != slots:", "if False:",
      [_MODEL + "test_arrival_indices_must_be_contiguous"]),
+    ("space-shared-column-at-plan-position", "cloudsched/engine.py",
+     "\n        slot = slot_of[cloudlet_id]",
+     "\n        slot = plan.index((cloudlet_id, vm_id))",
+     [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
+    ("time-shared-column-at-plan-position", "cloudsched/engine.py",
+     "            slot = slot_of[cloudlet_id]",
+     "            slot = plan.index((cloudlet_id, vm_id))",
+     [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
+    ("compare-single-result-accepted", "cloudsched/model.py",
+     "if len(results) < 2:", "if len(results) < 1:",
+     [_CLI + "test_compare_needs_two_policies",
+      _METRICS + "test_compare_needs_two_reports"]),
     ("ps-grouping-tolerance", "cloudsched/engine.py",
      "lengths[order[i]] != target", "abs(lengths[order[i]] - target) > 1e-3",
      [_ENGINE + "test_ps_finish_order_follows_length_order"]),

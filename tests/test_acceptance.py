@@ -17,7 +17,8 @@ from cloudsched import (
 )
 from cloudsched.cli import main
 from cloudsched.engine import ps_finish_times
-from conftest import integrate_ps, make_random_scenario, make_scenario, vm_queues
+from conftest import (busy_of, integrate_ps, make_random_scenario, make_scenario,
+                      result_rows, vm_queues)
 
 
 def run_builtin(name):
@@ -40,9 +41,9 @@ def timed_run(name, repeats=3):
 
 def test_criterion_1_fcfs_golden_table():
     _, _, result = run_builtin("paper12-fcfs")
-    cpu_times = [record.cpu_time for record in result.records]
-    assert cpu_times == [80.0, 10.0, 80.0, 20.0, 40.0, 80.0,
-                         10.0, 80.0, 20.0, 40.0, 80.0, 10.0]   # tolerance 0
+    assert list(result.cpu_times) == [
+        80.0, 10.0, 80.0, 20.0, 40.0, 80.0,
+        10.0, 80.0, 20.0, 40.0, 80.0, 10.0]                    # tolerance 0
     assert abs(result.mean_cpu_time - 45.833) <= 0.05
     assert timed_run("paper12-fcfs") < 0.010                   # < 10 ms
 
@@ -50,7 +51,7 @@ def test_criterion_1_fcfs_golden_table():
 def test_criterion_2_rr_processor_sharing_groups():
     _, _, result = run_builtin("paper12-rr")
     finishes = {}
-    for record in result.records:
+    for record in result_rows(result):
         finishes.setdefault(record.vm_id, []).append(record.finish_time)
     # (group size, printed value) per VM of the ring 250,250,250,500,1000.
     expected = {1: (3, 239.99), 2: (3, 119.99), 3: (2, 160.0),
@@ -80,7 +81,7 @@ def test_criterion_4_efficiency_ordering():
     _, _, fcfs_result = run_builtin("paper12-fcfs")
     _, _, rr_result = run_builtin("paper12-rr")
     _, _, gpa_result = run_builtin("paper12-gpa")
-    rr_mean_completion = sum(r.finish_time for r in rr_result.records) / 12
+    rr_mean_completion = sum(rr_result.finish_times) / 12
     assert gpa_result.mean_cpu_time < fcfs_result.mean_cpu_time \
         < rr_mean_completion
     assert gpa_result.makespan < fcfs_result.makespan
@@ -122,12 +123,12 @@ def test_criterion_6_property_suite():
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
         for cl_id, vm_id in plan:
             assigned[vm_id] += lengths[cl_id]
-        for usage in result.vm_usage:
-            expected = assigned[usage.vm_id] / mips[usage.vm_id]
-            assert abs(usage.busy_time - expected) <= 1e-9 * max(1.0, expected)
+        for vm_id, busy_time in busy_of(scenario, result).items():
+            expected = assigned[vm_id] / mips[vm_id]
+            assert abs(busy_time - expected) <= 1e-9 * max(1.0, expected)
 
     # Mode equivalence: with at most one cloudlet per VM the two modes
-    # produce identical records.
+    # produce identical rows.
     rng = random.Random(603)
     for _ in range(500):
         n_vms = rng.randint(1, 6)
@@ -142,7 +143,7 @@ def test_criterion_6_property_suite():
         plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
-        assert space.records == shared.records
+        assert result_rows(space) == result_rows(shared)
 
     # Greedy argmin choices are invariant under uniform MIPS scaling.
     rng = random.Random(604)

@@ -638,6 +638,8 @@ def test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1(argv, tmp_
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # An unbounded integer flag states its lower bound alone.
+    assert "inf" not in err
     flags = [arg for arg in argv if arg.startswith("--")]
     if flags:
         assert flags[-1] in err

@@ -31,7 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import assign, execute_plan
-from conftest import make_scenario
+from conftest import make_scenario, result_rows
 
 U = Fraction(1, 2 ** 53)
 
@@ -67,11 +67,11 @@ def test_each_vm_finishes_its_work_at_the_same_time_in_both_modes(vm_mips, lengt
         work[vm_id] += Fraction(length_of[cloudlet_id])
         jobs[vm_id] += 1
     last_finish = dict.fromkeys(work, 0.0)
-    for record in shared.records:
+    for record in result_rows(shared):
         last_finish[record.vm_id] = max(last_finish[record.vm_id],
                                         record.finish_time)
-    for vm, usage in zip(scenario.vms, space.vm_usage):
+    for vm, busy_time in zip(scenario.vms, space.busy_times, strict=True):
         exact = work[vm.id] / Fraction(vm.mips)
         k = jobs[vm.id]
-        assert within(usage.busy_time, exact, k)
+        assert within(busy_time, exact, k)
         assert within(last_finish[vm.id], exact, k + 2)

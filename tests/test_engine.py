@@ -13,7 +13,6 @@ import cloudsched.model
 from cloudsched import (
     POLICIES,
     Cloudlet,
-    CloudletRecord,
     Datacenter,
     ExecutionMode,
     Host,
@@ -28,10 +27,12 @@ from cloudsched import (
 )
 from cloudsched.engine import ps_finish_times
 from conftest import (
+    busy_of,
     integrate_ps,
     make_random_scenario,
     make_scenario,
     make_shuffled_arrival_document,
+    result_rows,
     violations,
     vm_queues,
 )
@@ -163,10 +164,10 @@ def test_validation_and_provisioning_agree(scenario):
     for policy in POLICIES:
         bound = scenario.with_policy(policy)
         result = execute_plan(bound, *assign(bound))
-        assert [r.cloudlet_id for r in result.records] == \
-            [cl.id for cl in bound.cloudlets]
-        assert [r.datacenter_id for r in result.records] == \
-            [datacenter_of[binding[r.vm_id]] for r in result.records]
+        rows = result_rows(result)
+        assert [r.cloudlet_id for r in rows] == [cl.id for cl in bound.cloudlets]
+        assert [r.datacenter_id for r in rows] == \
+            [datacenter_of[binding[r.vm_id]] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -284,26 +285,26 @@ def test_space_shared_golden_run(fcfs_scenario):
     plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     assert result.mode is ExecutionMode.SPACE_SHARED
-    assert [r.cpu_time for r in result.records] == [
+    assert list(result.cpu_times) == [
         80.0, 10.0, 80.0, 20.0, 40.0, 80.0, 10.0, 80.0, 20.0, 40.0, 80.0, 10.0]
-    assert [r.start_time for r in result.records] == [
+    assert list(result.start_times) == [
         0.0, 0.0, 0.0, 0.0, 0.0, 80.0, 10.0, 80.0, 20.0, 40.0, 160.0, 20.0]
     assert result.makespan == 240.0
-    # Records come back in arrival order regardless of per-VM grouping.
-    assert [r.cloudlet_id for r in result.records] == list(range(1, 13))
+    # Columns come back in arrival order regardless of per-VM grouping.
+    assert list(result.cloudlet_ids) == list(range(1, 13))
 
 
 def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
     plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
-    busy = {u.vm_id: u.busy_time for u in result.vm_usage}
-    assert busy == {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
+    assert busy_of(fcfs_scenario, result) == \
+        {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
 
 
 def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
     plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
-    dc_of_vm = {r.vm_id: r.datacenter_id for r in result.records}
+    dc_of_vm = dict(zip(result.vm_ids, result.datacenter_ids, strict=True))
     assert dc_of_vm == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
 
 
@@ -314,19 +315,19 @@ def test_time_shared_golden_run(rr_scenario):
     plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     assert result.mode is ExecutionMode.TIME_SHARED
-    assert [r.finish_time for r in result.records] == [
+    assert list(result.finish_times) == [
         240.0, 120.0, 160.0, 40.0, 20.0, 240.0, 120.0, 160.0, 40.0, 20.0,
         240.0, 120.0]
     # In time-shared accounting cpu_time is the completion time.
-    assert all(r.cpu_time == r.finish_time for r in result.records)
-    assert all(r.start_time == 0.0 for r in result.records)
+    assert result.cpu_times == result.finish_times
+    assert result.start_times == (0.0,) * 12
 
 
 def test_time_shared_busy_time_is_last_finish(rr_scenario):
     plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
-    busy = {u.vm_id: u.busy_time for u in result.vm_usage}
-    assert busy == {1: 240.0, 2: 120.0, 3: 160.0, 4: 40.0, 5: 20.0}
+    assert busy_of(rr_scenario, result) == \
+        {1: 240.0, 2: 120.0, 3: 160.0, 4: 40.0, 5: 20.0}
 
 
 def test_modes_agree_when_every_vm_has_one_cloudlet():
@@ -342,9 +343,8 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
         plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
-        assert space.records == shared.records
-        assert [u.busy_time for u in space.vm_usage] == \
-               [u.busy_time for u in shared.vm_usage]
+        assert result_rows(space) == result_rows(shared)
+        assert space.busy_times == shared.busy_times
 
 
 def test_unassigned_vm_still_reports_zero_busy_time():
@@ -352,15 +352,13 @@ def test_unassigned_vm_still_reports_zero_busy_time():
     plan = ((1, 1),)
     for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                    execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
-        busy = {u.vm_id: u.busy_time for u in result.vm_usage}
-        assert busy[2] == 0.0
+        assert busy_of(scenario, result)[2] == 0.0
 
 
 def test_space_shared_unit_case():
     scenario = make_scenario([7500], [7500], policy="fcfs")
     result = execute_plan(scenario, ((1, 1),), ExecutionMode.SPACE_SHARED)
-    record = result.records[0]
-    assert record.cpu_time == 1.0
+    assert result.cpu_times == (1.0,)
     assert result.makespan == 1.0
 
 
@@ -368,7 +366,7 @@ def test_each_vm_serves_its_cloudlets_in_plan_order():
     scenario = make_scenario([250, 500], [1000, 2000, 3000, 4000])
     plan = ((3, 1), (1, 2), (2, 1), (4, 2))
     result = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
-    start = {r.cloudlet_id: r.start_time for r in result.records}
+    start = dict(zip(result.cloudlet_ids, result.start_times))
     assert start == {3: 0.0, 2: 12.0, 1: 0.0, 4: 2.0}
 
 
@@ -396,9 +394,8 @@ def test_records_come_back_in_arrival_order_not_tuple_order():
         plan, _ = assign(scenario.with_policy(policy))
         for mode in ExecutionMode:
             result = execute_plan(scenario, plan, mode)
-            assert [r.cloudlet_id for r in result.records] == by_arrival
-            assert {r.cloudlet_id: r.vm_id for r in result.records} == \
-                dict(plan)
+            assert list(result.cloudlet_ids) == by_arrival
+            assert dict(zip(result.cloudlet_ids, result.vm_ids)) == dict(plan)
 
 
 def test_runs_reject_invalid_plans(fcfs_scenario):
@@ -425,9 +422,9 @@ def test_work_conservation_per_vm_both_modes():
             expected[vm_id] += lengths[cl_id]
         for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                        execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
-            for usage in result.vm_usage:
-                work = expected[usage.vm_id] / mips[usage.vm_id]
-                assert math.isclose(usage.busy_time, work,
+            for vm_id, busy_time in busy_of(scenario, result).items():
+                work = expected[vm_id] / mips[vm_id]
+                assert math.isclose(busy_time, work,
                                     rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -446,19 +443,20 @@ def _random_run_inputs(rng):
 
 
 def test_the_times_the_run_table_reuses_are_bitwise_what_it_assumes():
-    # `cli.cmd_run` prints a time-shared record's finish as its cpu_time
-    # and "0.00" as its start, and finds each space-shared start's text
-    # in the finishes' text: that needs these equalities bit for bit
+    # `cli.cmd_run` formats a time-shared result's cpu_times once, as the
+    # finish column they are, and finds each start's text in the finishes'
+    # text or in that of 0.0: that needs these equalities bit for bit
     # (float.hex tells +0.0 from -0.0).
     rng = random.Random(41)
     for _ in range(200):
         scenario, plan = _random_run_inputs(rng)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
-        for record in shared.records:
+        assert shared.cpu_times is shared.finish_times
+        for record in result_rows(shared):
             assert record.start_time.hex() == (0.0).hex()
             assert record.cpu_time.hex() == record.finish_time.hex()
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
-        by_id = {record.cloudlet_id: record for record in space.records}
+        by_id = {record.cloudlet_id: record for record in result_rows(space)}
         for queue in vm_queues(plan).values():
             starts = [by_id[c].start_time.hex() for c in queue]
             before = [(0.0).hex()] + [by_id[c].finish_time.hex()
@@ -481,10 +479,10 @@ def _two_datacenters(first_host_mips):
 
 
 def _datacenter_ids(scenario, plan):
-    """vm id -> datacenter id in the records, one map per mode."""
-    return [{r.vm_id: r.datacenter_id
-             for r in execute_plan(scenario, plan, mode).records}
-            for mode in ExecutionMode]
+    """vm id -> datacenter id in the result, one map per mode."""
+    return [dict(zip(result.vm_ids, result.datacenter_ids, strict=True))
+            for result in (execute_plan(scenario, plan, mode)
+                           for mode in ExecutionMode)]
 
 
 def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
@@ -553,7 +551,7 @@ def test_a_scenario_is_indexed_once_and_a_replace_copy_afresh():
                                          Cloudlet(5, 4000.0, 1)))
     assert "_index" not in vars(moved)
     result = execute_plan(moved, ((5, 1), (7, 2)), ExecutionMode.SPACE_SHARED)
-    assert [(r.cloudlet_id, r.cpu_time) for r in result.records] == \
+    assert list(zip(result.cloudlet_ids, result.cpu_times)) == \
         [(7, 1.0), (5, 16.0)]
     assert moved._index == ({7: 0, 5: 1}, {7: 500.0, 5: 4000.0})
     with pytest.raises(ValidationError, match="permutation"):
@@ -561,7 +559,9 @@ def test_a_scenario_is_indexed_once_and_a_replace_copy_afresh():
 
 
 @pytest.mark.parametrize("mode", list(ExecutionMode))
-def test_every_record_is_a_cloudlet_record(fcfs_scenario, mode):
-    records = execute_plan(fcfs_scenario, assign(fcfs_scenario)[0], mode).records
-    assert len(records) == 12
-    assert all(type(r) is CloudletRecord for r in records)
+def test_every_column_is_a_tuple_of_one_value_per_cloudlet(fcfs_scenario, mode):
+    result = execute_plan(fcfs_scenario, assign(fcfs_scenario)[0], mode)
+    columns = (result.cloudlet_ids, result.vm_ids, result.datacenter_ids,
+               result.cpu_times, result.start_times, result.finish_times)
+    assert [(type(c), len(c)) for c in columns] == [(tuple, 12)] * 6
+    assert (type(result.busy_times), len(result.busy_times)) == (tuple, 5)

@@ -3,9 +3,10 @@
 `per_vm_reference` is `execute_plan` as it was before each mode became one
 kernel over the whole plan: it queues the plan per VM, runs a per-VM kernel
 on each queue (processor sharing with its `(length, index)` sort key), and
-builds each record in turn, placing the VMs afresh on every run. It does
-the same float operations in the same order, so records and VM usage must
-be exactly equal, including on tie-prone lengths.
+builds each cloudlet's row in turn, placing the VMs afresh on every run;
+its result holds those rows as columns. It does the same float operations
+in the same order, so the two results must be exactly equal, including on
+tie-prone lengths.
 """
 
 from hypothesis import given
@@ -13,14 +14,12 @@ from hypothesis import strategies as st
 
 from cloudsched import (
     Cloudlet,
-    CloudletRecord,
     Datacenter,
     ExecutionMode,
     Host,
     Scenario,
     SimulationResult,
     Vm,
-    VmUsage,
     execute_plan,
     provision_vms,
     validate_scenario,
@@ -79,18 +78,17 @@ def per_vm_reference(scenario, plan, mode):
     queues = {vm.id: [] for vm in scenario.vms}
     for cloudlet_id, vm_id in plan:
         queues[vm_id].append(cloudlet_id)
-    records = [None] * len(scenario.cloudlets)
-    usage = []
+    rows = [None] * len(scenario.cloudlets)
+    busy_times = []
     for vm in scenario.vms:
         queue = queues[vm.id]
         datacenter_id = datacenter_of[host_of[vm.id]]
         times = kernel([length_of[cid] for cid in queue], vm.mips)
         for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):
-            records[slot_of[cloudlet_id]] = CloudletRecord(
+            rows[slot_of[cloudlet_id]] = (
                 cloudlet_id, vm.id, datacenter_id, cpu_time, start, finish)
-        usage.append(VmUsage(vm.id, max((t[2] for t in times), default=0.0)))
-    return SimulationResult(mode=mode, records=tuple(records),
-                            vm_usage=tuple(usage))
+        busy_times.append(max((t[2] for t in times), default=0.0))
+    return SimulationResult(mode, *zip(*rows), busy_times=tuple(busy_times))
 
 
 # Equal values, float sums that round (0.1 + 0.2 != 0.3), and near-ties
@@ -151,5 +149,4 @@ def test_one_pass_engine_matches_the_per_vm_engine(run):
     for mode in ExecutionMode:
         result = execute_plan(scenario, plan, mode)
         expected = per_vm_reference(scenario, plan, mode)
-        assert result.records == expected.records
-        assert result.vm_usage == expected.vm_usage
+        assert result == expected

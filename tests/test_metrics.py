@@ -15,12 +15,12 @@ from cloudsched import (
     execute_plan,
     summarize,
 )
-from conftest import make_scenario
+from conftest import busy_of, make_scenario, result_rows
 
 
 def mean_cpu_from_plan(scenario, plan):
     """Mean service time computed straight from the plan, bypassing the
-    engine; cross-checks record-derived means for space-shared policies."""
+    engine; cross-checks column-derived means for space-shared policies."""
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     mips = {vm.id: vm.mips for vm in scenario.vms}
     total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan)
@@ -40,13 +40,15 @@ def test_summarize_fcfs_benchmark(fcfs_scenario):
     assert report.makespan == 240.0
     # 5 x 20000 + 7 x 10000 MI spread across the park.
     mips = {vm.id: vm.mips for vm in fcfs_scenario.vms}
-    assert math.isclose(sum(u.busy_time * mips[u.vm_id] for u in report.vm_usage),
+    busy = busy_of(fcfs_scenario, report)
+    assert math.isclose(sum(busy[vm_id] * mips[vm_id] for vm_id in busy),
                         170000.0, rel_tol=1e-12)
 
 
 def test_summarize_utilization_per_vm(fcfs_scenario):
     report = summarize(run_policy(fcfs_scenario), policy="fcfs")
-    util = {u.vm_id: u.busy_time / report.makespan for u in report.vm_usage}
+    util = {vm_id: busy_time / report.makespan
+            for vm_id, busy_time in busy_of(fcfs_scenario, report).items()}
     assert util[1] == 1.0                      # busy 240 of makespan 240
     assert math.isclose(util[2], 30.0 / 240.0, rel_tol=1e-12)
     assert all(0.0 <= u <= 1.0 for u in util.values())
@@ -64,8 +66,7 @@ def test_headline_mean_tracks_the_execution_mode(gpa_scenario, rr_scenario):
 
 def test_summarize_rejects_empty_results():
     from cloudsched import SimulationResult
-    empty = SimulationResult(mode=ExecutionMode.SPACE_SHARED,
-                             records=(), vm_usage=())
+    empty = SimulationResult(ExecutionMode.SPACE_SHARED, *[()] * 7)
     with pytest.raises(ValueError, match="empty"):
         summarize(empty)
 
@@ -145,18 +146,19 @@ def test_total_work_is_conserved_across_policies(fcfs_scenario, rr_scenario,
                                                  gpa_scenario):
     for scenario in (fcfs_scenario, rr_scenario, gpa_scenario):
         report = summarize(run_policy(scenario), policy=scenario.policy)
-        mips = {vm.id: vm.mips for vm in scenario.vms}
-        assert math.isclose(sum(u.busy_time * mips[u.vm_id] for u in report.vm_usage),
+        assert math.isclose(sum(busy_time * vm.mips for vm, busy_time
+                                in zip(scenario.vms, report.busy_times, strict=True)),
                             sum(cl.length for cl in scenario.cloudlets),
                             rel_tol=1e-9)
 
 
 def test_makespan_ignores_record_order(fcfs_scenario):
-    from cloudsched import SimulationResult
     result = run_policy(fcfs_scenario)
-    reversed_result = SimulationResult(mode=result.mode,
-                                       records=tuple(reversed(result.records)),
-                                       vm_usage=result.vm_usage)
+    columns = ("cloudlet_ids", "vm_ids", "datacenter_ids", "cpu_times",
+               "start_times", "finish_times")
+    reversed_result = dataclasses.replace(
+        result, **{name: getattr(result, name)[::-1] for name in columns})
+    assert result_rows(reversed_result) == result_rows(result)[::-1]
     assert summarize(reversed_result).makespan == summarize(result).makespan
 
 

@@ -48,12 +48,9 @@ def test_only_the_caching_types_are_dataclasses():
               if not dataclasses.is_dataclass(t) and issubclass(t, tuple)}
     assert fields == {
         "Cloudlet": ("id", "length", "arrival_index"),
-        "CloudletRecord": ("cloudlet_id", "vm_id", "datacenter_id",
-                           "cpu_time", "start_time", "finish_time"),
         "Datacenter": ("id", "hosts"),
         "GeneratorSpec": ("n_tasks", "length_range", "seed"),
         "Host": ("id", "datacenter_id", "total_mips", "ram_mb", "storage_mb"),
         "Vm": ("id", "mips", "ram_mb"),
-        "VmUsage": ("vm_id", "busy_time"),
     }
     assert len(types) == 2 + len(fields)

@@ -19,7 +19,7 @@ from cloudsched import (
     execute_plan,
 )
 from cloudsched.policies import _cyclic_plan
-from conftest import make_random_scenario, make_scenario, vm_queues
+from conftest import make_random_scenario, make_scenario, result_rows, vm_queues
 
 
 def greedy_reference(scenario):
@@ -335,8 +335,7 @@ def test_rr_with_fewer_cloudlets_than_vms_matches_fcfs_times():
     scenario = make_scenario([250, 500, 1000], [5000, 8000], policy="rr")
     rr_result = execute_plan(scenario, *assign(scenario))
     fcfs_result = execute_plan(scenario, *assign(scenario.with_policy("fcfs")))
-    assert [r.cpu_time for r in rr_result.records] == \
-        [r.cpu_time for r in fcfs_result.records]
+    assert rr_result.cpu_times == fcfs_result.cpu_times
 
 
 def test_policies_are_stable():
@@ -385,4 +384,4 @@ def test_execution_mode_override_turns_fcfs_into_rr():
     assert mode is ExecutionMode.TIME_SHARED
     result = execute_plan(forced, plan, mode)
     rr_result = execute_plan(plain_rr, *assign(plain_rr))
-    assert result.records == rr_result.records
+    assert result_rows(result) == result_rows(rr_result)

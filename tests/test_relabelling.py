@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cloudsched import POLICIES, assign, execute_plan, validate_scenario, write_scenario
 from cloudsched.cli import main
-from conftest import make_scenario
+from conftest import busy_of, make_scenario, result_rows
 
 # Repeated values make gpa's ties and equal processor-sharing finishes common.
 LENGTHS = st.lists(st.one_of(st.sampled_from([1000.0, 2500.0, 20000.0]),
@@ -73,10 +73,11 @@ def test_increasing_relabelling_maps_plans_and_rows(case):
                                  mode)
         original = execute_plan(base, plan, mode)
         result = execute_plan(moved, *assign(moved))
-        assert result.records == tuple(
-            (cloudlet_of[c], vm_of[v], *rest) for c, v, *rest in original.records)
-        assert result.vm_usage == tuple(u._replace(vm_id=vm_of[u.vm_id])
-                                        for u in original.vm_usage)
+        assert result_rows(result) == [
+            (cloudlet_of[c], vm_of[v], *rest)
+            for c, v, *rest in result_rows(original)]
+        assert busy_of(moved, result) == {
+            vm_of[v]: busy for v, busy in busy_of(base, original).items()}
 
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
             expected = csv_rows(base, Path(a))

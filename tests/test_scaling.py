@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import POLICIES, assign, compare, execute_plan, summarize
-from conftest import make_scenario
+from conftest import make_scenario, result_rows
 
 # Repeated values make ties (gpa's tie rule, equal processor-sharing
 # finishes) common. With |a|, |b| <= 20 every time stays between about
@@ -29,7 +29,7 @@ SCALED = ("mean_cpu_time", "mean_completion_time", "headline_mean", "makespan")
 
 
 def times(result):
-    return [t for record in result.records for t in record[3:]]
+    return [t for record in result_rows(result) for t in record[3:]]
 
 
 @given(LENGTHS, MIPS, EXPONENT, EXPONENT)
@@ -45,11 +45,11 @@ def test_power_of_two_scaling_is_exact(lengths, mips, a, b):
         original = summarize(execute_plan(base, plan, mode), policy)
         result = summarize(execute_plan(big, plan, mode), policy)
 
-        assert ([record[:3] for record in result.records]
-                == [record[:3] for record in original.records])
+        assert ([record[:3] for record in result_rows(result)]
+                == [record[:3] for record in result_rows(original)])
         assert times(result) == [ldexp(t, a - b) for t in times(original)]
-        assert ([u.busy_time for u in result.vm_usage]
-                == [ldexp(u.busy_time, a - b) for u in original.vm_usage])
+        assert (list(result.busy_times)
+                == [ldexp(busy, a - b) for busy in original.busy_times])
         for name in SCALED:
             assert getattr(result, name) == ldexp(getattr(original, name), a - b)
         assert result.mean_utilization == original.mean_utilization
