@@ -59,8 +59,10 @@ class Lookup(NamedTuple):
     """A column whose values are found, by value, among those of its
     `sources`: each cell is looked up in their text, not formatted. A value
     must print as the source value equal to it does (so no -0.0 where a
-    source holds 0.0, nor `True` for 1). Should a value be in none of them,
-    the column is formatted as any other."""
+    source holds 0.0, nor `True` for 1), and takes the text of the last
+    source that holds it; sources before the last ones that hold every
+    value are not read. Should a value be in none of them, the column is
+    formatted as any other."""
 
     values: Sequence
     sources: tuple[Sequence, ...]
@@ -81,12 +83,19 @@ def _cells(spec: str, column: Sequence | Lookup, memo: dict) -> list[str]:
     if key in memo:
         return memo[key][1]
     if isinstance(column, Lookup):
+        # A value takes the text of the last source that holds it, so the
+        # sources join last first, and stop once they hold every value.
         text_of = {}
-        for source in column.sources:
-            text_of.update(zip(source, _cells(spec, source, memo)))
-        try:
-            cells = list(map(text_of.__getitem__, column.values))
-        except KeyError:
+        for source in reversed(column.sources):
+            joined = dict(zip(source, _cells(spec, source, memo)))
+            joined.update(text_of)
+            text_of = joined
+            try:
+                cells = list(map(text_of.__getitem__, column.values))
+                break
+            except KeyError:
+                pass
+        else:
             cells = _cells(spec, column.values, memo)
     else:
         if spec.endswith("f") and not math.isfinite(sum(column)):

@@ -7,42 +7,26 @@ arrive at t = 0; a run is a pure function of (scenario, plan, mode), and
 one pass over the plan. VMs sit where the scenario placed them, and each
 cloudlet's slot and length come from the index the scenario built once.
 A run's result is columns: a kernel writes each field of a cloudlet's
-outcome into its own column, at the cloudlet's arrival slot.
+outcome into its own column, at the cloudlet's arrival slot. Each mode's
+kernel takes the whole plan in one pass; `ps_finish_times` is the
+time-shared kernel's one-VM view, so its recursion is written once.
 """
 
+from itertools import repeat
+from math import nan
+
 # `provision_vms` is unused here; the benchmark tracer still wraps this name.
-from .model import (ExecutionMode, Plan, Scenario, SimulationResult,
+from .model import (ExecutionMode, Plan, Scenario, SimulationResult, Vm,
                     provision_vms, validate_plan)
 
 
 def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
-    """Finish times of jobs sharing one VM under egalitarian sharing.
-
-    All jobs start at t = 0 and each of the n active jobs progresses at
-    mips/n. Event loop: jump to the next completion, raise the per-job
-    service watermark to the finished job's length, drop every job at the
-    watermark, repeat. Output order matches input order; n equal jobs of
-    length L all finish at exactly n*L/mips.
-    """
+    """Finish times of jobs sharing one VM under egalitarian sharing: the
+    time-shared kernel run on a one-VM plan. Output order matches input
+    order; n equal jobs of length L all finish at exactly n*L/mips."""
     n = len(lengths)
-    order = sorted(range(n), key=lengths.__getitem__)  # stable: ties by index
-    finish = [0.0] * n
-    clock = 0.0
-    served = 0.0  # MI of service every still-active job has received
-    i = 0
-    while i < n:
-        active = n - i
-        target = lengths[order[i]]
-        clock += (target - served) * active / mips
-        served = target
-        # Each group retires at least one job, so a NaN (equal to nothing,
-        # itself included) cannot stall the loop.
-        while True:
-            finish[order[i]] = clock
-            i += 1
-            if i == n or lengths[order[i]] != target:
-                break
-    return finish
+    plan = tuple(zip(range(n), repeat(0)))
+    return list(_time_shared(plan, (Vm(0, mips, 0),), range(n), lengths)[1])
 
 
 # A kernel runs a whole plan: it returns the vm id, cpu time, start and
@@ -64,21 +48,37 @@ def _space_shared(plan, vms, slot_of, length_of):
 
 
 def _time_shared(plan, vms, slot_of, length_of):
-    """Every job active from t = 0; cpu_time is the completion time."""
-    queues: dict[int, list[int]] = {vm.id: [] for vm in vms}
-    for cloudlet_id, vm_id in plan:
-        queues[vm_id].append(cloudlet_id)
+    """Every job active from t = 0; cpu_time is the completion time.
+
+    Each VM's queue of plan positions is sorted by length (stable: ties in
+    plan order). Then, per VM: jump to the next completion, raise the
+    per-job service watermark to the finished job's length, retire every
+    job at the watermark, repeat. A VM's busy time is its last clock.
+    """
     n = len(plan)
+    cloudlet_ids, plan_vms = tuple(zip(*plan)) or ((), ())
+    lengths = list(map(length_of.__getitem__, cloudlet_ids))
+    slots = list(map(slot_of.__getitem__, cloudlet_ids))
+    queues: dict[int, list[int]] = {vm.id: [] for vm in vms}
+    for p, vm_id in enumerate(plan_vms):
+        queues[vm_id].append(p)
     vm_ids, finishes = [0] * n, [0.0] * n
     busy = {}
     for vm in vms:
-        vm_id, queue = vm.id, queues[vm.id]
-        times = ps_finish_times([length_of[c] for c in queue], vm.mips)
-        for cloudlet_id, finish in zip(queue, times):
-            slot = slot_of[cloudlet_id]
+        vm_id, mips, queue = vm.id, vm.mips, queues[vm.id]
+        queue.sort(key=lengths.__getitem__)
+        k = len(queue)
+        clock = served = 0.0  # served: MI every still-active job has had
+        target = nan  # equal to no length, so the first job is an event
+        for i, p in enumerate(queue):
+            length = lengths[p]
+            if length != target:
+                clock += (length - served) * (k - i) / mips
+                served = target = length
+            slot = slots[p]
             vm_ids[slot] = vm_id
-            finishes[slot] = finish
-        busy[vm_id] = max(times, default=0.0)
+            finishes[slot] = clock
+        busy[vm_id] = clock
     finishes = tuple(finishes)
     return tuple(vm_ids), finishes, (0.0,) * n, finishes, busy
 

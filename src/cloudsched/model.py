@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 POLICIES = ("fcfs", "rr", "gpa")
@@ -222,19 +222,29 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
 
     VMs are placed in creation order onto the first host (datacenter order,
     then host order) with enough unreserved MIPS and RAM; each placement
-    debits the host. Raises ValidationError naming the first VM that fits
-    on no host, which a validated scenario never has.
+    debits the host. A host whose MIPS or RAM left is below the smallest
+    VM's, from the start or after a placement, fits no VM, so it leaves the
+    scan; a host left exactly at the smallest demand stays. Raises
+    ValidationError naming the first VM that fits on no host, which a
+    validated scenario never has.
     """
-    # [MIPS left, RAM left, host id] per host, in first-fit order.
-    rooms = [[h.total_mips, h.ram_mb, h.id] for h in scenario.hosts()]
+    vms = scenario.vms
+    least_mips = min(map(attrgetter("mips"), vms), default=0.0)
+    least_ram = min(map(attrgetter("ram_mb"), vms), default=0)
+    # [MIPS left, RAM left, host id] per host that fits some VM, in
+    # first-fit order.
+    rooms = [[h.total_mips, h.ram_mb, h.id] for h in scenario.hosts()
+             if not (h.total_mips < least_mips or h.ram_mb < least_ram)]
     binding: dict[int, int] = {}
-    for vm in scenario.vms:
+    for vm in vms:
         mips, ram = vm.mips, vm.ram_mb
         for room in rooms:
             if mips <= room[0] and ram <= room[1]:
                 room[0] -= mips
                 room[1] -= ram
                 binding[vm.id] = room[2]
+                if room[0] < least_mips or room[1] < least_ram:
+                    rooms.remove(room)
                 break
         else:
             raise ValidationError([f"insufficient capacity for vm {vm.id}"])

@@ -10,10 +10,9 @@ Three policies, each a pure function of the scenario:
 All tie-breaks are total and documented, so each plan is deterministic.
 """
 
-from bisect import bisect, insort
+from bisect import bisect, bisect_left
 from itertools import cycle
-from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .model import POLICIES, ExecutionMode, Plan, Scenario
 
@@ -32,53 +31,68 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
     Cloudlets are processed longest-first, equal lengths in arrival order
-    (a stable sort of the tuple); each goes to the VM minimizing
-    (already assigned work + length) / mips, ties broken by higher MIPS
-    then lower VM id, and the chosen VM's assigned work is updated. With
-    every VM empty this sends the first cloudlet to the fastest VM.
+    (one stable sort of the id and length columns); each goes to the VM
+    minimizing (already assigned work + length) / mips, ties broken by
+    higher MIPS then lower VM id, and the chosen VM's assigned work is
+    updated. With every VM empty this sends the first cloudlet to the
+    fastest VM.
 
     The search looks at one candidate per distinct MIPS value, not at
-    every VM. Each MIPS class is one list of (work, VM id) pairs in
-    ascending order. Within a class the float ratio never decreases as
-    the work grows (float addition and division round monotonically), so
-    the class minimum is its first pair, and the works that round to that
-    minimum are a prefix of the list. Classes are visited fastest first
-    and one displaces another only on a strictly smaller ratio, which is
-    the higher-MIPS tie rule. The tie walk steps through the prefix one
+    every VM. Each MIPS class is two parallel lists: its works, ascending
+    floats, and their VM ids, each run of equal works in ascending id.
+    Within a class the float ratio never decreases as the work grows
+    (float addition and division round monotonically), so the class
+    minimum is its first work, and the works that round to that minimum
+    are a prefix of the list. Classes are visited fastest first and one
+    displaces another only on a strictly smaller ratio, which is the
+    higher-MIPS tie rule. The tie walk steps through the prefix one
     distinct work at a time, each work's lowest id first, and keeps the
-    lowest id. The cost is O(n·(k + log m)) comparisons for n cloudlets
-    on m VMs with k distinct MIPS values, where a scan of every VM is
-    O(n·m), plus one list move of up to the class's size per cloudlet,
-    done in C; the plan is the scan's.
+    lowest id; the pick is moved to its new work, after equal works with
+    lower ids. A class of one VM has no walk and no order to keep: its
+    work is updated in place. The cost is O(n·(k + log m)) comparisons for
+    n cloudlets on m VMs with k distinct MIPS values, where a scan of
+    every VM is O(n·m), plus two list moves of up to the class's size per
+    cloudlet, done in C; no tuple is built per move, and the plan is the
+    scan's.
     """
-    ranked = sorted(scenario.cloudlets, key=attrgetter("length"), reverse=True)
+    ids, lengths, _ = scenario._cloudlet_columns
+    ranked = sorted(zip(ids, lengths), key=itemgetter(1), reverse=True)
 
     ids_by_mips: dict[float, list[int]] = {}
     for vm in scenario.vms:
         ids_by_mips.setdefault(vm.mips, []).append(vm.id)
-    classes = [(mips, sorted((0.0, vm_id) for vm_id in ids_by_mips[mips]))
+    classes = [(mips, [0.0] * len(ids_by_mips[mips]), sorted(ids_by_mips[mips]))
                for mips in sorted(ids_by_mips, reverse=True)]
 
     rest = classes[1:]
     entries = []
-    for cloudlet_id, length, _ in ranked:
+    for cloudlet_id, length in ranked:
         best = classes[0]
-        best_ratio = (best[1][0][0] + length) / best[0]
+        best_ratio = (best[1][0] + length) / best[0]
         for cls in rest:
-            ratio = (cls[1][0][0] + length) / cls[0]
+            ratio = (cls[1][0] + length) / cls[0]
             if ratio < best_ratio:
                 best, best_ratio = cls, ratio
-        mips, pairs = best
+        mips, works, vm_ids = best
+        if len(works) == 1:
+            works[0] += length
+            entries.append((cloudlet_id, vm_ids[0]))
+            continue
 
         pick = 0
-        i = bisect(pairs, (pairs[0][0], inf))
-        while i < len(pairs) and (pairs[i][0] + length) / mips == best_ratio:
-            if pairs[i][1] < pairs[pick][1]:
+        i = bisect(works, works[0])
+        while i < len(works) and (works[i] + length) / mips == best_ratio:
+            if vm_ids[i] < vm_ids[pick]:
                 pick = i
-            i = bisect(pairs, (pairs[i][0], inf), i)
+            i = bisect(works, works[i], i)
 
-        work, vm_id = pairs.pop(pick)
-        insort(pairs, (work + length, vm_id))
+        work = works.pop(pick) + length
+        vm_id = vm_ids.pop(pick)
+        j = bisect_left(works, work)
+        while j < len(works) and works[j] == work and vm_ids[j] < vm_id:
+            j += 1
+        works.insert(j, work)
+        vm_ids.insert(j, vm_id)
         entries.append((cloudlet_id, vm_id))
 
     return tuple(entries)

@@ -1,5 +1,6 @@
-"""Shared test helpers: scenario builders, a result's rows, the PS
-reference integrator and the row-wise table renderer."""
+"""Shared test helpers: scenario builders, a result's rows, the linear
+first-fit scan, the PS reference integrator and the row-wise table
+renderer."""
 
 import json
 import math
@@ -117,6 +118,27 @@ def make_random_scenario(rng: random.Random, policy=None, n_cloudlets=None,
     lengths = [rng.randint(1000, 100000) for _ in range(n)]
     chosen = policy if policy is not None else rng.choice(("fcfs", "rr", "gpa"))
     return make_scenario(vm_mips, lengths, policy=chosen)
+
+
+def linear_first_fit_reference(scenario):
+    """First-fit as a scan of every host for every VM: vm id -> host id.
+
+    The same float debits as `provision_vms`, which leaves out hosts that
+    fit no VM, so the two bindings must be equal, or both raise the same
+    ValidationError.
+    """
+    rooms = [[h.total_mips, h.ram_mb, h.id] for h in scenario.hosts()]
+    binding = {}
+    for vm in scenario.vms:
+        for room in rooms:
+            if vm.mips <= room[0] and vm.ram_mb <= room[1]:
+                room[0] -= vm.mips
+                room[1] -= vm.ram_mb
+                binding[vm.id] = room[2]
+                break
+        else:
+            raise ValidationError([f"insufficient capacity for vm {vm.id}"])
+    return binding
 
 
 def integrate_ps(lengths, mips, dt=0.001):

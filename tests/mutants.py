@@ -40,19 +40,24 @@ _WORKLOAD = "tests/test_workload.py::"
 # (name, file under src/, exact old text, new text, killing test ids)
 MUTANTS = [
     ("gpa-tie-walk-one-step", "cloudsched/policies.py",
-     "while i < len(pairs) and", "if i < len(pairs) and",
+     "while i < len(works) and", "if i < len(works) and",
      [_POLICIES + "test_gpa_tie_walk_crosses_three_works"]),
     ("gpa-tie-walk-removed", "cloudsched/policies.py",
-     "i = bisect(pairs, (pairs[0][0], inf))", "i = len(pairs)",
+     "i = bisect(works, works[0])", "i = len(works)",
      [_POLICIES
       + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
     ("gpa-tie-walk-higher-id", "cloudsched/policies.py",
-     "if pairs[i][1] < pairs[pick][1]:", "if pairs[i][1] > pairs[pick][1]:",
+     "if vm_ids[i] < vm_ids[pick]:", "if vm_ids[i] > vm_ids[pick]:",
      [_POLICIES
       + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
     ("gpa-class-tie-to-slower", "cloudsched/policies.py",
      "if ratio < best_ratio:", "if ratio <= best_ratio:",
      [_POLICIES + "test_gpa_ratio_tie_prefers_higher_mips"]),
+    ("gpa-reinsert-without-id-walk", "cloudsched/policies.py",
+     "        while j < len(works) and works[j] == work and vm_ids[j] < vm_id:\n"
+     "            j += 1\n", "",
+     [_POLICIES
+      + "test_gpa_moves_a_pick_after_equal_works_with_lower_ids"]),
     ("loader-int-column-admits-bool", "cloudsched/workload.py",
      "if types != {int}:", "if not types <= {int, bool}:",
      [_WORKLOAD + "test_a_bool_in_a_cloudlet_column_is_a_located_type_error"]),
@@ -85,11 +90,15 @@ MUTANTS = [
      "elif column[i] <= 0:", "elif False:",
      [_MODEL + "test_non_positive_quantities_are_flagged"]),
     ("ps-active-count-dropped", "cloudsched/engine.py",
-     "(target - served) * active / mips", "(target - served) / mips",
+     "(length - served) * (k - i) / mips", "(length - served) / mips",
      [_ENGINE + "test_ps_equal_jobs_finish_together_exactly"]),
     ("first-fit-exact-fit-refused", "cloudsched/model.py",
      "if mips <= room[0] and", "if mips < room[0] and",
      [_ENGINE + "test_exact_fit_leaves_nothing_behind"]),
+    ("first-fit-drops-a-host-at-the-least-demand", "cloudsched/model.py",
+     "if room[0] < least_mips or room[1] < least_ram:",
+     "if room[0] <= least_mips or room[1] <= least_ram:",
+     [_ENGINE + "test_first_fit_binds_as_the_linear_scan"]),
     ("arrival-order-check-dropped", "cloudsched/model.py",
      "if indices != slots:", "if False:",
      [_MODEL + "test_arrival_indices_must_be_contiguous"]),
@@ -98,15 +107,15 @@ MUTANTS = [
      "\n        slot = plan.index((cloudlet_id, vm_id))",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
     ("time-shared-column-at-plan-position", "cloudsched/engine.py",
-     "            slot = slot_of[cloudlet_id]",
-     "            slot = plan.index((cloudlet_id, vm_id))",
+     "slots = list(map(slot_of.__getitem__, cloudlet_ids))",
+     "slots = list(range(n))",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
     ("compare-single-result-accepted", "cloudsched/model.py",
      "if len(results) < 2:", "if len(results) < 1:",
      [_CLI + "test_compare_needs_two_policies",
       _METRICS + "test_compare_needs_two_reports"]),
     ("ps-grouping-tolerance", "cloudsched/engine.py",
-     "lengths[order[i]] != target", "abs(lengths[order[i]] - target) > 1e-3",
+     "if length != target:", "if not abs(length - target) <= 1e-3:",
      [_ENGINE + "test_ps_finish_order_follows_length_order"]),
     ("render-finiteness-check-dropped", "cloudsched/cli.py",
      'if spec.endswith("f") and not math.isfinite(sum(column)):', "if False:",

@@ -238,6 +238,24 @@ def test_a_lookup_value_outside_its_source_is_formatted():
         "s\n0.00\n2.50\n7.25\n"
 
 
+class _Unread(tuple):
+    """A source that fails the test if it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a source was read")
+
+
+def test_a_lookup_reads_no_source_before_the_last_ones_that_hold_every_value():
+    # A time-shared start column is all 0.0: the finish text is not read.
+    starts = Lookup((0.0,) * 3, (_Unread((2.5, 9.125)), (0.0,)))
+    assert _render(("t", ["s"], [(("%.2f",), (starts,))]), ",", {}) == \
+        "s\n0.00\n0.00\n0.00\n"
+    # A value the last source lacks sends the lookup to the one before it.
+    starts = Lookup((0.0, 2.5), (_Unread((9.125,)), (2.5, 1.0), (0.0,)))
+    assert _render(("t", ["s"], [(("%.2f",), (starts,))]), ",", {}) == \
+        "s\n0.00\n2.50\n"
+
+
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 0.005, 2.675)
 _NUMBERS = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                      st.floats(allow_nan=False, allow_infinity=False),

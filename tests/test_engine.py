@@ -29,6 +29,7 @@ from cloudsched.engine import ps_finish_times
 from conftest import (
     busy_of,
     integrate_ps,
+    linear_first_fit_reference,
     make_random_scenario,
     make_scenario,
     make_shuffled_arrival_document,
@@ -168,6 +169,61 @@ def test_validation_and_provisioning_agree(scenario):
         assert [r.cloudlet_id for r in rows] == [cl.id for cl in bound.cloudlets]
         assert [r.datacenter_id for r in rows] == \
             [datacenter_of[binding[r.vm_id]] for r in rows]
+
+
+# Whole-valued demands leave hosts at exactly the smallest VM's MIPS or RAM;
+# 0.1 + 0.2 != 0.3 leaves them a rounding step above or below it.
+_FIT_MIPS = (0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 250.0)
+_FIT_RAM = (1, 2, 3, 512)
+
+
+@st.composite
+def _first_fit_scenarios(draw):
+    """Up to 12 hosts in up to 3 datacenters, and the VMs to place on them.
+    A host's MIPS and RAM are each below every VM's, the smallest VM's
+    demand plus a few VMs' demands (exactly that demand is left once they
+    are placed), or a pool value."""
+    vms = draw(st.lists(st.tuples(st.sampled_from(_FIT_MIPS),
+                                  st.sampled_from(_FIT_RAM)),
+                        min_size=1, max_size=10))
+    least_mips, least_ram = min(m for m, _ in vms), min(r for _, r in vms)
+
+    def capacity(least, pool, index):
+        kind = draw(st.sampled_from(("below", "least plus", "least plus", "pool")))
+        if kind == "below":
+            return least / 2 if isinstance(least, float) else least - 1
+        if kind == "pool":
+            return draw(st.sampled_from(pool)) * draw(st.integers(1, 4))
+        total = least
+        for vm in draw(st.lists(st.sampled_from(vms), max_size=3)):
+            total += vm[index]
+        return total
+
+    datacenters = {}
+    for host_id in range(1, draw(st.integers(1, 12)) + 1):
+        dc_id = draw(st.integers(1, 3))
+        datacenters.setdefault(dc_id, []).append(Host(
+            id=host_id, datacenter_id=dc_id,
+            total_mips=capacity(least_mips, _FIT_MIPS, 0),
+            ram_mb=capacity(least_ram, _FIT_RAM, 1), storage_mb=1000))
+    return Scenario(
+        datacenters=tuple(Datacenter(id=dc_id, hosts=tuple(hosts))
+                          for dc_id, hosts in sorted(datacenters.items())),
+        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=r) for i, (m, r) in enumerate(vms)),
+        cloudlets=(Cloudlet(id=1, length=1.0, arrival_index=0),),
+        policy="fcfs")
+
+
+@given(_first_fit_scenarios())
+def test_first_fit_binds_as_the_linear_scan(scenario):
+    try:
+        expected = linear_first_fit_reference(scenario)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as raised:
+            provision_vms(scenario)
+        assert raised.value.violations == err.violations
+    else:
+        assert list(provision_vms(scenario).items()) == list(expected.items())
 
 
 # ---------------------------------------------------------------------------

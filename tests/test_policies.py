@@ -244,6 +244,13 @@ def test_gpa_reuses_a_work_whose_id_heap_a_tie_pick_emptied():
     assert plan == linear_gpa_reference(scenario)
 
 
+def test_gpa_moves_a_pick_after_equal_works_with_lower_ids():
+    # Every pick lands on a work that other VMs hold too. Placed before
+    # them, it would hide their lower ids from the next pick.
+    scenario = make_scenario([1.0] * 3, [5.0] * 7, policy="gpa")
+    assert assign(scenario)[0] == tuple((j + 1, j % 3 + 1) for j in range(7))
+
+
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
     for _ in range(300):
