@@ -11,16 +11,21 @@ formats. `run` renders a result's own columns: the cloudlet ids, one
 object for every policy, are formatted once; each VM and datacenter id is
 looked up in the scenario's; a table's starts reuse its finish text, and a
 time-shared cpu_time column, being its finish column, is that text too.
-Nothing is printed or written until every output has rendered.
+Nothing is printed or written until every output has rendered. A sweep
+runs its counts on the usable CPUs; the children it forks write only to a
+pipe back to this process.
 "pretty" replaces only the table files: the output directory is still
 created, and compare.dat and sweep_timing.csv are still written.
 """
 
 import argparse
 import gc
+import json
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
@@ -223,27 +228,114 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
               [(("%s", "%.2f", "%.2f"), list(zip(*dat)))])])
 
 
+def _workers(n_counts: int) -> int:
+    """How many processes sweep `n_counts` counts: one per CPU this process
+    may use, at most one per count. One, and no fork, where there is no
+    `os.fork` or another thread is alive: a forked child holds only the
+    forking thread, so a lock another thread held would never be freed."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, n_counts)
+
+
+def _shares(counts: Sequence[int], k: int) -> list[list[int]]:
+    """`counts` split into `k` shares by LPT: largest first, each to the
+    share with the least total so far. Each share keeps `counts` order."""
+    totals = [0] * k
+    owner = {}
+    for n in sorted(counts, reverse=True):
+        owner[n] = i = totals.index(min(totals))
+        totals[i] += n
+    return [[n for n in counts if owner[n] == i] for i in range(k)]
+
+
+def _sweep_share(counts: Sequence[int], seed: int, policies: Sequence[str]):
+    """One (n, policy, mean_cpu_time, makespan, wall_clock_ms) entry per
+    run of `counts`, in order, and the first count's ValueError as
+    (n, message), or None. The entries stop at that count."""
+    entries = []
+    for n in counts:
+        try:
+            scenario = generate(GeneratorSpec(n_tasks=n, seed=derive_seed(seed, n)))
+            for policy in policies:
+                started = time.perf_counter()
+                result = _simulate(scenario.with_policy(policy))
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                entries.append((n, policy, result.mean_cpu_time,
+                                result.makespan, elapsed_ms))
+        except ValueError as err:
+            return entries, (n, str(err))
+    return entries, None
+
+
 def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     """Generate-and-run every (task count, policy) pair: one sweep table.
 
     Each count gets its own derived seed so adding counts never perturbs
     the others. Timings go to sweep_timing.csv, kept out of the sweep
     table so its files are byte-deterministic.
+
+    This process runs the first share of the counts; a child forked for
+    each other share writes its entries, as JSON, to a pipe and nothing
+    else, and ends in `os._exit`. Every child is reaped (or killed and
+    reaped) before this returns or raises. Entries merge in `--counts`
+    order, and the ValueError is the earliest failing count's, so neither
+    depends on the number of workers.
     """
     policies = args.policy or POLICIES
-    rows, timing_rows = [], []
-    for n in args.counts:
-        scenario = generate(GeneratorSpec(n_tasks=n, seed=derive_seed(args.seed, n)))
-        for policy in policies:
-            started = time.perf_counter()
-            result = _simulate(scenario.with_policy(policy))
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            rows.append((n, policy, result.mean_cpu_time, result.makespan))
-            timing_rows.append((n, policy, elapsed_ms))
+    first, *others = _shares(args.counts, _workers(len(args.counts)))
+    running = {}  # pid -> (read end of its pipe, its share), until reaped
+    try:
+        for share in others:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: whatever happens, it never returns
+                status = 1
+                try:
+                    with open(write_fd, "w") as pipe:
+                        pipe.write(json.dumps(
+                            _sweep_share(share, args.seed, policies)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            running[pid] = open(read_fd), share
+        results = [_sweep_share(first, args.seed, policies)]
+        for pid, (reader, share) in list(running.items()):
+            with reader:
+                text = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if status:
+                raise ChildProcessError(
+                    f"the sweep worker for counts {','.join(map(str, share))} "
+                    f"ended without a result (wait status {status})")
+            results.append(json.loads(text))
+    finally:
+        for pid, (reader, _) in running.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    position = {n: i for i, n in enumerate(args.counts)}
+    errors = [error for _, error in results if error is not None]
+    if errors:
+        raise ValueError(min(errors, key=lambda error: position[error[0]])[1])
+    entries = [entry for share_entries, _ in results for entry in share_entries]
+    entries.sort(key=lambda entry: position[entry[0]])
+    n, policy, mean_cpu_time, makespan, wall_clock_ms = zip(*entries)
     return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"],
-              [(("%s", "%s", "%.2f", "%.2f"), list(zip(*rows)))])],
+              [(("%s", "%s", "%.2f", "%.2f"),
+                (n, policy, mean_cpu_time, makespan))])],
             [("sweep_timing.csv", ["n", "policy", "wall_clock_ms"],
-              [(("%s", "%s", "%.3f"), list(zip(*timing_rows)))])])
+              [(("%s", "%s", "%.3f"), (n, policy, wall_clock_ms))])])
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +433,9 @@ def main(argv=None) -> int:
     included) or overflow error, each a ValueError; 2 I/O error. Each
     error is one `error: ...` line on stderr. Only `--help` leaves through
     SystemExit(0). This is the only function that prints or writes an
-    output, and it does so only once every output has rendered, so one
-    that cannot render (an overflow) leaves nothing behind.
+    output (a sweep's forked children write only to a pipe), and it does
+    so only once every output has rendered, so one that cannot render (an
+    overflow) leaves nothing behind.
 
     The cyclic garbage collector is paused, process-wide, for the length
     of the call; every way out (`--help` and an unexpected exception

@@ -170,6 +170,18 @@ MUTANTS = [
      "entries = tuple(map(_int_type(1), entries))",
      "entries = tuple(map(int, entries))",
      [_CLI + "test_a_command_line_argparse_rejects_is_one_error_line_and_exit_1"]),
+    ("sweep-rows-merged-in-share-order", "cloudsched/cli.py",
+     "entries.sort(key=lambda entry: position[entry[0]])", "pass",
+     [_CLI + "test_sweep_bytes_do_not_depend_on_the_worker_count"]),
+    ("sweep-worker-not-reaped", "cloudsched/cli.py",
+     "status = os.waitpid(pid, 0)[1]", "status = 0",
+     [_CLI + "test_sweep_bytes_do_not_depend_on_the_worker_count"]),
+    ("sweep-error-of-the-first-share", "cloudsched/cli.py",
+     "min(errors, key=lambda error: position[error[0]])", "errors[0]",
+     [_CLI + "test_a_sweep_worker_error_is_the_serial_sweeps_error"]),
+    ("sweep-worker-failure-ignored", "cloudsched/cli.py",
+     "if status:", "if False:",
+     [_CLI + "test_a_sweep_worker_that_dies_is_one_error_line_and_exit_2"]),
 ]
 
 

@@ -4,10 +4,12 @@ import gc
 import io
 import json
 import math
+import os
+import threading
 from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cloudsched.cli
@@ -567,6 +569,8 @@ def test_first_fit_runs_once_per_scenario(argv, placements, tmp_path,
     # Counted under both names, so first-fit run from either module shows.
     monkeypatch.setattr(cloudsched.model, "provision_vms", counting)
     monkeypatch.setattr(cloudsched.engine, "provision_vms", counting)
+    # A forked sweep worker's calls would be counted in the child, unseen.
+    monkeypatch.setattr(cloudsched.cli, "_workers", lambda n_counts: 1)
     argv = [str(path) if arg == "SCENARIO" else arg for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(calls) == placements
@@ -619,6 +623,127 @@ def test_sweep_gpa_never_loses_to_fcfs_on_mean(tmp_path):
         means[(n, policy)] = float(mean_cpu)
     for n in ("12", "60"):
         assert means[(n, "gpa")] <= means[(n, "fcfs")]
+
+
+# ---------------------------------------------------------------------------
+# sweep workers: forked children take shares of the counts
+
+# Unsorted, so a merge in share order differs from `--counts` order.
+_UNSORTED_COUNTS = "300,5,2000,40"
+
+
+def _sweep(argv, cpus, generate=None):
+    """`main(["sweep", *argv])` with `cpus` usable CPUs (and `generate` in
+    place of the CLI's, if given): (exit code, stdout, stderr, forks). It
+    checks that every child the sweep forked has been reaped."""
+    forks = []
+    real_fork = os.fork
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            redirect_stdout(stdout), redirect_stderr(stderr):
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        if generate is not None:
+            patch.setattr(cloudsched.cli, "generate", generate)
+        code = main(["sweep", *argv])
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+    return code, stdout.getvalue(), stderr.getvalue(), len(forks)
+
+
+@settings(max_examples=6,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.lists(st.sampled_from((1, 5, 40, 300, 2000)), min_size=1,
+                       max_size=4, unique=True).map(lambda c: ",".join(map(str, c))))
+@example(counts=_UNSORTED_COUNTS)
+def test_sweep_bytes_do_not_depend_on_the_worker_count(counts, tmp_path_factory,
+                                                       time_limit):
+    work = tmp_path_factory.mktemp("sweep")
+    outputs = []
+    for cpus in (1, 2, 3):
+        out = work / str(cpus)
+        code, stdout, stderr, forks = _sweep(
+            ["--counts", counts, "--seed", "5", "--format", "csv,tsv,pretty",
+             "--out", str(out)], cpus)
+        assert (code, stderr) == (0, "")
+        assert forks == min(cpus, counts.count(",") + 1) - 1
+        outputs.append((stdout, (out / "sweep.csv").read_bytes(),
+                        (out / "sweep.tsv").read_bytes()))
+        timing = (out / "sweep_timing.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in timing[1::3]] == counts.split(",")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_sweep_worker_error_is_the_serial_sweeps_error(cpus, tmp_path,
+                                                         time_limit):
+    # The parent's share fails at 2000, a child's at 5 and 40: a serial
+    # sweep meets 5 first.
+    def failing(spec):
+        if spec.n_tasks in (2000, 40, 5):
+            raise ValueError(f"count {spec.n_tasks} fails")
+        return generate(spec)
+
+    serial = _sweep(["--counts", _UNSORTED_COUNTS, "--out", str(tmp_path / "1")],
+                    1, failing)
+    assert serial == (1, "", "error: count 5 fails\n", 0)
+    code, _, err, forks = _sweep(["--counts", _UNSORTED_COUNTS,
+                                  "--out", str(tmp_path / "n")], cpus, failing)
+    assert (code, err, forks) == (1, serial[2], cpus - 1)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_worker_that_dies_is_one_error_line_and_exit_2(tmp_path,
+                                                              time_limit):
+    parent = os.getpid()
+
+    def dying(spec):  # 40 is in the child's share
+        if spec.n_tasks == 40 and os.getpid() != parent:
+            os._exit(3)
+        return generate(spec)
+
+    code, _, err, forks = _sweep(["--counts", _UNSORTED_COUNTS,
+                                  "--out", str(tmp_path / "out")], 2, dying)
+    assert (code, forks) == (2, 1)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "counts 300,5,40 " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, time_limit):
+    parent = os.getpid()
+
+    def interrupted(spec):  # the child hangs; the parent is interrupted
+        if os.getpid() != parent:
+            threading.Event().wait()
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _sweep(["--counts", _UNSORTED_COUNTS, "--out", str(tmp_path)], 2,
+               interrupted)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_forks_nothing_while_another_thread_is_alive(tmp_path,
+                                                             monkeypatch,
+                                                             time_limit):
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["sweep", "--counts", _UNSORTED_COUNTS,
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 1 + 4 * 3
 
 
 def test_missing_subcommand_exits_via_argparse():
