@@ -175,8 +175,7 @@ def _resolve_jobs(args: argparse.Namespace) -> list[Scenario]:
 
 
 def _simulate(scenario: Scenario) -> SimulationResult:
-    plan, mode = assign(scenario)
-    return execute_plan(scenario, plan, mode)
+    return execute_plan(scenario, *assign(scenario))
 
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]

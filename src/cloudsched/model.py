@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, itemgetter
-from typing import NamedTuple, Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 POLICIES = ("fcfs", "rr", "gpa")
 
@@ -83,13 +83,13 @@ ROW_RULES = {
 class Scenario:
     """A complete simulation input: infrastructure, workload and policy.
 
-    `vms` are in creation order and `cloudlets` in arrival order; both
-    orders are semantically meaningful (cyclic dispatch follows them).
+    `vms` are in creation order and `cloudlets` in arrival order; a plan
+    names both by position, and cyclic dispatch follows both orders.
     Validation requires `cloudlets[k].arrival_index == k`: the loader
     orders a document's cloudlets by `arrival_index`, and an API-built
     scenario must list them that way itself. It also requires that
     first-fit places every VM (`provision_vms`). A scenario is placed
-    and indexed once, by validation or else on its first run, and keeps both.
+    once, by validation or else on its first run, and keeps its placement.
     `execution_mode` overrides the policy's default mode when set.
     """
 
@@ -104,7 +104,7 @@ class Scenario:
         return tuple(h for dc in self.datacenters for h in dc.hosts)
 
     def with_policy(self, policy: str) -> "Scenario":
-        """This scenario under `policy`, sharing its placement and index."""
+        """This scenario under `policy`, sharing its placement and columns."""
         copy = replace(self, policy=policy)
         for name in vars(self).keys() - vars(copy).keys():
             vars(copy)[name] = vars(self)[name]
@@ -122,16 +122,11 @@ class Scenario:
         """The cloudlets' ids, lengths and arrival indices."""
         return tuple(zip(*self.cloudlets)) or ((), (), ())
 
-    @cached_property
-    def _index(self) -> tuple[dict[int, int], dict[int, float]]:
-        """(cloudlet id -> arrival slot, cloudlet id -> length)."""
-        ids, lengths, _ = self._cloudlet_columns
-        return dict(zip(ids, range(len(ids)))), dict(zip(ids, lengths))
 
-
-# What a policy hands the engine: ordered (cloudlet_id, vm_id) pairs. Each
-# VM serves its cloudlets in plan order.
-Plan = tuple[tuple[int, int], ...]
+# What a policy hands the engine: `(order, vm_at)`, the arrival slots in
+# plan order and, for each plan position, the index of its VM in
+# `Scenario.vms`. Each VM serves its cloudlets in plan order.
+Plan = tuple[Sequence[int], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -292,7 +287,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if problems:
         raise ValidationError(problems)
     scenario._datacenter_of  # places the scenario, or raises
-    scenario._index  # and indexes it
     return scenario
 
 
@@ -343,19 +337,31 @@ def _row_problems(cls, columns, seen: set[int],
 
 
 def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
-    """Check a plan covers every cloudlet exactly once on existing VMs;
-    return it unchanged."""
-    problems: list[str] = []
-    planned = set(map(itemgetter(0), plan))
-    # One entry per cloudlet, over distinct ids that are the cloudlets' ids.
-    # A scenario that repeats a cloudlet id therefore has no valid plan.
-    if not (len(plan) == len(scenario.cloudlets) == len(planned)
-            and planned == scenario._index[0].keys()):
-        problems.append("plan entries are not a permutation of the cloudlets")
-    vm_ids = {vm.id for vm in scenario.vms}
-    if not vm_ids.issuperset(map(itemgetter(1), plan)):
-        problems += [f"plan assigns cloudlet {cloudlet_id} to unknown vm {vm_id}"
-                     for cloudlet_id, vm_id in plan if vm_id not in vm_ids]
-    if problems:
-        raise ValidationError(problems)
-    return plan
+    """Return `plan` if its two columns hold one int per cloudlet: `order`
+    a permutation of the arrival slots, `vm_at` positions in `scenario.vms`.
+    Only a plan that fails the C-level passes is walked, and a ValidationError
+    names each bad plan position (and its cloudlet) and each cloudlet left out."""
+    order, vm_at = plan
+    if len(order) != len(vm_at):
+        raise ValidationError([f"plan has {len(order)} slots, {len(vm_at)} vm indices"])
+    n, m = len(scenario.cloudlets), len(scenario.vms)
+    if (len(order) == n and set(map(type, order)) | set(map(type, vm_at)) <= {int}
+            and len(set(order)) == n
+            and min(order, default=0) >= 0 and max(order, default=-1) < n
+            and min(vm_at, default=0) >= 0 and max(vm_at, default=-1) < m):
+        return plan
+    ids = scenario._cloudlet_columns[0]
+    problems, seen = [], set()
+    for p, (slot, v) in enumerate(zip(order, vm_at)):
+        where = f"plan position {p}"
+        if type(slot) is not int or not 0 <= slot < n:
+            problems.append(f"{where}: slot {slot!r} is not an int in 0..{n - 1}")
+        else:
+            where += f" (cloudlet {ids[slot]})"
+            if slot in seen:
+                problems.append(f"{where} repeats its cloudlet")
+            seen.add(slot)
+        if type(v) is not int or not 0 <= v < m:
+            problems.append(f"{where}: vm index {v!r} is not an int in 0..{m - 1}")
+    raise ValidationError(problems + [f"plan leaves out cloudlet {ids[slot]}"
+                                      for slot in range(n) if slot not in seen])

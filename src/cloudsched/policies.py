@@ -11,27 +11,26 @@ All tie-breaks are total and documented, so each plan is deterministic.
 """
 
 from bisect import bisect, bisect_left
-from itertools import cycle
-from operator import attrgetter, itemgetter
+from itertools import cycle, islice
 
 from .model import POLICIES, ExecutionMode, Plan, Scenario
 
 
 def _cyclic_plan(scenario: Scenario) -> Plan:
-    """Cloudlet k (arrival order) -> VM k mod m (declared VM order).
+    """Arrival slot k -> VM k mod m (declared VM order).
 
     fcfs and rr share this plan; the declared VM order is rr's ring, so
     reorder the VMs in the scenario to change the ring.
     """
-    return tuple(zip(map(attrgetter("id"), scenario.cloudlets),
-                     cycle([vm.id for vm in scenario.vms])))
+    n = len(scenario.cloudlets)
+    return range(n), tuple(islice(cycle(range(len(scenario.vms))), n))
 
 
 def _gpa_plan(scenario: Scenario) -> Plan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
     Cloudlets are processed longest-first, equal lengths in arrival order
-    (one stable sort of the id and length columns); each goes to the VM
+    (one stable sort of the arrival slots by length); each goes to the VM
     minimizing (already assigned work + length) / mips, ties broken by
     higher MIPS then lower VM id, and the chosen VM's assigned work is
     updated. With every VM empty this sends the first cloudlet to the
@@ -39,63 +38,66 @@ def _gpa_plan(scenario: Scenario) -> Plan:
 
     The search looks at one candidate per distinct MIPS value, not at
     every VM. Each MIPS class is two parallel lists: its works, ascending
-    floats, and their VM ids, each run of equal works in ascending id.
+    floats, and their VMs' ranks by id, equal works in ascending rank.
     Within a class the float ratio never decreases as the work grows
     (float addition and division round monotonically), so the class
     minimum is its first work, and the works that round to that minimum
     are a prefix of the list. Classes are visited fastest first and one
     displaces another only on a strictly smaller ratio, which is the
     higher-MIPS tie rule. The tie walk steps through the prefix one
-    distinct work at a time, each work's lowest id first, and keeps the
-    lowest id; the pick is moved to its new work, after equal works with
-    lower ids. A class of one VM has no walk and no order to keep: its
-    work is updated in place. The cost is O(n·(k + log m)) comparisons for
-    n cloudlets on m VMs with k distinct MIPS values, where a scan of
-    every VM is O(n·m), plus two list moves of up to the class's size per
-    cloudlet, done in C; no tuple is built per move, and the plan is the
-    scan's.
+    distinct work at a time, each work's lowest rank first, and keeps the
+    lowest rank; the pick is moved to its new work, after equal works with
+    lower ranks. A pick's rank gives its VM's position. A class of one VM
+    has no walk and no order to keep: its work is updated in place. The
+    cost is O(n·(k + log m)) comparisons for n cloudlets on m VMs with k
+    distinct MIPS values, where a scan of every VM is O(n·m), plus two
+    list moves of up to the class's size per cloudlet, done in C; no tuple
+    is built per move, and the plan is the scan's.
     """
-    ids, lengths, _ = scenario._cloudlet_columns
-    ranked = sorted(zip(ids, lengths), key=itemgetter(1), reverse=True)
+    lengths = scenario._cloudlet_columns[1]
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
 
-    ids_by_mips: dict[float, list[int]] = {}
-    for vm in scenario.vms:
-        ids_by_mips.setdefault(vm.mips, []).append(vm.id)
-    classes = [(mips, [0.0] * len(ids_by_mips[mips]), sorted(ids_by_mips[mips]))
-               for mips in sorted(ids_by_mips, reverse=True)]
+    vms = scenario.vms
+    at_rank = sorted(range(len(vms)), key=lambda v: vms[v].id)
+    ranks_by_mips: dict[float, list[int]] = {}
+    for rank, v in enumerate(at_rank):
+        ranks_by_mips.setdefault(vms[v].mips, []).append(rank)
+    classes = [(mips, [0.0] * len(ranks_by_mips[mips]), ranks_by_mips[mips])
+               for mips in sorted(ranks_by_mips, reverse=True)]
 
     rest = classes[1:]
-    entries = []
-    for cloudlet_id, length in ranked:
+    vm_at = []
+    for slot in order:
+        length = lengths[slot]
         best = classes[0]
         best_ratio = (best[1][0] + length) / best[0]
         for cls in rest:
             ratio = (cls[1][0] + length) / cls[0]
             if ratio < best_ratio:
                 best, best_ratio = cls, ratio
-        mips, works, vm_ids = best
+        mips, works, ranks = best
         if len(works) == 1:
             works[0] += length
-            entries.append((cloudlet_id, vm_ids[0]))
+            vm_at.append(at_rank[ranks[0]])
             continue
 
         pick = 0
         i = bisect(works, works[0])
         while i < len(works) and (works[i] + length) / mips == best_ratio:
-            if vm_ids[i] < vm_ids[pick]:
+            if ranks[i] < ranks[pick]:
                 pick = i
             i = bisect(works, works[i], i)
 
         work = works.pop(pick) + length
-        vm_id = vm_ids.pop(pick)
+        rank = ranks.pop(pick)
         j = bisect_left(works, work)
-        while j < len(works) and works[j] == work and vm_ids[j] < vm_id:
+        while j < len(works) and works[j] == work and ranks[j] < rank:
             j += 1
         works.insert(j, work)
-        vm_ids.insert(j, vm_id)
-        entries.append((cloudlet_id, vm_id))
+        ranks.insert(j, rank)
+        vm_at.append(at_rank[rank])
 
-    return tuple(entries)
+    return order, vm_at
 
 
 # policy -> (plan builder, default execution mode). model.POLICIES lists the

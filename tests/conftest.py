@@ -1,6 +1,6 @@
-"""Shared test helpers: scenario builders, a result's rows, the linear
-first-fit scan, the PS reference integrator and the row-wise table
-renderer."""
+"""Shared test helpers: scenario builders, a result's rows, plans by id,
+the linear first-fit scan, the PS reference integrator and the row-wise
+table renderer."""
 
 import json
 import math
@@ -37,17 +37,19 @@ settings.register_profile("mutants", settings.get_profile("tier1"),
                           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
-def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True):
-    """Single-host scenario from bare MIPS and length lists. The host has
-    twice the VMs' MIPS: an exact fit can fail to place the last VM in
-    floats (0.3 + 0.3 + 0.3 < 0.9)."""
+def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True,
+                  vm_ids=None):
+    """Single-host scenario from bare MIPS and length lists, its VMs ids
+    `vm_ids` in declared order (default 1..m). The host has twice the VMs'
+    MIPS: an exact fit can fail to place the last VM in floats
+    (0.3 + 0.3 + 0.3 < 0.9)."""
     vm_mips = [float(m) for m in vm_mips]
     host = Host(id=1, datacenter_id=1, total_mips=2 * sum(vm_mips) or 1.0,
                 ram_mb=max(512 * len(vm_mips), 512), storage_mb=1_000_000)
     scenario = Scenario(
         datacenters=(Datacenter(id=1, hosts=(host,)),),
-        vms=tuple(Vm(id=i + 1, mips=m, ram_mb=512)
-                  for i, m in enumerate(vm_mips)),
+        vms=tuple(Vm(id=i, mips=m, ram_mb=512) for i, m in
+                  zip(vm_ids or range(1, len(vm_mips) + 1), vm_mips, strict=True)),
         cloudlets=tuple(Cloudlet(id=j + 1, length=float(length), arrival_index=j)
                         for j, length in enumerate(lengths)),
         policy=policy,
@@ -101,10 +103,26 @@ def busy_of(scenario, result):
                     strict=True))
 
 
-def vm_queues(plan):
-    """Cloudlet ids queued per VM, in plan order."""
+def plan_pairs(scenario, plan):
+    """`plan` as (cloudlet id, vm id) pairs, in plan order."""
+    order, vm_at = plan
+    return tuple((scenario.cloudlets[slot].id, scenario.vms[v].id)
+                 for slot, v in zip(order, vm_at, strict=True))
+
+
+def id_plan(scenario, pairs):
+    """The plan `(order, vm_at)` that runs (cloudlet id, vm id) `pairs`, in
+    their order; the inverse of `plan_pairs`."""
+    slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
+    position_of = {vm.id: v for v, vm in enumerate(scenario.vms)}
+    return (tuple(slot_of[cloudlet_id] for cloudlet_id, _ in pairs),
+            tuple(position_of[vm_id] for _, vm_id in pairs))
+
+
+def vm_queues(scenario, plan):
+    """Cloudlet ids queued per vm id, in plan order."""
     queues = {}
-    for cloudlet_id, vm_id in plan:
+    for cloudlet_id, vm_id in plan_pairs(scenario, plan):
         queues.setdefault(vm_id, []).append(cloudlet_id)
     return queues
 

@@ -47,14 +47,19 @@ MUTANTS = [
      [_POLICIES
       + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
     ("gpa-tie-walk-higher-id", "cloudsched/policies.py",
-     "if vm_ids[i] < vm_ids[pick]:", "if vm_ids[i] > vm_ids[pick]:",
+     "if ranks[i] < ranks[pick]:", "if ranks[i] > ranks[pick]:",
      [_POLICIES
       + "test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id"]),
+    ("gpa-ranks-in-declared-order", "cloudsched/policies.py",
+     "at_rank = sorted(range(len(vms)), key=lambda v: vms[v].id)",
+     "at_rank = list(range(len(vms)))",
+     [_POLICIES + "test_gpa_matches_the_linear_scan_on_tie_prone_scenarios",
+      _POLICIES + "test_gpa_matches_exact_arithmetic_reference"]),
     ("gpa-class-tie-to-slower", "cloudsched/policies.py",
      "if ratio < best_ratio:", "if ratio <= best_ratio:",
      [_POLICIES + "test_gpa_ratio_tie_prefers_higher_mips"]),
     ("gpa-reinsert-without-id-walk", "cloudsched/policies.py",
-     "        while j < len(works) and works[j] == work and vm_ids[j] < vm_id:\n"
+     "        while j < len(works) and works[j] == work and ranks[j] < rank:\n"
      "            j += 1\n", "",
      [_POLICIES
       + "test_gpa_moves_a_pick_after_equal_works_with_lower_ids"]),
@@ -103,13 +108,19 @@ MUTANTS = [
      "if indices != slots:", "if False:",
      [_MODEL + "test_arrival_indices_must_be_contiguous"]),
     ("space-shared-column-at-plan-position", "cloudsched/engine.py",
-     "\n        slot = slot_of[cloudlet_id]",
-     "\n        slot = plan.index((cloudlet_id, vm_id))",
+     "for slot, v in zip(order, vm_at):\n        vm_ids[slot]",
+     "for slot, v in enumerate(vm_at):\n        vm_ids[slot]",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
     ("time-shared-column-at-plan-position", "cloudsched/engine.py",
-     "slots = list(map(slot_of.__getitem__, cloudlet_ids))",
-     "slots = list(range(n))",
+     "for slot, v in zip(order, vm_at):\n        queues[v]",
+     "for slot, v in enumerate(vm_at):\n        queues[v]",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
+    ("plan-vm-index-sign-check-dropped", "cloudsched/model.py",
+     "and min(vm_at, default=0) >= 0 and", "and",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),
+    ("plan-type-check-admits-bool", "cloudsched/model.py",
+     "<= {int}", "<= {int, bool}",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),
     ("compare-single-result-accepted", "cloudsched/model.py",
      "if len(results) < 2:", "if len(results) < 1:",
      [_CLI + "test_compare_needs_two_policies",

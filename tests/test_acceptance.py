@@ -17,8 +17,8 @@ from cloudsched import (
 )
 from cloudsched.cli import main
 from cloudsched.engine import ps_finish_times
-from conftest import (busy_of, integrate_ps, make_random_scenario, make_scenario,
-                      result_rows, vm_queues)
+from conftest import (busy_of, id_plan, integrate_ps, make_random_scenario,
+                      make_scenario, plan_pairs, result_rows, vm_queues)
 
 
 def run_builtin(name):
@@ -70,7 +70,7 @@ def test_criterion_3_gpa_exact_mean_and_assignment():
     assert result.makespan == 80.0                             # exact
     length = {cl.id: cl.length for cl in scenario.cloudlets}
     queues = {vm_id: sorted(length[c] for c in ids)
-              for vm_id, ids in vm_queues(plan).items()}
+              for vm_id, ids in vm_queues(scenario, plan).items()}
     assert queues[1] == [20000.0] * 4                          # 1000 MIPS
     assert queues[2] == [10000.0, 10000.0, 20000.0]            # 500 MIPS
     assert sorted(len(queues[i]) for i in (3, 4, 5)) == [1, 2, 2]
@@ -106,7 +106,7 @@ def test_criterion_6_property_suite():
     for _ in range(500):
         scenario = make_random_scenario(rng)
         for policy in POLICIES:
-            plan, _ = assign(scenario.with_policy(policy))
+            plan = plan_pairs(scenario, assign(scenario.with_policy(policy))[0])
             assert sorted(cl_id for cl_id, _ in plan) == \
                 sorted(cl.id for cl in scenario.cloudlets)
             vm_ids = {vm.id for vm in scenario.vms}
@@ -121,7 +121,7 @@ def test_criterion_6_property_suite():
         assigned = {vm.id: 0.0 for vm in scenario.vms}
         mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
-        for cl_id, vm_id in plan:
+        for cl_id, vm_id in plan_pairs(scenario, plan):
             assigned[vm_id] += lengths[cl_id]
         for vm_id, busy_time in busy_of(scenario, result).items():
             expected = assigned[vm_id] / mips[vm_id]
@@ -140,7 +140,8 @@ def test_criterion_6_property_suite():
                                  policy="fcfs")
         vm_ids = [vm.id for vm in scenario.vms]
         rng.shuffle(vm_ids)
-        plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
+        plan = id_plan(scenario, tuple((cl.id, vm_ids[i])
+                                       for i, cl in enumerate(scenario.cloudlets)))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
         assert result_rows(space) == result_rows(shared)
@@ -161,7 +162,7 @@ def test_criterion_6_property_suite():
     for _ in range(500):
         scenario = make_random_scenario(rng, policy="fcfs")
         for policy in ("fcfs", "rr"):
-            queues = vm_queues(assign(scenario.with_policy(policy))[0])
+            queues = vm_queues(scenario, assign(scenario.with_policy(policy))[0])
             sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
             assert max(sizes) - min(sizes) <= 1
 

@@ -6,10 +6,16 @@ counts are deterministic, so the gate needs no wall clock. Work done
 inside C calls (`sorted`, `list.remove`) is not counted.
 """
 
+import json
 import sys
 
-from cloudsched import Cloudlet, Datacenter, Host, Scenario, Vm, provision_vms
+import pytest
+
+from cloudsched import (Cloudlet, Datacenter, Host, Scenario, ScenarioFormatError,
+                        Vm, load_scenario, provision_vms, save_scenario)
 from cloudsched.engine import ps_finish_times
+from cloudsched.workload import _unconvertible_int_at
+from conftest import make_scenario
 
 M = 200
 
@@ -116,3 +122,38 @@ def test_processor_sharing_is_linear_in_distinct_and_in_tied_lengths():
     for family in (distinct, tied):
         assert _ratio(lambda lengths: ps_finish_times(lengths, 500.0),
                       family) <= 2.1, family.__name__
+
+
+def _document_with_a_bad_last_cloudlet(n):
+    """A scenario document of n cloudlets whose last length is `true`: the
+    column checks refuse the list, so the loader reads it element by
+    element, and only the last element is an offender."""
+    doc = json.loads(save_scenario(make_scenario([250, 500], [1000] * n)))
+    doc["cloudlets"][-1]["length"] = True
+    return json.dumps(doc)
+
+
+def test_the_loader_fallback_with_the_offender_last_is_linear():
+    def load(text):
+        with pytest.raises(ScenarioFormatError,
+                           match=r"cloudlets\[\d+\]\.length: expected a number"):
+            load_scenario(text)
+
+    # The first call compiles the match pattern, in Python, once per process.
+    load(_document_with_a_bad_last_cloudlet(M))
+    assert _ratio(load, _document_with_a_bad_last_cloudlet) <= 2.1
+
+
+def test_finding_an_unconvertible_int_last_is_linear():
+    # n cloudlet objects, then an integer literal past int()'s digit limit.
+    def text(n):
+        cloudlets = ", ".join(f'{{"id": {k}, "length": {1000 + k}}}'
+                              for k in range(1, n + 1))
+        return f'{{"cloudlets": [{cloudlets}], "big": {"7" * 5000}}}'
+
+    def find(text):
+        assert text[_unconvertible_int_at(text):].startswith("7" * 5000)
+
+    # The first call compiles the token pattern, in Python, once per process.
+    find(text(M))
+    assert _ratio(find, text) <= 2.1

@@ -31,7 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import assign, execute_plan
-from conftest import make_scenario, result_rows
+from conftest import make_scenario, plan_pairs, result_rows
 
 U = Fraction(1, 2 ** 53)
 
@@ -63,7 +63,7 @@ def test_each_vm_finishes_its_work_at_the_same_time_in_both_modes(vm_mips, lengt
     work = {vm.id: Fraction(0) for vm in scenario.vms}
     jobs = dict.fromkeys(work, 0)
     length_of = {cl.id: cl.length for cl in scenario.cloudlets}
-    for cloudlet_id, vm_id in plan:
+    for cloudlet_id, vm_id in plan_pairs(scenario, plan):
         work[vm_id] += Fraction(length_of[cloudlet_id])
         jobs[vm_id] += 1
     last_finish = dict.fromkeys(work, 0.0)

@@ -28,11 +28,13 @@ from cloudsched import (
 from cloudsched.engine import ps_finish_times
 from conftest import (
     busy_of,
+    id_plan,
     integrate_ps,
     linear_first_fit_reference,
     make_random_scenario,
     make_scenario,
     make_shuffled_arrival_document,
+    plan_pairs,
     result_rows,
     violations,
     vm_queues,
@@ -338,7 +340,7 @@ def test_ps_matches_fixed_timestep_integrator():
 # space-shared runs
 
 def test_space_shared_golden_run(fcfs_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(fcfs_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     assert result.mode is ExecutionMode.SPACE_SHARED
     assert list(result.cpu_times) == [
@@ -351,14 +353,14 @@ def test_space_shared_golden_run(fcfs_scenario):
 
 
 def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(fcfs_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     assert busy_of(fcfs_scenario, result) == \
         {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
 
 
 def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(fcfs_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
     dc_of_vm = dict(zip(result.vm_ids, result.datacenter_ids, strict=True))
     assert dc_of_vm == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
@@ -368,7 +370,7 @@ def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
 # time-shared runs
 
 def test_time_shared_golden_run(rr_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(rr_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     assert result.mode is ExecutionMode.TIME_SHARED
     assert list(result.finish_times) == [
@@ -380,7 +382,7 @@ def test_time_shared_golden_run(rr_scenario):
 
 
 def test_time_shared_busy_time_is_last_finish(rr_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(rr_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     result = execute_plan(rr_scenario, plan, ExecutionMode.TIME_SHARED)
     assert busy_of(rr_scenario, result) == \
         {1: 240.0, 2: 120.0, 3: 160.0, 4: 40.0, 5: 20.0}
@@ -396,7 +398,8 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
             continue
         vm_ids = [vm.id for vm in scenario.vms]
         rng.shuffle(vm_ids)
-        plan = tuple((cl.id, vm_ids[i]) for i, cl in enumerate(scenario.cloudlets))
+        plan = id_plan(scenario, tuple((cl.id, vm_ids[i])
+                                       for i, cl in enumerate(scenario.cloudlets)))
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         shared = execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)
         assert result_rows(space) == result_rows(shared)
@@ -405,7 +408,7 @@ def test_modes_agree_when_every_vm_has_one_cloudlet():
 
 def test_unassigned_vm_still_reports_zero_busy_time():
     scenario = make_scenario([250, 500], [1000])
-    plan = ((1, 1),)
+    plan = id_plan(scenario, ((1, 1),))
     for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                    execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
         assert busy_of(scenario, result)[2] == 0.0
@@ -413,14 +416,15 @@ def test_unassigned_vm_still_reports_zero_busy_time():
 
 def test_space_shared_unit_case():
     scenario = make_scenario([7500], [7500], policy="fcfs")
-    result = execute_plan(scenario, ((1, 1),), ExecutionMode.SPACE_SHARED)
+    result = execute_plan(scenario, id_plan(scenario, ((1, 1),)),
+                          ExecutionMode.SPACE_SHARED)
     assert result.cpu_times == (1.0,)
     assert result.makespan == 1.0
 
 
 def test_each_vm_serves_its_cloudlets_in_plan_order():
     scenario = make_scenario([250, 500], [1000, 2000, 3000, 4000])
-    plan = ((3, 1), (1, 2), (2, 1), (4, 2))
+    plan = id_plan(scenario, ((3, 1), (1, 2), (2, 1), (4, 2)))
     result = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
     start = dict(zip(result.cloudlet_ids, result.start_times))
     assert start == {3: 0.0, 2: 12.0, 1: 0.0, 4: 2.0}
@@ -429,14 +433,14 @@ def test_each_vm_serves_its_cloudlets_in_plan_order():
 def test_identical_runs_are_identical():
     scenario = make_scenario([250, 1000, 500], [9000, 4000, 22000, 100],
                              policy="fcfs")
-    plan = ((1, 2), (2, 1), (3, 3), (4, 2))
+    plan = id_plan(scenario, ((1, 2), (2, 1), (3, 3), (4, 2)))
     for mode in ExecutionMode:
         assert execute_plan(scenario, plan, mode) == \
             execute_plan(scenario, plan, mode)
 
 
 def test_execute_plan_dispatches_on_mode(fcfs_scenario):
-    plan = tuple((k + 1, (k % 5) + 1) for k in range(12))
+    plan = id_plan(fcfs_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
     assert execute_plan(fcfs_scenario, plan,
                         ExecutionMode.SPACE_SHARED).mode is ExecutionMode.SPACE_SHARED
     assert execute_plan(fcfs_scenario, plan,
@@ -451,16 +455,67 @@ def test_records_come_back_in_arrival_order_not_tuple_order():
         for mode in ExecutionMode:
             result = execute_plan(scenario, plan, mode)
             assert list(result.cloudlet_ids) == by_arrival
-            assert dict(zip(result.cloudlet_ids, result.vm_ids)) == dict(plan)
+            assert dict(zip(result.cloudlet_ids, result.vm_ids)) == \
+                dict(plan_pairs(scenario, plan))
 
 
 def test_runs_reject_invalid_plans(fcfs_scenario):
     with pytest.raises(ValidationError):
-        execute_plan(fcfs_scenario, ((1, 1),),
+        execute_plan(fcfs_scenario, ((0,), (0,)),
                      ExecutionMode.SPACE_SHARED)
     with pytest.raises(ValidationError):
-        execute_plan(fcfs_scenario, ((1, 1),),
+        execute_plan(fcfs_scenario, ((0,), (0,)),
                      ExecutionMode.TIME_SHARED)
+
+
+def _bad_plan(order_at=None, vm_at_at=None, vm_count=12):
+    """The builtin's cyclic plan with one entry of either column replaced:
+    `order_at` and `vm_at_at` are (plan position, value)."""
+    order, vm_at = list(range(12)), [k % 5 for k in range(vm_count)]
+    for column, change in ((order, order_at), (vm_at, vm_at_at)):
+        if change:
+            column[change[0]] = change[1]
+    return order, vm_at
+
+
+# (plan, its violations): every bad entry is named where it sits, and a bad
+# slot's cloudlet is then left out. Negative values would wrap as Python
+# indices, True and 1.0 would index as 1, and a short column would stop a
+# zip early: none of these may run.
+_BAD_PLANS = {
+    "negative-slot": (_bad_plan(order_at=(0, -1)), [
+        "plan position 0: slot -1 is not an int in 0..11",
+        "plan leaves out cloudlet 1"]),
+    "slot-past-the-end": (_bad_plan(order_at=(11, 12)), [
+        "plan position 11: slot 12 is not an int in 0..11",
+        "plan leaves out cloudlet 12"]),
+    "bool-slot": (_bad_plan(order_at=(1, True)), [
+        "plan position 1: slot True is not an int in 0..11",
+        "plan leaves out cloudlet 2"]),
+    "float-slot": (_bad_plan(order_at=(1, 1.0)), [
+        "plan position 1: slot 1.0 is not an int in 0..11",
+        "plan leaves out cloudlet 2"]),
+    "negative-vm-index": (_bad_plan(vm_at_at=(3, -1)), [
+        "plan position 3 (cloudlet 4): vm index -1 is not an int in 0..4"]),
+    "vm-index-past-the-end": (_bad_plan(vm_at_at=(3, 5)), [
+        "plan position 3 (cloudlet 4): vm index 5 is not an int in 0..4"]),
+    "bool-vm-index": (_bad_plan(vm_at_at=(3, True)), [
+        "plan position 3 (cloudlet 4): vm index True is not an int in 0..4"]),
+    "float-vm-index": (_bad_plan(vm_at_at=(3, 1.0)), [
+        "plan position 3 (cloudlet 4): vm index 1.0 is not an int in 0..4"]),
+    "short-vm-column": (_bad_plan(vm_count=11), [
+        "plan has 12 slots, 11 vm indices"]),
+}
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+@pytest.mark.parametrize("case", list(_BAD_PLANS))
+def test_a_bad_plan_entry_is_a_located_validation_error(fcfs_scenario, case,
+                                                        mode):
+    plan, expected = _BAD_PLANS[case]
+    with pytest.raises(ValidationError) as err:
+        execute_plan(fcfs_scenario, plan, mode)
+    assert err.value.violations == expected
 
 
 def test_work_conservation_per_vm_both_modes():
@@ -468,13 +523,13 @@ def test_work_conservation_per_vm_both_modes():
     for _ in range(200):
         scenario = make_random_scenario(rng, policy="fcfs")
         m = len(scenario.vms)
-        plan = tuple(
+        plan = id_plan(scenario, tuple(
             (cl.id, scenario.vms[k % m].id)
-            for k, cl in enumerate(scenario.cloudlets))
+            for k, cl in enumerate(scenario.cloudlets)))
         expected = {vm.id: 0.0 for vm in scenario.vms}
         mips = {vm.id: vm.mips for vm in scenario.vms}
         lengths = {cl.id: cl.length for cl in scenario.cloudlets}
-        for cl_id, vm_id in plan:
+        for cl_id, vm_id in plan_pairs(scenario, plan):
             expected[vm_id] += lengths[cl_id]
         for result in (execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED),
                        execute_plan(scenario, plan, ExecutionMode.TIME_SHARED)):
@@ -513,7 +568,7 @@ def test_the_times_the_run_table_reuses_are_bitwise_what_it_assumes():
             assert record.cpu_time.hex() == record.finish_time.hex()
         space = execute_plan(scenario, plan, ExecutionMode.SPACE_SHARED)
         by_id = {record.cloudlet_id: record for record in result_rows(space)}
-        for queue in vm_queues(plan).values():
+        for queue in vm_queues(scenario, plan).values():
             starts = [by_id[c].start_time.hex() for c in queue]
             before = [(0.0).hex()] + [by_id[c].finish_time.hex()
                                       for c in queue[:-1]]
@@ -563,7 +618,7 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     # Equal to `a` but made of other objects: placed afresh, not looked up.
     a_equal = Scenario(_two_datacenters(1000.0), tuple(vm._replace() for vm in vms),
                        cloudlets, "fcfs")
-    plan = ((1, 1), (2, 2), (3, 3))
+    plan = id_plan(a, ((1, 1), (2, 2), (3, 3)))
 
     def own_placement(scenario):
         datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
@@ -590,27 +645,29 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     assert len(calls) == 4
 
 
-def test_a_scenario_is_indexed_once_and_a_replace_copy_afresh():
+def test_a_scenario_keeps_its_columns_and_a_replace_copy_builds_its_own():
     scenario = make_scenario([250, 500], [1000, 2000, 3000], check=False)
-    assert "_index" not in vars(scenario)
+    assert "_cloudlet_columns" not in vars(scenario)
     validate_scenario(scenario)
-    index = vars(scenario)["_index"]
-    assert index == ({1: 0, 2: 1, 3: 2}, {1: 1000.0, 2: 2000.0, 3: 3000.0})
-    # Runs, and copies bound to another policy, read the one index.
+    columns = vars(scenario)["_cloudlet_columns"]
+    assert columns == ((1, 2, 3), (1000.0, 2000.0, 3000.0), (0, 1, 2))
+    # Runs, and copies bound to another policy, read the one set of columns.
     copy = scenario.with_policy("gpa")
     for rebound in (scenario, copy):
         execute_plan(rebound, *assign(rebound))
-    assert scenario._index is index and copy._index is index
+    assert scenario._cloudlet_columns is columns and copy._cloudlet_columns is columns
 
-    # A copy with other cloudlets is indexed from them, not from `scenario`.
+    # A copy with other cloudlets builds its columns from them, not from
+    # `scenario`.
     moved = replace(scenario, cloudlets=(Cloudlet(7, 500.0, 0),
                                          Cloudlet(5, 4000.0, 1)))
-    assert "_index" not in vars(moved)
-    result = execute_plan(moved, ((5, 1), (7, 2)), ExecutionMode.SPACE_SHARED)
+    assert "_cloudlet_columns" not in vars(moved)
+    result = execute_plan(moved, id_plan(moved, ((5, 1), (7, 2))),
+                          ExecutionMode.SPACE_SHARED)
     assert list(zip(result.cloudlet_ids, result.cpu_times)) == \
         [(7, 1.0), (5, 16.0)]
-    assert moved._index == ({7: 0, 5: 1}, {7: 500.0, 5: 4000.0})
-    with pytest.raises(ValidationError, match="permutation"):
+    assert moved._cloudlet_columns == ((7, 5), (500.0, 4000.0), (0, 1))
+    with pytest.raises(ValidationError, match="plan position 2: slot 2 "):
         execute_plan(moved, assign(scenario)[0], ExecutionMode.SPACE_SHARED)
 
 

@@ -25,6 +25,7 @@ from cloudsched import (
     validate_scenario,
 )
 from cloudsched.engine import validate_plan
+from conftest import plan_pairs
 
 
 def _ps_reference(lengths, mips):
@@ -76,7 +77,7 @@ def per_vm_reference(scenario, plan, mode):
     slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
     length_of = {cl.id: cl.length for cl in scenario.cloudlets}
     queues = {vm.id: [] for vm in scenario.vms}
-    for cloudlet_id, vm_id in plan:
+    for cloudlet_id, vm_id in plan_pairs(scenario, plan):
         queues[vm_id].append(cloudlet_id)
     rows = [None] * len(scenario.cloudlets)
     busy_times = []
@@ -137,10 +138,9 @@ def _runs(draw):
         cloudlets=tuple(Cloudlet(id=cid, length=draw(_LENGTH), arrival_index=k)
                         for k, cid in enumerate(cloudlet_ids)),
         policy="fcfs"))
-    targets = draw(st.lists(st.sampled_from(vm_ids), min_size=n, max_size=n))
+    targets = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
-    plan = tuple((cloudlet_ids[k], targets[k]) for k in order)
-    return scenario, plan
+    return scenario, (tuple(order), tuple(targets[k] for k in order))
 
 
 @given(_runs())

@@ -15,7 +15,7 @@ from cloudsched import (
     execute_plan,
     summarize,
 )
-from conftest import busy_of, make_scenario, result_rows
+from conftest import busy_of, make_scenario, plan_pairs, result_rows
 
 
 def mean_cpu_from_plan(scenario, plan):
@@ -23,8 +23,9 @@ def mean_cpu_from_plan(scenario, plan):
     engine; cross-checks column-derived means for space-shared policies."""
     cloudlets = {cl.id: cl for cl in scenario.cloudlets}
     mips = {vm.id: vm.mips for vm in scenario.vms}
-    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in plan)
-    return total / len(plan)
+    pairs = plan_pairs(scenario, plan)
+    total = sum(cloudlets[cid].length / mips[vid] for cid, vid in pairs)
+    return total / len(pairs)
 
 
 def run_policy(scenario):

@@ -322,34 +322,27 @@ def test_lookup_helpers(fcfs_scenario):
 
 def test_validate_plan_accepts_a_permutation():
     scenario = make_scenario([250, 500], [1000, 2000, 3000])
-    plan = ((2, 1), (3, 2), (1, 1))
+    plan = ((1, 2, 0), (0, 1, 0))  # cloudlets 2, 3, 1 on VMs 1, 2, 1
     assert validate_plan(scenario, plan) is plan
 
 
 def test_validate_plan_rejects_missing_and_duplicate_cloudlets():
     scenario = make_scenario([250, 500], [1000, 2000, 3000])
-    with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, ((1, 1), (2, 2)))
-    with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, ((1, 1), (2, 2), (2, 1), (3, 2)))
-    with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, ((1, 1), (2, 2), (2, 1)))
-
-
-def test_validate_plan_rejects_any_plan_for_repeated_cloudlet_ids():
-    # Records are placed by cloudlet id, so a scenario that repeats one
-    # (which validate_scenario rejects) cannot run under any plan.
-    scenario = make_scenario([250], [1000, 2000], check=False)
-    twin = scenario.cloudlets[1]._replace(id=1)
-    scenario = replace(scenario, cloudlets=(scenario.cloudlets[0], twin))
-    with pytest.raises(ValidationError, match="permutation"):
-        validate_plan(scenario, ((1, 1), (1, 1)))
+    with pytest.raises(ValidationError, match="leaves out cloudlet 3$"):
+        validate_plan(scenario, ((0, 1), (0, 1)))
+    with pytest.raises(ValidationError,
+                       match=r"^plan position 2 \(cloudlet 2\) repeats"):
+        validate_plan(scenario, ((0, 1, 1, 2), (0, 1, 0, 1)))
+    with pytest.raises(ValidationError,
+                       match="repeats its cloudlet; plan leaves out cloudlet 3"):
+        validate_plan(scenario, ((0, 1, 1), (0, 1, 0)))
 
 
 def test_validate_plan_rejects_unknown_vm():
     scenario = make_scenario([250], [1000])
-    with pytest.raises(ValidationError, match="unknown vm 9"):
-        validate_plan(scenario, ((1, 9),))
+    with pytest.raises(ValidationError,
+                       match=r"plan position 0 \(cloudlet 1\): vm index 9 "):
+        validate_plan(scenario, ((0,), (9,)))
 
 
 def test_execution_mode_serial_values_are_stable():

@@ -19,7 +19,13 @@ from cloudsched import (
     execute_plan,
 )
 from cloudsched.policies import _cyclic_plan
-from conftest import make_random_scenario, make_scenario, result_rows, vm_queues
+from conftest import (make_random_scenario, make_scenario, plan_pairs,
+                      result_rows, vm_queues)
+
+
+def assigned_pairs(scenario):
+    """The scenario's policy plan as (cloudlet id, vm id) pairs."""
+    return plan_pairs(scenario, assign(scenario)[0])
 
 
 def greedy_reference(scenario):
@@ -92,7 +98,9 @@ def _tie_prone_gpa_scenarios(draw):
         lengths = [draw(length)] * n
     else:
         lengths = draw(st.lists(length, min_size=n, max_size=n))
-    return make_scenario(vm_mips, lengths, policy="gpa")
+    # VM ids in no set order, so a VM's position is not its rank by id.
+    vm_ids = draw(st.permutations(range(1, len(vm_mips) + 1)))
+    return make_scenario(vm_mips, lengths, policy="gpa", vm_ids=vm_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +128,21 @@ def test_cyclic_plan_deals_cloudlet_k_to_vm_k_mod_m(shape, data):
         base, vms=tuple(vm._replace(id=i) for vm, i in zip(base.vms, vm_ids)),
         cloudlets=tuple(cl._replace(id=i)
                         for cl, i in zip(base.cloudlets, cloudlet_ids)))
-    assert _cyclic_plan(scenario) == tuple(
+    assert plan_pairs(scenario, _cyclic_plan(scenario)) == tuple(
         (cloudlet_ids[k], vm_ids[k % m]) for k in range(n))
 
 
 def test_fcfs_deals_cloudlets_cyclically(fcfs_scenario):
     plan, mode = assign(fcfs_scenario)
     assert mode is ExecutionMode.SPACE_SHARED
-    assert plan == tuple(
+    assert plan_pairs(fcfs_scenario, plan) == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
 
 
 def test_rr_uses_declared_vm_order_as_ring(rr_scenario):
     plan, mode = assign(rr_scenario)
     assert mode is ExecutionMode.TIME_SHARED
+    plan = plan_pairs(rr_scenario, plan)
     assert plan == tuple(
         (k + 1, (k % 5) + 1) for k in range(12))
     # The builtin declares the ring MIPS-ascending.
@@ -147,7 +156,7 @@ def test_cyclic_queue_sizes_differ_by_at_most_one():
     rng = random.Random(43)
     for _ in range(200):
         scenario = make_random_scenario(rng, policy="fcfs")
-        queues = vm_queues(assign(scenario)[0])
+        queues = vm_queues(scenario, assign(scenario)[0])
         sizes = [len(queues.get(vm.id, [])) for vm in scenario.vms]
         assert max(sizes) - min(sizes) <= 1
 
@@ -164,7 +173,7 @@ def test_fcfs_and_rr_share_the_same_plan():
 # greedy priority policy
 
 def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
-    queues = vm_queues(assign(gpa_scenario)[0])
+    queues = vm_queues(gpa_scenario, assign(gpa_scenario)[0])
     length = {cl.id: cl.length for cl in gpa_scenario.cloudlets}
     by_vm = {vm_id: sorted(length[c] for c in ids)
              for vm_id, ids in queues.items()}
@@ -177,28 +186,28 @@ def test_gpa_reproduces_the_benchmark_assignment(gpa_scenario):
 
 def test_gpa_processes_longest_cloudlets_first():
     scenario = make_scenario([500], [100, 900, 500, 900], policy="gpa")
-    plan, _ = assign(scenario)
+    plan = assigned_pairs(scenario)
     # Descending length, ties by arrival: ids 2, 4 (both 900), 3, 1.
     assert [cl_id for cl_id, _ in plan] == [2, 4, 3, 1]
 
 
 def test_gpa_first_pick_is_the_fastest_vm():
     scenario = make_scenario([250, 1000, 500], [8000], policy="gpa")
-    assert assign(scenario)[0] == ((1, 2),)
+    assert assigned_pairs(scenario) == ((1, 2),)
 
 
 def test_gpa_ratio_tie_prefers_higher_mips():
     # After two 1000s on the 500-MIPS VM its ratio for a third equals the
     # idle 250-MIPS VM's ratio exactly; the faster VM must win the tie.
     scenario = make_scenario([500, 250], [1000, 1000, 1000], policy="gpa")
-    queues = vm_queues(assign(scenario)[0])
+    queues = vm_queues(scenario, assign(scenario)[0])
     assert queues[1] == [1, 2]
     assert queues[2] == [3]
 
 
 def test_gpa_mips_tie_prefers_lower_vm_id():
     scenario = make_scenario([250, 250], [1000], policy="gpa")
-    assert assign(scenario)[0] == ((1, 1),)
+    assert assigned_pairs(scenario) == ((1, 1),)
 
 
 def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
@@ -208,7 +217,7 @@ def test_gpa_float_tie_between_unequal_works_prefers_lower_vm_id():
     # least-loaded VM.
     scenario = make_scenario([3.0, 3.0], [3.0, 1e16, 2.0, 1e16, 1.0],
                              policy="gpa")
-    plan = assign(scenario)[0]
+    plan = assigned_pairs(scenario)
     assert plan == ((2, 1), (4, 2), (1, 1), (3, 2), (5, 1))
     assert plan == linear_gpa_reference(scenario)
 
@@ -222,7 +231,7 @@ def test_gpa_tie_walk_crosses_three_works():
     scenario = make_scenario([0.75] * 3,
                              [2.0, 2.0**54 - 4, 2.0**54, 2.0**54 - 2],
                              policy="gpa")
-    plan = assign(scenario)[0]
+    plan = assigned_pairs(scenario)
     assert plan == ((3, 1), (4, 2), (2, 3), (1, 1))
     assert plan == linear_gpa_reference(scenario)
 
@@ -238,7 +247,7 @@ def test_gpa_reuses_a_work_whose_id_heap_a_tie_pick_emptied():
         [6.0] * 4,
         [2.0, big, 2.0, big + 2, big, big, big + 2, 2.0, 2.0, 3.0],
         policy="gpa")
-    plan = assign(scenario)[0]
+    plan = assigned_pairs(scenario)
     assert plan == ((4, 1), (7, 2), (2, 3), (5, 4), (6, 1), (10, 2),
                     (1, 3), (3, 4), (8, 3), (9, 4))
     assert plan == linear_gpa_reference(scenario)
@@ -248,19 +257,23 @@ def test_gpa_moves_a_pick_after_equal_works_with_lower_ids():
     # Every pick lands on a work that other VMs hold too. Placed before
     # them, it would hide their lower ids from the next pick.
     scenario = make_scenario([1.0] * 3, [5.0] * 7, policy="gpa")
-    assert assign(scenario)[0] == tuple((j + 1, j % 3 + 1) for j in range(7))
+    assert assigned_pairs(scenario) == tuple((j + 1, j % 3 + 1) for j in range(7))
 
 
 def test_gpa_matches_exact_arithmetic_reference():
     rng = random.Random(53)
     for _ in range(300):
         scenario = make_random_scenario(rng, policy="gpa")
-        assert assign(scenario)[0] == greedy_reference(scenario)
+        # VM ids in no set order, so a VM's position is not its rank by id.
+        vm_ids = rng.sample(range(1, len(scenario.vms) + 1), len(scenario.vms))
+        scenario = replace(scenario, vms=tuple(
+            vm._replace(id=i) for vm, i in zip(scenario.vms, vm_ids)))
+        assert assigned_pairs(scenario) == greedy_reference(scenario)
 
 
 @given(_tie_prone_gpa_scenarios())
 def test_gpa_matches_the_linear_scan_on_tie_prone_scenarios(scenario):
-    assert assign(scenario)[0] == linear_gpa_reference(scenario)
+    assert assigned_pairs(scenario) == linear_gpa_reference(scenario)
 
 
 def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
@@ -270,7 +283,7 @@ def test_gpa_matches_the_linear_scan_on_a_wide_scenario():
     scenario = make_scenario(
         [(250, 500, 1000, 2000)[i % 4] for i in range(400)],
         [rng.randint(1000, 50000) for _ in range(1000)], policy="gpa")
-    assert assign(scenario)[0] == linear_gpa_reference(scenario)
+    assert assigned_pairs(scenario) == linear_gpa_reference(scenario)
 
 
 def test_gpa_plan_is_invariant_under_uniform_mips_scaling():
@@ -298,12 +311,12 @@ def gpa_vm_order(vms, lengths):
     one, the picks walk the VMs by descending MIPS, then ascending id."""
     scenario = replace(make_scenario([250], lengths, policy="gpa", check=False),
                        vms=tuple(vms))
-    return [vm_id for _, vm_id in assign(scenario)[0]]
+    return [vm_id for _, vm_id in assigned_pairs(scenario)]
 
 
 def gpa_cloudlet_order(scenario):
     """Cloudlet ids in the order gpa plans them."""
-    return [cl_id for cl_id, _ in assign(scenario.with_policy("gpa"))[0]]
+    return [cl_id for cl_id, _ in assigned_pairs(scenario.with_policy("gpa"))]
 
 
 def test_rank_helpers_break_ties_deterministically():
@@ -330,12 +343,12 @@ def test_rank_cloudlets_on_the_benchmark_workload(fcfs_scenario):
 
 def test_fcfs_single_vm_keeps_arrival_order():
     scenario = make_scenario([250], [100, 200, 300], policy="fcfs")
-    assert assign(scenario)[0] == ((1, 1), (2, 1), (3, 1))
+    assert assigned_pairs(scenario) == ((1, 1), (2, 1), (3, 1))
 
 
 def test_fcfs_equal_counts_give_a_bijection():
     scenario = make_scenario([250, 500, 1000], [100, 200, 300], policy="fcfs")
-    assert assign(scenario)[0] == ((1, 1), (2, 2), (3, 3))
+    assert assigned_pairs(scenario) == ((1, 1), (2, 2), (3, 3))
 
 
 def test_rr_with_fewer_cloudlets_than_vms_matches_fcfs_times():
@@ -361,7 +374,7 @@ def test_assign_routes_by_scenario_policy(fcfs_scenario, rr_scenario,
                                           gpa_scenario):
     assert assign(fcfs_scenario)[1] is ExecutionMode.SPACE_SHARED
     assert assign(rr_scenario)[1] is ExecutionMode.TIME_SHARED
-    assert assign(gpa_scenario)[0] == greedy_reference(gpa_scenario)
+    assert assigned_pairs(gpa_scenario) == greedy_reference(gpa_scenario)
 
 
 def test_assign_rejects_unknown_policy():
