@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, compare policies, sweep task counts.
 
 Each flag's value is checked once, by its argparse type as argparse reads
-it; a rule that joins flags is checked where the command uses them.
+it; a rule that joins flags is checked where the command uses them. The
+parser is built once per process, on the first `main` call, and reused.
 Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
@@ -28,6 +29,7 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -404,6 +406,7 @@ def _add_common(sub: argparse.ArgumentParser, with_source: bool) -> None:
                      help="output formats: csv, tsv, pretty (default csv)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cloudsched",
@@ -434,7 +437,8 @@ def main(argv=None) -> int:
     SystemExit(0). This is the only function that prints or writes an
     output (a sweep's forked children write only to a pipe), and it does
     so only once every output has rendered, so one that cannot render (an
-    overflow) leaves nothing behind.
+    overflow) leaves nothing behind. The first call builds the parser;
+    every later one reuses it.
 
     The cyclic garbage collector is paused, process-wide, for the length
     of the call; every way out (`--help` and an unexpected exception

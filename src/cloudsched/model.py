@@ -339,16 +339,25 @@ def _row_problems(cls, columns, seen: set[int],
 def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
     """Return `plan` if its two columns hold one int per cloudlet: `order`
     a permutation of the arrival slots, `vm_at` positions in `scenario.vms`.
-    Only a plan that fails the C-level passes is walked, and a ValidationError
-    names each bad plan position (and its cloudlet) and each cloudlet left out."""
-    order, vm_at = plan
-    if len(order) != len(vm_at):
-        raise ValidationError([f"plan has {len(order)} slots, {len(vm_at)} vm indices"])
+    An `order` that is `range(n)` itself takes one comparison; any other
+    (a reversed range too) and `vm_at` take a few C-level passes. Only a
+    plan that fails them is walked, and a ValidationError names each bad
+    plan position (and its cloudlet) and each cloudlet left out."""
+    try:
+        order, vm_at = plan
+        slots, vm_indices = len(order), len(vm_at)
+    except (TypeError, ValueError):
+        raise ValidationError(["plan is not two sized columns: "
+                               "(arrival slots, vm indices)"]) from None
+    if slots != vm_indices:
+        raise ValidationError([f"plan has {slots} slots, {vm_indices} vm indices"])
     n, m = len(scenario.cloudlets), len(scenario.vms)
-    if (len(order) == n and set(map(type, order)) | set(map(type, vm_at)) <= {int}
-            and len(set(order)) == n
-            and min(order, default=0) >= 0 and max(order, default=-1) < n
-            and min(vm_at, default=0) >= 0 and max(vm_at, default=-1) < m):
+    # A range holds only ints.
+    ordered = type(order) is range and order == range(n) or (
+        slots == n and set(map(type, order)) <= {int} and len(set(order)) == n
+        and min(order, default=0) >= 0 and max(order, default=-1) < n)
+    if (ordered and set(map(type, vm_at)) <= {int}
+            and set(vm_at) <= set(range(m))):
         return plan
     ids = scenario._cloudlet_columns[0]
     problems, seen = [], set()

@@ -115,12 +115,31 @@ MUTANTS = [
      "for slot, v in zip(order, vm_at):\n        queues[v]",
      "for slot, v in enumerate(vm_at):\n        queues[v]",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
+    ("plan-shape-guard-misses-extra-columns", "cloudsched/model.py",
+     "except (TypeError, ValueError):", "except TypeError:",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),
     ("plan-vm-index-sign-check-dropped", "cloudsched/model.py",
-     "and min(vm_at, default=0) >= 0 and", "and",
-     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),
+     "set(vm_at) <= set(range(m))", "max(vm_at, default=-1) < m",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error",
+      _MODEL + "test_validate_plan_accepts_exactly_the_valid_plans"]),
     ("plan-type-check-admits-bool", "cloudsched/model.py",
-     "<= {int}", "<= {int, bool}",
-     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),
+     "set(map(type, vm_at)) <= {int}", "set(map(type, vm_at)) <= {int, bool}",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error",
+      _MODEL + "test_validate_plan_accepts_exactly_the_valid_plans"]),
+    ("plan-slot-type-check-admits-bool", "cloudsched/model.py",
+     "set(map(type, order)) <= {int}", "set(map(type, order)) <= {int, bool}",
+     [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error",
+      _MODEL + "test_validate_plan_accepts_exactly_the_valid_plans"]),
+    # A range other than range(n) (a reversed one is a permutation too)
+    # must take the general passes.
+    ("plan-range-fast-path-without-fall-through", "cloudsched/model.py",
+     "type(order) is range and order == range(n) or (",
+     "order == range(n) if type(order) is range else (",
+     [_MODEL + "test_validate_plan_accepts_exactly_the_valid_plans"]),
+    ("plan-range-compared-by-length", "cloudsched/model.py",
+     "type(order) is range and order == range(n)",
+     "type(order) is range and len(order) == n",
+     [_MODEL + "test_validate_plan_accepts_exactly_the_valid_plans"]),
     ("compare-single-result-accepted", "cloudsched/model.py",
      "if len(results) < 2:", "if len(results) < 1:",
      [_CLI + "test_compare_needs_two_policies",

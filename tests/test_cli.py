@@ -848,28 +848,82 @@ def test_a_command_runs_without_a_collection(tmp_path):
     assert starts == []
 
 
-def _cyclic_garbage_left_by(argv):
+def _cyclic_garbage_left_by(argv, code):
     """The objects a full collection finds unreachable after `main(argv)`,
-    with the collector off throughout so none is collected on the way."""
+    which must end in `code`, with the collector off throughout so none is
+    collected on the way."""
     gc.disable()
     try:
         gc.collect()
-        assert main(argv) == 0
+        assert main(argv) == code
         return gc.collect()
     finally:
         gc.enable()
 
 
-def test_the_cyclic_garbage_a_command_leaves_does_not_grow_with_it(tmp_path):
-    # The pause is safe only because a run builds no cycles: what a command
-    # leaves for the collector is its parser, the same for every size. A
-    # back-reference from a record or result to its owner would scale it.
-    out = ["--out", str(tmp_path)]
-    small = _cyclic_garbage_left_by(["run", "--generate", "10", *out])
-    for argv in (["run", "--generate", "5000"],
-                 ["compare", "--generate", "5000"],
-                 ["sweep", "--counts", "100,2000"]):
-        assert _cyclic_garbage_left_by(argv + out) == small, argv
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--generate", "5000"], 0),
+    (["compare", "--generate", "5000"], 0),
+    (["sweep", "--counts", "100,2000"], 0),
+    (["run", "--bogus"], 1),
+    (["run", "--policy", "fcfs", "--scenario", "huge.json"], 1),  # overflow
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_a_command_leaves_no_cyclic_garbage(argv, code, tmp_path, monkeypatch,
+                                            capsys):
+    # The pause is safe only because a run builds no cycles: a
+    # back-reference from a result to its owner would leave garbage that
+    # grows with the run, and a parser built per call would leave its own.
+    write_scenario(make_scenario([1], [1e308, 1e308]), tmp_path / "huge.json")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cloudsched.cli, "_workers", lambda n_counts: 1)
+    # Building the parser leaves garbage, once per process.
+    cloudsched.cli._build_parser()
+    assert _cyclic_garbage_left_by(argv + ["--out", "out"], code) == 0
+
+
+def test_two_commands_build_one_parser(tmp_path):
+    cloudsched.cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["run", "--builtin", "paper12-fcfs", "--out", str(tmp_path)]) == 0
+    info = cloudsched.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _outcomes(commands, out_root):
+    """Each command's exit code, stderr, stdout and output files, in turn;
+    a sweep's timings are left out, since they are wall-clock."""
+    outcomes = []
+    for k, argv in enumerate(commands):
+        out = out_root / str(k)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exit_:
+                code = exit_.code
+        files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))
+                 if path.name != "sweep_timing.csv"}
+        outcomes.append((code, stderr.getvalue(), stdout.getvalue(), files))
+    return outcomes
+
+
+def test_commands_on_one_parser_end_as_on_fresh_ones(tmp_path, monkeypatch):
+    # sweep's --seed defaults to 0 and run's to None: neither may leak
+    # into a later command through the shared parser.
+    commands = [["run", "--builtin", "paper12-fcfs"],
+                ["run", "--generate", "0"],
+                ["run", "--help"],
+                ["sweep", "--counts", "100,200"],
+                ["run", "--generate", "20"]]
+    shared = _outcomes(commands, tmp_path / "shared")
+    monkeypatch.setattr(cloudsched.cli, "_build_parser",
+                        cloudsched.cli._build_parser.__wrapped__)
+    fresh = _outcomes(commands, tmp_path / "fresh")
+    assert [outcome[0] for outcome in shared] == [0, 1, 0, 0, 0]
+    assert shared[2][2].startswith("usage: cloudsched run")
+    assert set(shared[3][3]) == {"sweep.csv"} and set(shared[4][3]) == {
+        "fcfs.csv", "rr.csv", "gpa.csv"}
+    assert shared == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,8 @@ def _bad_plan(order_at=None, vm_at_at=None, vm_count=12):
     return order, vm_at
 
 
+_NOT_TWO_COLUMNS = "plan is not two sized columns: (arrival slots, vm indices)"
+
 # (plan, its violations): every bad entry is named where it sits, and a bad
 # slot's cloudlet is then left out. Negative values would wrap as Python
 # indices, True and 1.0 would index as 1, and a short column would stop a
@@ -505,6 +507,15 @@ _BAD_PLANS = {
         "plan position 3 (cloudlet 4): vm index 1.0 is not an int in 0..4"]),
     "short-vm-column": (_bad_plan(vm_count=11), [
         "plan has 12 slots, 11 vm indices"]),
+    # A plan that is not two sized columns is one error, whatever its shape.
+    "cloudlet-vm-id-pairs": (tuple((k + 1, k % 5 + 1) for k in range(12)),
+                             [_NOT_TWO_COLUMNS]),
+    "bare-int": (12, [_NOT_TWO_COLUMNS]),
+    "none": (None, [_NOT_TWO_COLUMNS]),
+    "three-columns": ((range(12), [k % 5 for k in range(12)], range(12)),
+                      [_NOT_TWO_COLUMNS]),
+    "unsized-columns": ((iter(range(12)), iter([k % 5 for k in range(12)])),
+                        [_NOT_TWO_COLUMNS]),
 }
 
 

@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cloudsched import (
@@ -343,6 +343,62 @@ def test_validate_plan_rejects_unknown_vm():
     with pytest.raises(ValidationError,
                        match=r"plan position 0 \(cloudlet 1\): vm index 9 "):
         validate_plan(scenario, ((0,), (9,)))
+
+
+def _plan_is_valid(n, m, order, vm_at):
+    """The plan check's contract, stated on its own: every entry an exact
+    int, `order` a permutation of range(n), every vm index in range(m)."""
+    return (all(type(x) is int for x in (*order, *vm_at))
+            and sorted(order) == list(range(n)) and len(vm_at) == n
+            and all(0 <= v < m for v in vm_at))
+
+
+@st.composite
+def _plan_cases(draw):
+    """(n, m, order, vm_at): `order` any range (reversed, offset, stepped,
+    too long or too short), or a list or tuple near a permutation of
+    range(n); `vm_at` about as long, of ints in range(m) or with True, 1.0,
+    -1 and m mixed in."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("range", "list", "tuple")))
+    if kind == "range":
+        order = range(draw(st.integers(-2, n + 2)), draw(st.integers(-2, n + 3)),
+                      draw(st.sampled_from((1, 1, -1, 2, -2, 3))))
+    else:
+        order = list(draw(st.permutations(range(n))))
+        for _ in range(draw(st.integers(0, 2)) if order else 0):
+            order[draw(st.integers(0, len(order) - 1))] = draw(
+                st.sampled_from((True, 1.0, -1, n, 0)))
+        resize = draw(st.sampled_from(("keep", "keep", "drop", "append")))
+        if resize == "drop":
+            order = order[:-1]
+        elif resize == "append":
+            order.append(draw(st.sampled_from((0, n))))
+        order = tuple(order) if kind == "tuple" else order
+    index = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        index |= st.sampled_from((True, 1.0, -1, m))
+    length = draw(st.sampled_from((len(order),) * 3 + (len(order) + 1,)))
+    return n, m, order, draw(st.lists(index, min_size=length, max_size=length))
+
+
+@example(case=(5, 3, range(4, -1, -1), [0, 1, 2, 0, 1]))
+@example(case=(5, 3, range(1, 6), [0, 1, 2, 0, 1]))
+@example(case=(3, 2, range(0, 6, 2), [0, 1, 0]))
+@example(case=(3, 2, range(3), [0, True, 0]))
+@example(case=(3, 2, range(3), [0, -1, 1]))
+@example(case=(3, 2, [0, True, 2], [0, 1, 0]))
+@given(case=_plan_cases())
+def test_validate_plan_accepts_exactly_the_valid_plans(case):
+    n, m, order, vm_at = case
+    scenario = make_scenario([250] * m, [1000] * n, check=False)
+    plan = (order, vm_at)
+    if _plan_is_valid(n, m, order, vm_at):
+        assert validate_plan(scenario, plan) is plan
+    else:
+        with pytest.raises(ValidationError) as err:
+            validate_plan(scenario, plan)
+        assert err.value.violations and all(err.value.violations)
 
 
 def test_execution_mode_serial_values_are_stable():
