@@ -861,24 +861,31 @@ def _cyclic_garbage_left_by(argv, code):
         gc.enable()
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["run", "--generate", "5000"], 0),
-    (["compare", "--generate", "5000"], 0),
-    (["sweep", "--counts", "100,2000"], 0),
-    (["run", "--bogus"], 1),
-    (["run", "--policy", "fcfs", "--scenario", "huge.json"], 1),  # overflow
+@pytest.mark.parametrize("argv, code, cpus", [
+    (["run", "--generate", "5000"], 0, 1),
+    (["compare", "--generate", "5000"], 0, 1),
+    (["sweep", "--counts", "100,2000"], 0, 1),
+    (["sweep", "--counts", "100,2000"], 0, 2),  # one forked worker
+    (["run", "--bogus"], 1, 1),
+    (["run", "--policy", "fcfs", "--scenario", "huge.json"], 1, 1),  # overflow
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
-def test_a_command_leaves_no_cyclic_garbage(argv, code, tmp_path, monkeypatch,
-                                            capsys):
+def test_a_command_leaves_no_cyclic_garbage(argv, code, cpus, tmp_path,
+                                            monkeypatch, capsys):
     # The pause is safe only because a run builds no cycles: a
     # back-reference from a result to its owner would leave garbage that
     # grows with the run, and a parser built per call would leave its own.
+    # With two CPUs the sweep's parent also reads a worker's pipe, reaps
+    # it and merges its JSON.
     write_scenario(make_scenario([1], [1e308, 1e308]), tmp_path / "huge.json")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cloudsched.cli, "_workers", lambda n_counts: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     # Building the parser leaves garbage, once per process.
     cloudsched.cli._build_parser()
     assert _cyclic_garbage_left_by(argv + ["--out", "out"], code) == 0
+    assert len(forks) == cpus - 1
 
 
 def test_two_commands_build_one_parser(tmp_path):
