@@ -7,14 +7,11 @@ Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
 times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Tables
-are columns, and each column becomes text once per command, whatever the
-formats. `run` renders a result's own columns: the cloudlet ids, one
-object for every policy, are formatted once; each VM and datacenter id is
-looked up in the scenario's; a table's starts reuse its finish text, and a
-time-shared cpu_time column, being its finish column, is that text too.
-Nothing is printed or written until every output has rendered. A sweep
-runs its counts on the usable CPUs; the children it forks write only to a
-pipe back to this process.
+are columns, and each block of a table becomes text by one `%` per output
+that holds it; `run` renders a result's own columns as they are. Nothing
+is printed or written until every output has rendered. A sweep runs its
+counts on the usable CPUs; the children it forks write only to a pipe
+back to this process.
 "pretty" replaces only the table files: the output directory is still
 created, and compare.dat and sweep_timing.csv are still written.
 """
@@ -28,11 +25,9 @@ import signal
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from functools import cache
-from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 from .engine import execute_plan
 from .model import POLICIES, Scenario, SimulationResult, compare, summarize
@@ -54,90 +49,47 @@ class UsageError(ValueError):
 
 
 # (name, header, blocks). A block is one `%` spec per column and a column
-# of raw values (or a `Lookup`) per spec that has a `%`, at least one; a
-# spec without one is a fixed cell. Every column is as long as the block
-# has rows. Every number becomes text in `_cells` alone, once per column
-# object and spec in a command.
+# of raw values per spec that has a `%`, at least one; a spec without one
+# is a fixed cell. Every column is as long as the block has rows. Every
+# number becomes text in `_render` alone, by one `%` per block.
 Table = tuple[str, Sequence[str], list[tuple[Sequence[str], Sequence[Sequence]]]]
 _DELIMITERS = {"csv": ",", "tsv": "\t", "dat": " "}
-
-
-class Lookup(NamedTuple):
-    """A column whose values are found, by value, among those of its
-    `sources`: each cell is looked up in their text, not formatted. A value
-    must print as the source value equal to it does (so no -0.0 where a
-    source holds 0.0, nor `True` for 1), and takes the text of the last
-    source that holds it; sources before the last ones that hold every
-    value are not read. Should a value be in none of them, the column is
-    formatted as any other."""
-
-    values: Sequence
-    sources: tuple[Sequence, ...]
 
 
 # ---------------------------------------------------------------------------
 # table rendering
 
-def _cells(spec: str, column: Sequence | Lookup, memo: dict) -> list[str]:
-    """`column` as text under `spec`, one cell per value, by one `%` over
-    the whole column. `memo` holds the text for the command: it is keyed
-    by spec and column object, and keeps the column, so no id is reused.
+def _render(table: Table, delim: str) -> str:
+    """The header, then each block's rows: the block's row template, once
+    per row, applied by one `%` to its values row by row. One line per
+    row, cells joined by `delim`.
 
-    A result that overflowed a float is an error, not an `inf` cell. A
-    finite column sum means finite members; only a column whose sum is not
-    finite (it can overflow) is checked value by value."""
-    key = (spec, id(column))
-    if key in memo:
-        return memo[key][1]
-    if isinstance(column, Lookup):
-        # A value takes the text of the last source that holds it, so the
-        # sources join last first, and stop once they hold every value.
-        text_of = {}
-        for source in reversed(column.sources):
-            joined = dict(zip(source, _cells(spec, source, memo)))
-            joined.update(text_of)
-            text_of = joined
-            try:
-                cells = list(map(text_of.__getitem__, column.values))
-                break
-            except KeyError:
-                pass
-        else:
-            cells = _cells(spec, column.values, memo)
-    else:
-        if spec.endswith("f") and not math.isfinite(sum(column)):
-            for x in column:
-                if not math.isfinite(x):
-                    raise ValueError(f"result {x} is not a finite number "
-                                     f"(the scenario overflows a float)")
-        # NUL cannot occur in a cell, so it splits the column's text.
-        text = (spec + "\0") * len(column) % tuple(column)
-        cells = text.split("\0")[:-1]
-    memo[key] = column, cells
-    return cells
-
-
-def _rows(table: Table, memo: dict) -> Iterator[Sequence[str]]:
-    """The header, then every row of every block, as cells."""
-    blocks = []
+    A result that overflowed a float is an error, not an `inf` cell, and
+    is found before any text is built. A finite column sum means finite
+    members; only a float column whose sum is not finite (it can
+    overflow) is checked value by value."""
     for specs, columns in table[2]:
-        values = iter(columns)
-        blocks.append(zip(*[_cells(spec, next(values), memo) if "%" in spec
-                            else repeat(spec) for spec in specs]))
-    return chain([table[1]], *blocks)
+        for spec, column in zip([s for s in specs if "%" in s], columns):
+            if spec.endswith("f") and not math.isfinite(sum(column)):
+                for x in column:
+                    if not math.isfinite(x):
+                        raise ValueError(f"result {x} is not a finite number "
+                                         f"(the scenario overflows a float)")
+    parts = [delim.join(table[1]) + "\n"]
+    for specs, columns in table[2]:
+        k, n = len(columns), len(columns[0])
+        values = [None] * (k * n)
+        for j, column in enumerate(columns):
+            values[j::k] = column
+        parts.append((delim.join(specs) + "\n") * n % tuple(values))
+    return "".join(parts)
 
 
-def _render(table: Table, delim: str, memo: dict) -> str:
-    """One line per row, cells joined by `delim`."""
-    lines = list(map(delim.join, _rows(table, memo)))
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _pretty(table: Table, memo: dict) -> str:
+def _pretty(table: Table) -> str:
     """A console listing: a title, then every column padded to its widest
     cell, with a rule under the header and no trailing blanks."""
-    lines = list(_rows(table, memo))
+    # NUL cannot occur in a cell, so it splits the rendered cells back out.
+    lines = [line.split("\0") for line in _render(table, "\0").split("\n")[:-1]]
     widths = [max(map(len, column)) for column in zip(*lines)]
     lines.insert(1, ["-" * w for w in widths])
     body = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
@@ -182,7 +134,6 @@ def _simulate(scenario: Scenario) -> SimulationResult:
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
 _RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
-_ZERO = (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +145,9 @@ def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
     tables = []
     for scenario in _resolve_jobs(args):
         r = _simulate(scenario)
-        # Few distinct ids: each is looked up in the text of the scenario's.
-        dc_ids = Lookup(r.datacenter_ids,
-                        (tuple(dc.id for dc in scenario.datacenters),))
-        vm_ids = Lookup(r.vm_ids, (tuple(vm.id for vm in scenario.vms),))
-        # Each start is the finish before it on the same VM, or 0.0.
-        starts = Lookup(r.start_times, (r.finish_times, _ZERO))
         tables.append((scenario.policy, _RUN_HEADER, [
-            (_RUN_SPECS, (r.cloudlet_ids, dc_ids, vm_ids, r.cpu_times,
-                          starts, r.finish_times)),
+            (_RUN_SPECS, (r.cloudlet_ids, r.datacenter_ids, r.vm_ids,
+                          r.cpu_times, r.start_times, r.finish_times)),
             (("mean", "", "", "%.2f", "", ""), [(r.mean_cpu_time,)])]))
     return tables, []
 
@@ -453,11 +398,9 @@ def main(argv=None) -> int:
         tables, files = args.command_fn(args)
         named = [(f"{t[0]}.{fmt}", t) for fmt in args.format if fmt != "pretty"
                  for t in tables] + [(t[0], t) for t in files]
-        memo: dict = {}  # every column's text, for every format
-        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]], memo))
+        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]]))
                  for name, t in named]
-        listing = ("".join(_pretty(t, memo) for t in tables)
-                   if "pretty" in args.format else "")
+        listing = "".join(map(_pretty, tables)) if "pretty" in args.format else ""
         out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         sys.stdout.write(listing)

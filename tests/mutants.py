@@ -150,13 +150,6 @@ MUTANTS = [
     ("render-finiteness-check-dropped", "cloudsched/cli.py",
      'if spec.endswith("f") and not math.isfinite(sum(column)):', "if False:",
      [_CLI + "test_overflowing_results_are_an_error_not_inf"]),
-    ("render-memo-key-without-spec", "cloudsched/cli.py",
-     "key = (spec, id(column))", "key = id(column)",
-     [_CLI + "test_one_column_under_two_specs_is_text_under_each"]),
-    ("render-missed-lookup-served-as-zero", "cloudsched/cli.py",
-     "cells = list(map(text_of.__getitem__, column.values))",
-     'cells = [text_of.get(x, "0.00") for x in column.values]',
-     [_CLI + "test_a_lookup_value_outside_its_source_is_formatted"]),
     ("cli-gc-left-disabled", "cloudsched/cli.py",
      "gc.enable()", "pass",
      [_CLI + "test_only_help_leaves_through_system_exit",

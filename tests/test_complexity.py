@@ -13,6 +13,7 @@ import pytest
 
 from cloudsched import (Cloudlet, Datacenter, Host, Scenario, ScenarioFormatError,
                         Vm, load_scenario, provision_vms, save_scenario)
+from cloudsched.cli import _render
 from cloudsched.engine import ps_finish_times
 from cloudsched.workload import _unconvertible_int_at
 from conftest import make_scenario
@@ -156,3 +157,12 @@ def test_finding_an_unconvertible_int_last_is_linear():
         assert text[_unconvertible_int_at(text):].startswith("7" * 5000)
 
     assert _ratio(find, text) <= 2.1
+
+
+def test_the_overflow_scan_of_a_column_whose_sum_overflows_is_linear():
+    # Every value is finite, but the sum is not, so each value is checked
+    # (and the column then written).
+    def table(n):
+        return "t", ["x"], [(("%.2f",), ([9e307] * n,))]
+
+    assert _ratio(lambda table: _render(table, ","), table) <= 2.1

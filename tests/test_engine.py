@@ -564,11 +564,11 @@ def _random_run_inputs(rng):
     return scenario, assign(scenario)[0]
 
 
-def test_the_times_the_run_table_reuses_are_bitwise_what_it_assumes():
-    # `cli.cmd_run` formats a time-shared result's cpu_times once, as the
-    # finish column they are, and finds each start's text in the finishes'
-    # text or in that of 0.0: that needs these equalities bit for bit
-    # (float.hex tells +0.0 from -0.0).
+def test_starts_and_time_shared_cpu_times_match_finishes_bit_for_bit():
+    # A time-shared result's cpu_times are its finish column, and every
+    # start is +0.0; a space-shared start is +0.0 or the finish before it
+    # on the same VM. Each equality holds bit for bit (float.hex tells
+    # +0.0 from -0.0).
     rng = random.Random(41)
     for _ in range(200):
         scenario, plan = _random_run_inputs(rng)

@@ -83,8 +83,8 @@ def test_pretty_listing_matches_its_digest(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", list(PRETTY_GOLDEN), ids=" ".join)
 def test_three_formats_at_once_write_the_bytes_of_three_single_runs(
         argv, tmp_path, capsys):
-    # Text rendered for one format is reused by the next; none of it may
-    # show in another format's bytes.
+    # Each format renders its own text; one command with all three writes
+    # and prints what three single-format commands do.
     assert main([*argv, "--format", "csv,tsv,pretty",
                  "--out", str(tmp_path / "all")]) == 0
     together = capsys.readouterr().out
