@@ -199,21 +199,17 @@ def _shares(counts: Sequence[int], k: int) -> list[list[int]]:
 
 def _sweep_share(counts: Sequence[int], seed: int, policies: Sequence[str]):
     """One (n, policy, mean_cpu_time, makespan, wall_clock_ms) entry per
-    run of `counts`, in order, and the first count's ValueError as
-    (n, message), or None. The entries stop at that count."""
+    run of `counts`, in order."""
     entries = []
     for n in counts:
-        try:
-            scenario = generate(GeneratorSpec(n_tasks=n, seed=derive_seed(seed, n)))
-            for policy in policies:
-                started = time.perf_counter()
-                result = _simulate(scenario.with_policy(policy))
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                entries.append((n, policy, result.mean_cpu_time,
-                                result.makespan, elapsed_ms))
-        except ValueError as err:
-            return entries, (n, str(err))
-    return entries, None
+        scenario = generate(GeneratorSpec(n_tasks=n, seed=derive_seed(seed, n)))
+        for policy in policies:
+            started = time.perf_counter()
+            result = _simulate(scenario.with_policy(policy))
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            entries.append((n, policy, result.mean_cpu_time,
+                            result.makespan, elapsed_ms))
+    return entries
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
@@ -225,10 +221,10 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
 
     This process runs the first share of the counts; a child forked for
     each other share writes its entries, as JSON, to a pipe and nothing
-    else, and ends in `os._exit`. Every child is reaped (or killed and
-    reaped) before this returns or raises. Entries merge in `--counts`
-    order, and the ValueError is the earliest failing count's, so neither
-    depends on the number of workers.
+    else, and ends in `os._exit`. A child that ends without writing them,
+    whatever stopped it, is a ChildProcessError. Every child is reaped (or
+    killed and reaped) before this returns or raises. Entries merge in
+    `--counts` order, so they do not depend on the number of workers.
     """
     policies = args.policy or POLICIES
     first, *others = _shares(args.counts, _workers(len(args.counts)))
@@ -253,7 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
                     os._exit(status)
             os.close(write_fd)
             running[pid] = open(read_fd), share
-        results = [_sweep_share(first, args.seed, policies)]
+        entries = _sweep_share(first, args.seed, policies)
         for pid, (reader, share) in list(running.items()):
             with reader:
                 text = reader.read()
@@ -263,7 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
                 raise ChildProcessError(
                     f"the sweep worker for counts {','.join(map(str, share))} "
                     f"ended without a result (wait status {status})")
-            results.append(json.loads(text))
+            entries += json.loads(text)
     finally:
         for pid, (reader, _) in running.items():
             reader.close()
@@ -271,10 +267,6 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
             os.waitpid(pid, 0)
 
     position = {n: i for i, n in enumerate(args.counts)}
-    errors = [error for _, error in results if error is not None]
-    if errors:
-        raise ValueError(min(errors, key=lambda error: position[error[0]])[1])
-    entries = [entry for share_entries, _ in results for entry in share_entries]
     entries.sort(key=lambda entry: position[entry[0]])
     n, policy, mean_cpu_time, makespan, wall_clock_ms = zip(*entries)
     return ([("sweep", ["n", "policy", "mean_cpu_time", "makespan"],

@@ -248,9 +248,10 @@ def provision_vms(scenario: Scenario) -> dict[int, int]:
 
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Return `scenario` unchanged if valid, else raise ValidationError
-    with every invariant violation, one message per offender. Only a
-    scenario with no other violation is placed, for every later run; the
-    ValidationError of `provision_vms` names the first VM that fits nowhere.
+    (and nothing else, whatever the fields hold) with every invariant
+    violation, one message per offender. Only a scenario with no other
+    violation is placed, for every later run; the ValidationError of
+    `provision_vms` names the first VM that fits nowhere.
     """
     problems: list[str] = []
 
@@ -262,13 +263,18 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         problems.append("no datacenters")
     if scenario.policy not in POLICIES:
         problems.append(f"unknown policy {scenario.policy!r}")
+    if scenario.execution_mode not in (None, *ExecutionMode):
+        problems.append(f"unknown execution mode {scenario.execution_mode!r}")
 
     seen_dc: set[int] = set()
     seen_host: set[int] = set()
     for dc in scenario.datacenters:
-        if dc.id in seen_dc:
-            problems.append(f"duplicate datacenter id {dc.id}")
-        seen_dc.add(dc.id)
+        try:
+            if dc.id in seen_dc:
+                problems.append(f"duplicate datacenter id {dc.id}")
+            seen_dc.add(dc.id)
+        except TypeError:  # unhashable
+            problems.append(f"datacenter id {dc.id!r} is not a number")
         if not dc.hosts:
             problems.append(f"datacenter {dc.id} has no hosts")
         problems += _row_problems(Host, tuple(zip(*dc.hosts)), seen_host, dc.id)
@@ -279,7 +285,11 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     indices = list(columns[2])
     slots = list(range(len(indices)))
     if indices != slots:
-        if sorted(indices) == slots:
+        try:
+            permuted = sorted(indices) == slots
+        except TypeError:  # an index that is not a number
+            permuted = False
+        if permuted:
             problems.append("cloudlets are not listed in arrival order")
         else:
             problems.append("arrival indices do not form a contiguous 0..n-1 sequence")
@@ -295,7 +305,8 @@ def _row_problems(cls, columns, seen: set[int],
     """The `ROW_RULES` offences of the rows of type `cls` whose fields are
     `columns`, plus an id already in `seen` (which gains each id) and a
     host outside datacenter `dc_id`, in row order. C-level passes over the
-    columns accept the common case; only when one fails are rows walked."""
+    columns accept the common case; only when one fails or raises a
+    TypeError are rows walked, naming each value that is not a number."""
     if not columns:  # no rows
         return []
     name, positive_id, positive, _ = ROW_RULES[cls]
@@ -303,8 +314,8 @@ def _row_problems(cls, columns, seen: set[int],
     checked = [(columns[cls._fields.index(field)], word,
                 cls.__annotations__[field] is float)
                for field, word in positive.items()]
-    distinct = set(ids)
     try:
+        distinct = set(ids)
         if (len(distinct) == len(ids) and seen.isdisjoint(distinct)
                 and (not positive_id or min(ids, default=1) > 0)
                 and (dc_id is None or set(columns[1]) <= {dc_id})
@@ -313,15 +324,18 @@ def _row_problems(cls, columns, seen: set[int],
                         for column, _, finite in checked)):
             seen |= distinct
             return []
-    except OverflowError:  # an int past float range, which the walk names
+    except (OverflowError, TypeError):  # what the walk names
         pass
     problems = []
     for i, row_id in enumerate(ids):
-        if positive_id and row_id <= 0:
-            problems.append(f"non-positive {name} id {row_id}")
-        if row_id in seen:
-            problems.append(f"duplicate {name} id {row_id}")
-        seen.add(row_id)
+        try:
+            if positive_id and row_id <= 0:
+                problems.append(f"non-positive {name} id {row_id}")
+            if row_id in seen:
+                problems.append(f"duplicate {name} id {row_id}")
+            seen.add(row_id)
+        except TypeError:
+            problems.append(f"{name} id {row_id!r} is not a number")
         if dc_id is not None and columns[1][i] != dc_id:  # a host's datacenter_id
             problems.append(f"{name} {row_id} declares datacenter {columns[1][i]} "
                             f"but sits in datacenter {dc_id}")
@@ -333,6 +347,8 @@ def _row_problems(cls, columns, seen: set[int],
                     problems.append(f"non-positive {word} on {name} {row_id}")
             except OverflowError:  # an int that no float can hold
                 problems.append(f"{word} out of float range on {name} {row_id}")
+            except TypeError:
+                problems.append(f"{word} of {name} {row_id} is not a number")
     return problems
 
 

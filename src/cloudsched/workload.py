@@ -192,13 +192,16 @@ def _json_list(template: str, rows, depth: int) -> str:
     return "[" + ",".join(map(template.__mod__, rows)) + "\n" + "  " * depth + "]"
 
 
-def _plain_numbers(numbers: list) -> bool:
-    """Whether json.dumps writes each of `numbers` as its repr: each is an
-    exact int or float, and their sum is finite, so each float is too."""
-    if not set(map(type, numbers)) <= {int, float}:
-        return False
+def _plain(numbers: list, kind: type) -> bool:
+    """Whether `numbers` fit a document field of type `kind`, each written
+    by json.dumps as its repr: exact ints for `int`; for `float`, exact
+    ints or floats whose sum is finite, so none is NaN, infinite or past
+    float range (a sum past float range declines finite numbers too)."""
+    types = set(map(type, numbers))
+    if kind is int:
+        return types <= {int}
     try:
-        return math.isfinite(sum(numbers, 0.0))
+        return types <= {int, float} and math.isfinite(sum(numbers, 0.0))
     except OverflowError:  # an int past float range
         return False
 
@@ -207,9 +210,9 @@ def save_scenario(scenario: Scenario) -> str:
     """Scenario as a JSON document; fixed key order, diff-friendly.
 
     The text is json.dumps(indent=2) of the document, byte for byte. When
-    every number is an exact int or a finite float, as in any validated
-    scenario, each host, VM and cloudlet is written from one `%` template;
-    otherwise json.dumps writes the whole document.
+    every number is an exact int or a finite float, as in any loaded or
+    generated scenario, each host, VM and cloudlet is written from one `%`
+    template; otherwise json.dumps writes the whole document.
     """
     doc: dict = {"policy": scenario.policy}
     if scenario.execution_mode is not None:
@@ -218,7 +221,7 @@ def save_scenario(scenario: Scenario) -> str:
     for rows in (*(dc.hosts for dc in scenario.datacenters), scenario.vms,
                  scenario.cloudlets):
         numbers += chain.from_iterable(rows)
-    if set(map(type, doc.values())) == {str} and _plain_numbers(numbers):
+    if set(map(type, doc.values())) == {str} and _plain(numbers, float):
         datacenters = [(dc.id, _json_list(_HOST, dc.hosts, 3))
                        for dc in scenario.datacenters]
         return ("{" + "".join(f'\n  "{key}": {json.dumps(value)},'
@@ -227,7 +230,9 @@ def save_scenario(scenario: Scenario) -> str:
                 + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
                 + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
                 + "\n}\n")
-    # A bool, NaN or infinity, which only an unvalidated scenario holds.
+    # A bool, a non-finite float, an int past float range or a non-number.
+    # Validation admits a bool in any number field; the document then holds
+    # `true` there, which load_scenario refuses.
     doc["datacenters"] = [{"id": dc.id, "hosts": list(map(Host._asdict, dc.hosts))}
                           for dc in scenario.datacenters]
     doc["vms"] = list(map(Vm._asdict, scenario.vms))
@@ -334,36 +339,22 @@ def _number(obj: dict, where: str, key: str) -> float:
 def _columns(docs: list, cls) -> Optional[list[list]]:
     """The columns of `docs`, one per field of row type `cls` in field
     order, each `float` field's as floats, when every element is an object
-    with exactly those keys, every `int` field holds only ints, and the
-    numbers are finite and within float range; else None. Each check is
-    one C-level pass over the list or a column. It only accepts: on None
-    `_rows` reads element by element, which finds the first offender."""
-    fields = cls._fields
+    with exactly those keys and each column is `_plain` for its field's
+    type; else None. Each check is one C-level pass over the list or a
+    column. It only accepts: on None `_rows` reads element by element,
+    which finds the first offender."""
     # Exactly the fields as keys: as many keys as fields, and each present.
-    if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(fields)}:
+    if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(cls._fields)}:
         return None
     columns = []
-    for key in fields:
+    for key, kind in cls.__annotations__.items():
         try:
             column = list(map(itemgetter(key), docs))
         except KeyError:
             return None
-        types = set(map(type, column))
-        if cls.__annotations__[key] is not float:
-            if types != {int}:
-                return None
-        elif types <= {int, float}:
-            try:
-                column = list(map(float, column))
-            except OverflowError:
-                return None
-            # NaN and infinities make the sum non-finite; so does a sum
-            # past float range, which declines finite numbers harmlessly.
-            if not math.isfinite(sum(column)):
-                return None
-        else:
+        if not _plain(column, kind):
             return None
-        columns.append(column)
+        columns.append(list(map(float, column)) if kind is float else column)
     return columns
 
 

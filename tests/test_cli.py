@@ -631,32 +631,16 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(counts, tmp_path_factory,
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_a_sweep_worker_error_is_the_serial_sweeps_error(cpus, tmp_path,
-                                                         time_limit):
-    # The parent's share fails at 2000, a child's at 5 and 40: a serial
-    # sweep meets 5 first.
-    def failing(spec):
-        if spec.n_tasks in (2000, 40, 5):
-            raise ValueError(f"count {spec.n_tasks} fails")
-        return generate(spec)
-
-    serial = _sweep(["--counts", _UNSORTED_COUNTS, "--out", str(tmp_path / "1")],
-                    1, failing)
-    assert serial == (1, "", "error: count 5 fails\n", 0)
-    code, _, err, forks = _sweep(["--counts", _UNSORTED_COUNTS,
-                                  "--out", str(tmp_path / "n")], cpus, failing)
-    assert (code, err, forks) == (1, serial[2], cpus - 1)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_sweep_worker_that_dies_is_one_error_line_and_exit_2(tmp_path,
+@pytest.mark.parametrize("failure", ["exit", "ValueError"])
+def test_a_sweep_worker_that_dies_is_one_error_line_and_exit_2(failure, tmp_path,
                                                               time_limit):
     parent = os.getpid()
 
     def dying(spec):  # 40 is in the child's share
         if spec.n_tasks == 40 and os.getpid() != parent:
-            os._exit(3)
+            if failure == "exit":
+                os._exit(3)
+            raise ValueError(f"count {spec.n_tasks} fails")
         return generate(spec)
 
     code, _, err, forks = _sweep(["--counts", _UNSORTED_COUNTS,

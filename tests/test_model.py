@@ -280,6 +280,69 @@ def test_violations_match_a_per_row_reference_walk(scenario):
     assert violations(scenario) == _reference_violations(scenario)
 
 
+# ---------------------------------------------------------------------------
+# property: whatever an API-built scenario's fields hold, validation either
+# returns it or raises ValidationError
+
+# Numbers (not positive, fractional, not finite, past float range), bools,
+# None, strings and lists.
+_any_value = st.sampled_from((0, -1, 2.5, float("nan"), float("inf"), 10 ** 400,
+                              True, False, None, "", "1", [], [1], [1, 2]))
+
+
+@st.composite
+def _scenarios_of_any_values(draw):
+    """A valid one-host scenario of two VMs and 1-3 cloudlets in which
+    each field (every id and quantity, the policy and the mode) is kept or,
+    at a rate drawn per scenario (never, 1 in 20 or 6 in 20), replaced by
+    any `_any_value`."""
+    odds = draw(st.sampled_from((0, 1, 6)))
+
+    def field(value):
+        return draw(_any_value) if draw(st.integers(1, 20)) <= odds else value
+
+    host = Host(field(1), field(1), field(500.0), field(1024), field(10 ** 6))
+    vms = tuple(Vm(field(i), field(250.0), field(512)) for i in (1, 2))
+    cloudlets = tuple(Cloudlet(field(k + 1), field(1000.0), field(k))
+                      for k in range(draw(st.integers(1, 3))))
+    return Scenario((Datacenter(field(1), (host,)),), vms, cloudlets,
+                    field("fcfs"), field(None))
+
+
+@given(scenario=_scenarios_of_any_values())
+def test_validation_raises_nothing_but_validation_error(scenario):
+    try:
+        assert validate_scenario(scenario) is scenario
+    except ValidationError as err:
+        assert err.violations and all(err.violations)
+
+
+def test_a_value_that_is_not_a_number_is_named_not_raised():
+    base = make_scenario([250], [1000, 1000], check=False)
+    host = base.datacenters[0].hosts[0]._replace(ram_mb=None)
+    scenario = replace(base, datacenters=(Datacenter([1], (host,)),),
+                       vms=(Vm("1", 250.0, [512]),),
+                       cloudlets=(Cloudlet(1, "1000", 0), Cloudlet(2, 1000.0, "1")))
+    assert violations(scenario) == [
+        "datacenter id [1] is not a number",
+        "host 1 declares datacenter 1 but sits in datacenter [1]",
+        "ram of host 1 is not a number",
+        "vm id '1' is not a number",
+        "ram of vm 1 is not a number",
+        "length of cloudlet 1 is not a number",
+        "arrival indices do not form a contiguous 0..n-1 sequence",
+    ]
+
+
+def test_an_execution_mode_that_is_not_one_is_flagged():
+    base = make_scenario([250], [1000], check=False)
+    for mode in ("time_shared", 1, [None]):
+        assert violations(replace(base, execution_mode=mode)) == [
+            f"unknown execution mode {mode!r}"]
+    for mode in (None, *ExecutionMode):
+        assert violations(replace(base, execution_mode=mode)) == []
+
+
 def test_arrival_indices_must_be_contiguous():
     base = make_scenario([250], [1000, 2000], check=False)
     first, second = base.cloudlets
