@@ -66,14 +66,12 @@ class Datacenter(NamedTuple):
 # What each host, VM and cloudlet must hold beyond its fields' JSON types,
 # which are their annotations (`int`, or `float` for any finite number):
 # (the type's name in messages, whether its ids must be positive, each field
-# that must be positive -> its word in messages, each legacy key a document
-# may carry -> its JSON type, an `int` one positive; checked, then ignored).
+# that must be positive -> its word in messages).
 ROW_RULES = {
     Host: ("host", False,
-           {"total_mips": "mips", "ram_mb": "ram", "storage_mb": "storage"}, {}),
-    Vm: ("vm", True, {"mips": "mips", "ram_mb": "ram"}, {"pe_count": int}),
-    Cloudlet: ("cloudlet", True, {"length": "length"},
-               {"pe_count": int, "file_size": float, "output_size": float}),
+           {"total_mips": "mips", "ram_mb": "ram", "storage_mb": "storage"}),
+    Vm: ("vm", True, {"mips": "mips", "ram_mb": "ram"}),
+    Cloudlet: ("cloudlet", True, {"length": "length"}),
 }
 
 
@@ -90,14 +88,13 @@ class Scenario:
     scenario must list them that way itself. It also requires that
     first-fit places every VM (`provision_vms`). A scenario is placed
     once, by validation or else on its first run, and keeps its placement.
-    `execution_mode` overrides the policy's default mode when set.
+    The policy alone fixes the execution mode (`assign`).
     """
 
     datacenters: tuple[Datacenter, ...]
     vms: tuple[Vm, ...]
     cloudlets: tuple[Cloudlet, ...]
     policy: str
-    execution_mode: Optional[ExecutionMode] = None
 
     def hosts(self) -> tuple[Host, ...]:
         """All hosts, in datacenter order then host order."""
@@ -263,8 +260,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         problems.append("no datacenters")
     if scenario.policy not in POLICIES:
         problems.append(f"unknown policy {scenario.policy!r}")
-    if scenario.execution_mode not in (None, *ExecutionMode):
-        problems.append(f"unknown execution mode {scenario.execution_mode!r}")
 
     seen_dc: set[int] = set()
     seen_host: set[int] = set()
@@ -309,7 +304,7 @@ def _row_problems(cls, columns, seen: set[int],
     TypeError are rows walked, naming each value that is not a number."""
     if not columns:  # no rows
         return []
-    name, positive_id, positive, _ = ROW_RULES[cls]
+    name, positive_id, positive = ROW_RULES[cls]
     ids = columns[0]
     checked = [(columns[cls._fields.index(field)], word,
                 cls.__annotations__[field] is float)

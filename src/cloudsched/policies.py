@@ -100,7 +100,7 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     return order, vm_at
 
 
-# policy -> (plan builder, default execution mode). model.POLICIES lists the
+# policy -> (plan builder, execution mode). model.POLICIES lists the
 # names that validation, the CLI and the default run order use; a name in
 # one and not the other fails the import instead of a later run.
 _POLICIES = {
@@ -114,15 +114,16 @@ if _POLICIES.keys() != set(POLICIES):
 
 
 def assign(scenario: Scenario) -> tuple[Plan, ExecutionMode]:
-    """`(plan, mode)`: the scenario's policy plan, and its execution mode
-    (the scenario's `execution_mode` when set, else the policy's default).
+    """`(plan, mode)`: the plan of the scenario's policy, and the execution
+    mode that policy runs in. `engine.execute_plan` runs any plan in either
+    mode.
 
     Expects a validated scenario (`load_scenario`, `generate` and
     `builtin_scenario` return one): cloudlets are taken in tuple order,
     which is not re-checked to be arrival order.
     """
     try:
-        build_plan, default_mode = _POLICIES[scenario.policy]
+        build_plan, mode = _POLICIES[scenario.policy]
     except KeyError:
         raise ValueError(f"unknown policy {scenario.policy!r}") from None
-    return build_plan(scenario), scenario.execution_mode or default_mode
+    return build_plan(scenario), mode

@@ -1,10 +1,10 @@
 """Scenario files, built-in scenarios and the seeded workload generator.
 
-The scenario document is a single JSON object with top-level keys
-`datacenters`, `vms`, `cloudlets`, `policy` (and optional
-`execution_mode`); ids are explicit and field names match the domain
-types. Unknown keys are rejected with their location so fixture typos
-fail loudly.
+The scenario document is a single JSON object with exactly the keys
+`policy`, `datacenters`, `vms` and `cloudlets`, the fields of `Scenario`;
+ids are explicit and each host, VM and cloudlet holds only its domain
+type's fields. Any other key is rejected with its location, so fixture
+typos fail loudly.
 """
 
 import json
@@ -17,10 +17,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .model import (
-    ROW_RULES,
     Cloudlet,
     Datacenter,
-    ExecutionMode,
     Host,
     Scenario,
     Vm,
@@ -35,8 +33,7 @@ BENCH_VM_MIPS = (250.0, 1000.0, 250.0, 500.0, 250.0)
 # The shipped scenarios: name -> (VM MIPS in declaration order, policy,
 # RAM of the two hosts).
 _BUILTINS = {
-    "paper12-fcfs": ((250.0, 1000.0, 250.0, 500.0, 250.0), "fcfs",
-                     (3 * VM_RAM_MB, 2 * VM_RAM_MB)),
+    "paper12-fcfs": (BENCH_VM_MIPS, "fcfs", (3 * VM_RAM_MB, 2 * VM_RAM_MB)),
     "paper12-rr": ((250.0, 250.0, 250.0, 500.0, 1000.0), "rr",
                    (4 * VM_RAM_MB, 1 * VM_RAM_MB)),
     "paper12-gpa": ((1000.0, 500.0, 250.0, 250.0, 250.0), "gpa",
@@ -214,30 +211,28 @@ def save_scenario(scenario: Scenario) -> str:
     generated scenario, each host, VM and cloudlet is written from one `%`
     template; otherwise json.dumps writes the whole document.
     """
-    doc: dict = {"policy": scenario.policy}
-    if scenario.execution_mode is not None:
-        doc["execution_mode"] = scenario.execution_mode.value
     numbers = [dc.id for dc in scenario.datacenters]
     for rows in (*(dc.hosts for dc in scenario.datacenters), scenario.vms,
                  scenario.cloudlets):
         numbers += chain.from_iterable(rows)
-    if set(map(type, doc.values())) == {str} and _plain(numbers, float):
+    if type(scenario.policy) is str and _plain(numbers, float):
         datacenters = [(dc.id, _json_list(_HOST, dc.hosts, 3))
                        for dc in scenario.datacenters]
-        return ("{" + "".join(f'\n  "{key}": {json.dumps(value)},'
-                              for key, value in doc.items())
-                + '\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
+        return ('{\n  "policy": ' + json.dumps(scenario.policy)
+                + ',\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
                 + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
                 + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
                 + "\n}\n")
     # A bool, a non-finite float, an int past float range or a non-number.
     # Validation admits a bool in any number field; the document then holds
     # `true` there, which load_scenario refuses.
-    doc["datacenters"] = [{"id": dc.id, "hosts": list(map(Host._asdict, dc.hosts))}
-                          for dc in scenario.datacenters]
-    doc["vms"] = list(map(Vm._asdict, scenario.vms))
-    doc["cloudlets"] = list(map(Cloudlet._asdict, scenario.cloudlets))
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({
+        "policy": scenario.policy,
+        "datacenters": [{"id": dc.id, "hosts": list(map(Host._asdict, dc.hosts))}
+                        for dc in scenario.datacenters],
+        "vms": list(map(Vm._asdict, scenario.vms)),
+        "cloudlets": list(map(Cloudlet._asdict, scenario.cloudlets)),
+    }, indent=2) + "\n"
 
 
 def write_scenario(scenario: Scenario, path) -> None:
@@ -297,19 +292,17 @@ def _unconvertible_int_at(text: str) -> int:
 # them where it reads them, and no other check accepts a float.
 
 
-def _check_keys(obj, where: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
-    """`obj` is an object with the `required` keys and no key outside
-    `required` and `optional`, else the first offence is raised."""
-    allowed = {*required, *optional}
-    if type(obj) is dict and set(required) <= obj.keys() <= allowed:
+def _check_keys(obj, where: str, keys: tuple[str, ...]) -> None:
+    """`obj` is an object with exactly the `keys`, else the first offence
+    is raised."""
+    if type(obj) is dict and obj.keys() == set(keys):
         return
     if type(obj) is not dict:
         raise ScenarioFormatError(f"{where}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise ScenarioFormatError(f"{where}: unknown key {key!r}")
-    key = next(k for k in required if k not in obj)
+    key = next(k for k in keys if k not in obj)
     raise ScenarioFormatError(f"{where}: missing key {key!r}")
 
 
@@ -360,41 +353,25 @@ def _columns(docs: list, cls) -> Optional[list[list]]:
 
 def _rows(cls, docs: list, where: str) -> list:
     """The rows of type `cls` that the objects `docs` at `where` describe,
-    read by `_columns`, else object by object (its fields, then its legacy
-    keys), which raises the located message of the first offender."""
+    read by `_columns`, else object by object, which raises the located
+    message of the first offender."""
     columns = _columns(docs, cls)
     if columns is not None:
         return list(map(tuple.__new__, repeat(cls), zip(*columns)))
-    legacy = ROW_RULES[cls][3]
     rows = []
     for i, obj in enumerate(docs):
         at = f"{where}[{i}]"
-        _check_keys(obj, at, cls._fields, tuple(legacy))
+        _check_keys(obj, at, cls._fields)
         rows.append(tuple.__new__(cls, [
             (_number if kind is float else _int)(obj, at, key)
             for key, kind in cls.__annotations__.items()]))
-        for key, kind in legacy.items():
-            if key in obj and kind is float:
-                _number(obj, at, key)
-            elif key in obj and _int(obj, at, key) < 1:
-                raise ScenarioFormatError(f"{at}.{key}: expected a positive integer")
     return rows
 
 
 def _scenario_from_doc(doc) -> Scenario:
-    _check_keys(doc, "document", ("policy", "datacenters", "vms", "cloudlets"),
-                ("execution_mode",))
+    _check_keys(doc, "document", ("policy", "datacenters", "vms", "cloudlets"))
     if type(doc["policy"]) is not str:
         raise ScenarioFormatError("document.policy: expected a string")
-
-    mode = None
-    if "execution_mode" in doc:
-        try:
-            mode = ExecutionMode(doc["execution_mode"])
-        except ValueError:
-            raise ScenarioFormatError(
-                f"document.execution_mode: expected one of "
-                f"{[m.value for m in ExecutionMode]}") from None
 
     for key in ("datacenters", "vms", "cloudlets"):
         if type(doc[key]) is not list:
@@ -422,5 +399,4 @@ def _scenario_from_doc(doc) -> Scenario:
         vms=tuple(vms),
         cloudlets=tuple(cloudlets),
         policy=doc["policy"],
-        execution_mode=mode,
     )

@@ -37,8 +37,7 @@ settings.register_profile("mutants", settings.get_profile("tier1"),
                           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
-def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True,
-                  vm_ids=None):
+def make_scenario(vm_mips, lengths, policy="fcfs", check=True, vm_ids=None):
     """Single-host scenario from bare MIPS and length lists, its VMs ids
     `vm_ids` in declared order (default 1..m). The host has twice the VMs'
     MIPS: an exact fit can fail to place the last VM in floats
@@ -53,7 +52,6 @@ def make_scenario(vm_mips, lengths, policy="fcfs", mode=None, check=True,
         cloudlets=tuple(Cloudlet(id=j + 1, length=float(length), arrival_index=j)
                         for j, length in enumerate(lengths)),
         policy=policy,
-        execution_mode=mode,
     )
     return validate_scenario(scenario) if check else scenario
 

@@ -69,6 +69,9 @@ MUTANTS = [
     ("loader-finite-sum-dropped", "cloudsched/workload.py",
      "math.isfinite(sum(numbers, 0.0))", "True",
      [_WORKLOAD + "test_load_rejects_non_finite_tokens_with_location"]),
+    ("loader-unknown-key-admitted", "cloudsched/workload.py",
+     "obj.keys() == set(keys)", "obj.keys() >= set(keys)",
+     [_WORKLOAD + "test_a_key_outside_the_scenario_fields_is_an_unknown_key"]),
     ("loader-host-merge-overrides-document", "cloudsched/workload.py",
      '{"datacenter_id": dc_id, **host}', '{**host, "datacenter_id": dc_id}',
      [_WORKLOAD + "test_host_datacenter_mismatch_is_a_validation_error"]),
@@ -155,7 +158,7 @@ MUTANTS = [
      [_CLI + "test_only_help_leaves_through_system_exit",
       _CLI + "test_an_unexpected_exception_leaves_the_collector_on"]),
     ("save-fast-path-guard-dropped", "cloudsched/workload.py",
-     "if set(map(type, doc.values())) == {str} and _plain(numbers, float):",
+     "if type(scenario.policy) is str and _plain(numbers, float):",
      "if True:",
      [_WORKLOAD + "test_save_writes_json_dumps_of_an_unvalidated_scenario"]),
     ("validate-vm-id-sign-check-dropped", "cloudsched/model.py",
@@ -176,14 +179,6 @@ MUTANTS = [
      "except ZeroDivisionError:",
      [_MODEL
       + "test_an_int_past_float_range_in_a_number_field_is_flagged_not_raised"]),
-    ("loader-legacy-size-read-dropped", "cloudsched/workload.py",
-     "if key in obj and kind is float:\n                _number(obj, at, key)",
-     "if key in obj and kind is float:\n                pass",
-     [_WORKLOAD + "test_load_rejects_non_finite_tokens_with_location"]),
-    ("loader-pe-count-zero-accepted", "cloudsched/workload.py",
-     "elif key in obj and _int(obj, at, key) < 1:",
-     "elif key in obj and _int(obj, at, key) < 0:",
-     [_WORKLOAD + "test_load_accepts_legacy_pe_count_and_rejects_a_bad_one"]),
     ("cli-repeated-entry-accepted", "cloudsched/cli.py",
      "if len(set(entries)) != len(entries):", "if False:",
      [_CLI + "test_a_repeated_list_entry_is_an_error"]),

@@ -306,17 +306,6 @@ def test_deeply_nested_document_is_a_format_error(tmp_path, capsys,
     assert capsys.readouterr().err == "error: document nested too deeply\n"
 
 
-def test_run_rejects_a_bad_pe_count_with_its_location(tmp_path, capsys):
-    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
-    doc["cloudlets"][2]["pe_count"] = 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err == \
-        "error: cloudlets[2].pe_count: expected a positive integer\n"
-
-
 def test_run_writes_rows_in_arrival_order(tmp_path):
     text, by_arrival = make_shuffled_arrival_document()
     path = tmp_path / "shuffled.json"

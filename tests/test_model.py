@@ -293,7 +293,7 @@ _any_value = st.sampled_from((0, -1, 2.5, float("nan"), float("inf"), 10 ** 400,
 @st.composite
 def _scenarios_of_any_values(draw):
     """A valid one-host scenario of two VMs and 1-3 cloudlets in which
-    each field (every id and quantity, the policy and the mode) is kept or,
+    each field (every id and quantity, and the policy) is kept or,
     at a rate drawn per scenario (never, 1 in 20 or 6 in 20), replaced by
     any `_any_value`."""
     odds = draw(st.sampled_from((0, 1, 6)))
@@ -306,7 +306,7 @@ def _scenarios_of_any_values(draw):
     cloudlets = tuple(Cloudlet(field(k + 1), field(1000.0), field(k))
                       for k in range(draw(st.integers(1, 3))))
     return Scenario((Datacenter(field(1), (host,)),), vms, cloudlets,
-                    field("fcfs"), field(None))
+                    field("fcfs"))
 
 
 @given(scenario=_scenarios_of_any_values())
@@ -332,15 +332,6 @@ def test_a_value_that_is_not_a_number_is_named_not_raised():
         "length of cloudlet 1 is not a number",
         "arrival indices do not form a contiguous 0..n-1 sequence",
     ]
-
-
-def test_an_execution_mode_that_is_not_one_is_flagged():
-    base = make_scenario([250], [1000], check=False)
-    for mode in ("time_shared", 1, [None]):
-        assert violations(replace(base, execution_mode=mode)) == [
-            f"unknown execution mode {mode!r}"]
-    for mode in (None, *ExecutionMode):
-        assert violations(replace(base, execution_mode=mode)) == []
 
 
 def test_arrival_indices_must_be_contiguous():

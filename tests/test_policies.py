@@ -20,7 +20,7 @@ from cloudsched import (
 )
 from cloudsched.policies import _cyclic_plan
 from conftest import (make_random_scenario, make_scenario, plan_pairs,
-                      result_rows, vm_queues)
+                      vm_queues)
 
 
 def assigned_pairs(scenario):
@@ -393,15 +393,3 @@ def test_policy_names_and_the_plan_table_must_agree(monkeypatch, names):
     monkeypatch.delitem(sys.modules, "cloudsched.policies")
     with pytest.raises(ImportError, match="does not match"):
         importlib.import_module("cloudsched.policies")
-
-
-def test_execution_mode_override_turns_fcfs_into_rr():
-    lengths = [4000, 9000, 2500, 7000, 1000]
-    forced = make_scenario([250, 500], lengths, policy="fcfs",
-                           mode=ExecutionMode.TIME_SHARED)
-    plain_rr = make_scenario([250, 500], lengths, policy="rr")
-    plan, mode = assign(forced)
-    assert mode is ExecutionMode.TIME_SHARED
-    result = execute_plan(forced, plan, mode)
-    rr_result = execute_plan(plain_rr, *assign(plain_rr))
-    assert result_rows(result) == result_rows(rr_result)

@@ -18,6 +18,7 @@ def test_readme_python_blocks_run_and_print_what_they_say(capsys):
     out = capsys.readouterr().out
     assert "30.0 80.0\n" in out
     assert "(1, 3, 1, 4) (20.0, 40.0, 20.0, 40.0)\n" in out
+    assert "73.33 80.0\n" in out
 
 
 def test_readme_json_blocks_load_as_scenarios():

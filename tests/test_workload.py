@@ -14,7 +14,6 @@ from cloudsched import (
     POLICIES,
     Cloudlet,
     Datacenter,
-    ExecutionMode,
     GeneratorSpec,
     Host,
     Scenario,
@@ -30,6 +29,7 @@ from cloudsched import (
     write_scenario,
 )
 from cloudsched import workload
+from cloudsched.cli import main
 from cloudsched.workload import _lcg
 from conftest import make_scenario
 
@@ -257,9 +257,7 @@ def test_load_delegates_semantic_checks_to_validation():
     (lambda d: d["vms"][1].update(mips=float("inf")), "vms[1].mips"),
     (lambda d: d["datacenters"][0]["hosts"][0].update(total_mips=float("-inf")),
      "datacenters[0].hosts[0].total_mips"),
-    (lambda d: d["cloudlets"][0].update(file_size=float("nan")),
-     "cloudlets[0].file_size"),
-], ids=["nan-length", "inf-mips", "minus-inf-host-mips", "nan-ignored-key"])
+], ids=["nan-length", "inf-mips", "minus-inf-host-mips"])
 def test_load_rejects_non_finite_tokens_with_location(edit, location):
     doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
     edit(doc)
@@ -284,10 +282,8 @@ def _value_positions(node, where):
 
 
 def _document_with_every_key():
-    """Saved paper12-fcfs, with the three ignored keys on its first cloudlet."""
-    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
-    doc["cloudlets"][0].update(pe_count=1, file_size=300.0, output_size=300.0)
-    return doc
+    """Saved paper12-fcfs: every key a document can hold."""
+    return json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
 
 
 _LOCATIONS = [where for where, _, _ in
@@ -337,47 +333,6 @@ def test_load_rejects_numbers_beyond_float_range():
         load_scenario(text)
 
 
-def test_load_ignores_cloudlet_size_metadata():
-    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
-    doc["cloudlets"][0]["file_size"] = 300
-    doc["cloudlets"][0]["output_size"] = 300
-    assert load_scenario(json.dumps(doc)) == builtin_scenario("paper12-fcfs")
-
-
-def test_load_accepts_legacy_pe_count_and_rejects_a_bad_one():
-    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
-    assert "pe_count" not in json.dumps(doc)
-    for entry in doc["vms"] + doc["cloudlets"]:
-        entry["pe_count"] = 1
-    assert load_scenario(json.dumps(doc)) == builtin_scenario("paper12-fcfs")
-    doc["vms"][0]["pe_count"] = 0
-    with pytest.raises(ScenarioFormatError,
-                       match=re.escape("vms[0].pe_count: expected a positive")):
-        load_scenario(json.dumps(doc))
-    doc["vms"][0]["pe_count"] = 1
-    doc["cloudlets"][1]["pe_count"] = 1.5
-    with pytest.raises(ScenarioFormatError,
-                       match=re.escape("cloudlets[1].pe_count: expected an integer")):
-        load_scenario(json.dumps(doc))
-
-
-def test_load_roundtrips_execution_mode():
-    scenario = generate(GeneratorSpec(n_tasks=2, seed=0))
-    doc = json.loads(save_scenario(scenario))
-    doc["execution_mode"] = "time_shared"
-    loaded = load_scenario(json.dumps(doc))
-    assert loaded.execution_mode is not None
-    assert loaded.execution_mode.value == "time_shared"
-    assert load_scenario(save_scenario(loaded)) == loaded
-
-
-def test_load_rejects_unknown_execution_mode():
-    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
-    doc["execution_mode"] = "warp"
-    with pytest.raises(ScenarioFormatError, match="execution_mode"):
-        load_scenario(json.dumps(doc))
-
-
 def test_host_datacenter_mismatch_is_a_validation_error():
     doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
     doc["datacenters"][0]["hosts"][0]["datacenter_id"] = 3
@@ -385,10 +340,36 @@ def test_host_datacenter_mismatch_is_a_validation_error():
         load_scenario(json.dumps(doc))
 
 
+# Keys that older documents carried and the simulator never read, each with
+# a value it once accepted, where it was accepted.
+@pytest.mark.parametrize("where, key, value", [
+    ("document", "execution_mode", "time_shared"),
+    ("vms[0]", "pe_count", 1),
+    ("cloudlets[2]", "pe_count", 1),
+    ("cloudlets[2]", "file_size", 300.0),
+    ("cloudlets[2]", "output_size", 300.0),
+])
+def test_a_key_outside_the_scenario_fields_is_an_unknown_key(
+        where, key, value, tmp_path, capsys):
+    doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
+    node = doc if where == "document" else doc[where[:-3]][int(where[-2])]
+    node[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    message = f"{where}: unknown key {key!r}"
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        load_scenario(path)
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # property: any JSON value loads to a valid scenario or a library error
 
-# Every key the format knows, plus one it does not.
+# Every key the format knows, plus five it does not: four that older
+# documents carried (`execution_mode`, `pe_count`, `file_size`,
+# `output_size`) and `bogus`.
 _KEYS = ("policy", "execution_mode", "datacenters", "vms", "cloudlets", "id",
          "hosts", "datacenter_id", "total_mips", "ram_mb", "storage_mb", "mips",
          "pe_count", "length", "arrival_index", "file_size", "output_size",
@@ -434,8 +415,8 @@ def _valid_documents(draw):
 @st.composite
 def _scenario_documents(draw):
     """A valid scenario document with up to three edits anywhere in it:
-    a value swapped for any JSON value, a key or item dropped, or a known,
-    legacy or unknown key added."""
+    a value swapped for any JSON value, a key or item dropped, or a known
+    or unknown key added."""
     doc = draw(_valid_documents())
     for _ in range(draw(st.integers(0, 3))):
         node = draw(st.sampled_from(_containers(doc)))
@@ -549,8 +530,6 @@ def test_the_column_pass_and_the_per_element_code_agree_on_edge_numbers(doc):
 def _document(scenario):
     """The scenario document, built field by field."""
     doc = {"policy": scenario.policy}
-    if scenario.execution_mode is not None:
-        doc["execution_mode"] = scenario.execution_mode.value
     doc["datacenters"] = [
         {"id": dc.id,
          "hosts": [{"id": h.id, "datacenter_id": h.datacenter_id,
@@ -565,7 +544,6 @@ def _document(scenario):
     return doc
 
 
-_modes = st.sampled_from((None, *ExecutionMode))
 _positive = (st.floats(min_value=0.0, max_value=1e12, exclude_min=True)
              | st.integers(1, 10 ** 12))
 
@@ -590,7 +568,7 @@ def _validated_scenarios(draw):
         tuple(datacenters),
         tuple(Vm(i + 1, m, 512) for i, m in enumerate(mips)),
         tuple(Cloudlet(j + 1, length, j) for j, length in enumerate(lengths)),
-        draw(st.sampled_from(POLICIES)), draw(_modes)))
+        draw(st.sampled_from(POLICIES))))
 
 
 # Numbers only an API-built scenario holds: NaN, infinities, a bool, and
@@ -613,7 +591,7 @@ _unvalidated_scenarios = st.builds(
              max_size=2).map(tuple),
     st.lists(_rows(Vm), max_size=3).map(tuple),
     st.lists(_rows(Cloudlet), max_size=3).map(tuple),
-    st.text(max_size=3), _modes)
+    st.text(max_size=3))
 
 
 @given(scenario=_validated_scenarios())
