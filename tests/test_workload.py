@@ -342,18 +342,27 @@ def test_host_datacenter_mismatch_is_a_validation_error():
 
 # Keys that older documents carried and the simulator never read, each with
 # a value it once accepted, where it was accepted.
-@pytest.mark.parametrize("where, key, value", [
+_RETIRED_KEYS = [
     ("document", "execution_mode", "time_shared"),
     ("vms[0]", "pe_count", 1),
     ("cloudlets[2]", "pe_count", 1),
     ("cloudlets[2]", "file_size", 300.0),
     ("cloudlets[2]", "output_size", 300.0),
-])
-def test_a_key_outside_the_scenario_fields_is_an_unknown_key(
-        where, key, value, tmp_path, capsys):
+]
+
+
+def _with_key(where, key, value):
+    """Saved paper12-fcfs with `key: value` added to the object at `where`."""
     doc = json.loads(save_scenario(builtin_scenario("paper12-fcfs")))
     node = doc if where == "document" else doc[where[:-3]][int(where[-2])]
     node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, key, value", _RETIRED_KEYS)
+def test_a_key_outside_the_scenario_fields_is_an_unknown_key(
+        where, key, value, tmp_path, capsys):
+    doc = _with_key(where, key, value)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     message = f"{where}: unknown key {key!r}"
@@ -362,6 +371,19 @@ def test_a_key_outside_the_scenario_fields_is_an_unknown_key(
     assert main(["run", "--scenario", str(path),
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The key check comes before any value is read: a retired key holding a
+# token JSON does not have, or a literal past float range, is still named
+# as an unknown key of its object, not as a bad number.
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where, key", [(w, k) for w, k, _ in _RETIRED_KEYS])
+def test_a_non_finite_number_in_a_retired_key_is_an_unknown_key(where, key,
+                                                                 token):
+    text = json.dumps(_with_key(where, key, "<token>"))
+    message = f"{where}: unknown key {key!r}"
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        load_scenario(text.replace('"<token>"', token))
 
 
 # ---------------------------------------------------------------------------
