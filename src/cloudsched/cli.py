@@ -7,11 +7,12 @@ Canonical outputs are CSV files in the output directory (``--out``, else
 CLOUDSCHED_OUT, else the working directory), byte-identical for identical
 config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
 times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Tables
-are columns, and each block of a table becomes text by one `%` per output
-that holds it; `run` renders a result's own columns as they are. Nothing
-is printed or written until every output has rendered. A sweep runs its
-counts on the usable CPUs; the children it forks write only to a pipe
-back to this process.
+are columns, and each block of a table becomes text by one `%` per chunk
+of at most `_CHUNK_ROWS` rows, written as it is made, so no output is
+ever one string; `run` renders a result's own columns as they are.
+Nothing is printed or written until every output has passed the
+overflow check. A sweep runs its counts on the usable CPUs; the children
+it forks write only to a pipe back to this process.
 "pretty" replaces only the table files: the output directory is still
 created, and compare.dat and sweep_timing.csv are still written.
 """
@@ -25,7 +26,7 @@ import signal
 import sys
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 from pathlib import Path
 
@@ -51,23 +52,21 @@ class UsageError(ValueError):
 # (name, header, blocks). A block is one `%` spec per column and a column
 # of raw values per spec that has a `%`, at least one; a spec without one
 # is a fixed cell. Every column is as long as the block has rows. Every
-# number becomes text in `_render` alone, by one `%` per block.
+# number becomes text in `_chunks` alone, by one `%` per chunk of a block.
 Table = tuple[str, Sequence[str], list[tuple[Sequence[str], Sequence[Sequence]]]]
 _DELIMITERS = {"csv": ",", "tsv": "\t", "dat": " "}
+# The most rows of a block that one `%` renders, and of an output's text
+# held at once.
+_CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
 # table rendering
 
-def _render(table: Table, delim: str) -> str:
-    """The header, then each block's rows: the block's row template, once
-    per row, applied by one `%` to its values row by row. One line per
-    row, cells joined by `delim`.
-
-    A result that overflowed a float is an error, not an `inf` cell, and
-    is found before any text is built. A finite column sum means finite
-    members; only a float column whose sum is not finite (it can
-    overflow) is checked value by value."""
+def _check_finite(table: Table) -> None:
+    """A result that overflowed a float is an error, not an `inf` cell. A
+    finite column sum means finite members; only a float column whose sum
+    is not finite (it can overflow) is checked value by value."""
     for specs, columns in table[2]:
         for spec, column in zip([s for s in specs if "%" in s], columns):
             if spec.endswith("f") and not math.isfinite(sum(column)):
@@ -75,14 +74,28 @@ def _render(table: Table, delim: str) -> str:
                     if not math.isfinite(x):
                         raise ValueError(f"result {x} is not a finite number "
                                          f"(the scenario overflows a float)")
-    parts = [delim.join(table[1]) + "\n"]
+
+
+def _chunks(table: Table, delim: str) -> Iterator[str]:
+    """The text of `table`, unchecked: the header, then each block's rows,
+    at most `_CHUNK_ROWS` to a chunk. A chunk is the block's row template,
+    once per row, applied by one `%` to its values row by row. One line
+    per row, cells joined by `delim`."""
+    yield delim.join(table[1]) + "\n"
     for specs, columns in table[2]:
-        k, n = len(columns), len(columns[0])
-        values = [None] * (k * n)
-        for j, column in enumerate(columns):
-            values[j::k] = column
-        parts.append((delim.join(specs) + "\n") * n % tuple(values))
-    return "".join(parts)
+        line, k = delim.join(specs) + "\n", len(columns)
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [column[start:start + _CHUNK_ROWS] for column in columns]
+            values = [None] * (k * len(chunk[0]))
+            for j, column in enumerate(chunk):
+                values[j::k] = column
+            yield line * len(chunk[0]) % tuple(values)
+
+
+def _render(table: Table, delim: str) -> str:
+    """`table` as one string, checked by `_check_finite` first."""
+    _check_finite(table)
+    return "".join(_chunks(table, delim))
 
 
 def _pretty(table: Table) -> str:
@@ -369,12 +382,14 @@ def main(argv=None) -> int:
     how it ended.
 
     0 success; 1 usage, format, validation (an unplaceable scenario
-    included) or overflow error, each a ValueError; 2 I/O error. Each
-    error is one `error: ...` line on stderr. Only `--help` leaves through
-    SystemExit(0). This is the only function that prints or writes an
-    output (a sweep's forked children write only to a pipe), and it does
-    so only once every output has rendered, so one that cannot render (an
-    overflow) leaves nothing behind. The first call builds the parser;
+    included) or overflow error, each a ValueError; 2 I/O error or a
+    MemoryError. Each error is one `error: ...` line on stderr. Only
+    `--help` leaves through SystemExit(0). This is the only function that
+    prints or writes an output (a sweep's forked children write only to a
+    pipe). It does so only once every output has passed the overflow
+    check, so one that overflows leaves nothing behind; then it writes
+    each output in turn, a chunk at a time, so an I/O error mid-file can
+    leave that file partly written. The first call builds the parser;
     every later one reuses it.
 
     The cyclic garbage collector is paused, process-wide, for the length
@@ -390,19 +405,23 @@ def main(argv=None) -> int:
         tables, files = args.command_fn(args)
         named = [(f"{t[0]}.{fmt}", t) for fmt in args.format if fmt != "pretty"
                  for t in tables] + [(t[0], t) for t in files]
-        texts = [(name, _render(t, _DELIMITERS[name.rsplit(".", 1)[1]]))
-                 for name, t in named]
-        listing = "".join(map(_pretty, tables)) if "pretty" in args.format else ""
+        shown = tables if "pretty" in args.format else []
+        for table in [t for _, t in named] + shown:
+            _check_finite(table)
         out_dir = Path(args.out or os.environ.get("CLOUDSCHED_OUT") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        sys.stdout.write(listing)
-        for name, text in texts:
-            (out_dir / name).write_text(text)
+        sys.stdout.writelines(map(_pretty, shown))
+        for name, table in named:
+            with open(out_dir / name, "w") as file:
+                file.writelines(_chunks(table, _DELIMITERS[name.rsplit(".", 1)[1]]))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 2
     finally:
         if was_enabled:

@@ -251,10 +251,15 @@ def load_scenario(source) -> Scenario:
     column, at C speed. A list those checks do not accept is read element by
     element, which names the first offender: every rejection carries the
     same located message either way.
+
+    Each form of the data lives only until the next is made from it: the
+    bytes until decoded, the text until parsed (or its error located), and
+    each parsed list of objects until its rows are read.
     """
-    data = source if isinstance(source, str) else Path(source).read_bytes()
+    text = source if isinstance(source, str) else Path(source).read_bytes()
     try:
-        text = data if isinstance(data, str) else data.decode("utf-8")
+        if not isinstance(text, str):
+            text = text.decode("utf-8")
         doc = json.loads(text)
     except UnicodeDecodeError as err:
         raise ScenarioFormatError(
@@ -269,6 +274,7 @@ def load_scenario(source) -> Scenario:
         raise ScenarioFormatError(
             f"parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    del text
     return validate_scenario(_scenario_from_doc(doc))
 
 
@@ -353,10 +359,12 @@ def _columns(docs: list, cls) -> Optional[list[list]]:
 
 def _rows(cls, docs: list, where: str) -> list:
     """The rows of type `cls` that the objects `docs` at `where` describe,
-    read by `_columns`, else object by object, which raises the located
-    message of the first offender."""
+    read by `_columns`, which empties `docs` once it has their columns,
+    else object by object, which raises the located message of the first
+    offender."""
     columns = _columns(docs, cls)
     if columns is not None:
+        docs.clear()  # the objects go before the rows are built
         return list(map(tuple.__new__, repeat(cls), zip(*columns)))
     rows = []
     for i, obj in enumerate(docs):

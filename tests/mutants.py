@@ -150,9 +150,21 @@ MUTANTS = [
     ("ps-grouping-tolerance", "cloudsched/engine.py",
      "if length != target:", "if not abs(length - target) <= 1e-3:",
      [_ENGINE + "test_ps_finish_order_follows_length_order"]),
+    # main's overflow pass over every output before the directory exists.
     ("render-finiteness-check-dropped", "cloudsched/cli.py",
-     'if spec.endswith("f") and not math.isfinite(sum(column)):', "if False:",
+     "for table in [t for _, t in named] + shown:\n"
+     "            _check_finite(table)", "pass",
      [_CLI + "test_overflowing_results_are_an_error_not_inf"]),
+    ("render-chunks-overlap", "cloudsched/cli.py",
+     "column[start:start + _CHUNK_ROWS]", "column[start:start + _CHUNK_ROWS + 1]",
+     [_CLI + "test_columns_render_the_bytes_of_the_row_wise_reference"]),
+    ("cli-memory-error-unmapped", "cloudsched/cli.py",
+     "except MemoryError:", "except ArithmeticError:",
+     [_CLI + "test_running_out_of_memory_is_one_error_line_and_exit_2"]),
+    ("loader-objects-kept-while-rows-built", "cloudsched/workload.py",
+     "docs.clear()", "pass",
+     [_CLI + "test_run_scenario_peak_memory_is_linear_and_at_most_"
+      "500_bytes_per_cloudlet"]),
     ("cli-gc-left-disabled", "cloudsched/cli.py",
      "gc.enable()", "pass",
      [_CLI + "test_only_help_leaves_through_system_exit",

@@ -4,9 +4,11 @@ import gc
 import io
 import json
 import os
+import shutil
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout, suppress
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +23,7 @@ from cloudsched import (
     GeneratorSpec,
     builtin_scenario,
     generate,
+    load_scenario,
     provision_vms,
     save_scenario,
     write_scenario,
@@ -186,6 +189,40 @@ def test_overflowing_results_are_an_error_not_inf(tmp_path, capsys, argv,
     assert captured.out == ""
 
 
+def test_an_overflow_in_the_last_of_several_chunked_tables_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # Ten equal lengths of 1e307 on one VM: each space-shared table is
+    # finite, but the time-shared rr run finishes all ten at 1e308, so the
+    # sum of its cpu times, and its mean, overflow. Every table is longer
+    # than a chunk, and rr's is written last.
+    monkeypatch.setattr(cloudsched.cli, "_CHUNK_ROWS", 4)
+    path = tmp_path / "tied.json"
+    write_scenario(make_scenario([1], [1e307] * 10), path)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--out", str(out), "--policy"]
+    assert main(argv + ["fcfs,gpa"]) == 0
+    shutil.rmtree(out)
+    code = main(argv + ["fcfs,gpa,rr"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: result inf is not a finite number")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_2(tmp_path, capsys,
+                                                            monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cloudsched.cli, "generate", exhausted)
+    out = tmp_path / "out"
+    assert main(["run", "--generate", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+    assert gc.isenabled()
+
+
 def test_a_column_whose_sum_overflows_is_written(tmp_path):
     # Every start and finish is finite, but each column's sum overflows;
     # so does no mean.
@@ -274,9 +311,13 @@ def _column_tables(draw):
     return "t", [f"h{j}" for j in range(width)], blocks
 
 
+# Chunks of one, two and three rows put chunk boundaries inside every
+# block the strategy draws, of up to five rows.
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
 @given(table=_column_tables())
-def test_columns_render_the_bytes_of_the_row_wise_reference(table):
-    _assert_renders_like_the_reference(table)
+def test_columns_render_the_bytes_of_the_row_wise_reference(chunk_rows, table):
+    with mock.patch.object(cloudsched.cli, "_CHUNK_ROWS", chunk_rows):
+        _assert_renders_like_the_reference(table)
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -866,23 +907,57 @@ def test_commands_on_one_parser_end_as_on_fresh_ones(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # a run's memory grows linearly with its cloudlets
 
-def test_run_peak_memory_is_linear_and_at_most_500_bytes_per_cloudlet(tmp_path):
-    # tracemalloc's peak for a whole `run` of N generated cloudlets, its
-    # three tables written. On CPython 3.11 it read 464 B per cloudlet at
-    # N = 5,000 and 466 B at 10,000. One untraced call comes first, so
-    # what a process allocates once (the parser) counts at neither size.
-    argv = ["run", "--out", str(tmp_path), "--generate"]
-    assert main(argv + ["5000"]) == 0
+def _traced_peak(call, *args):
+    """tracemalloc's peak for `call(*args)`, after one untraced call, so
+    that what a process allocates once (the parser) is not counted."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_peak_memory_is_linear_and_at_most_450_bytes_per_cloudlet(tmp_path):
+    # The peak for a whole `run` of N generated cloudlets, its three tables
+    # written. It read 455 B per cloudlet at N = 5,000 and 438 B at 10,000
+    # on CPython 3.11, 3.12 and 3.13, and 452 and 435 B on 3.10. Before
+    # tables were written in chunks it read 466 B at 10,000.
+    def run(n):
+        assert main(["run", "--out", str(tmp_path), "--generate", str(n)]) == 0
+
+    peaks = [_traced_peak(run, n) for n in (5000, 10000)]
+    assert peaks[1] / peaks[0] <= 2.1
+    assert peaks[1] / 10000 <= 450
+
+
+def test_run_scenario_peak_memory_is_linear_and_at_most_500_bytes_per_cloudlet(
+        tmp_path):
+    # The same for `run --scenario` on a saved generated file. It read 482
+    # B per cloudlet at N = 5,000 and 464 B at 10,000 on CPython 3.11, 3.12
+    # and 3.13, and 479 and 460 B on 3.10. While the loader held the file's
+    # bytes, its text, the parsed document and the rows at once, it read
+    # 647 B at 10,000 (694 B on 3.10).
+    def run(path):
+        assert main(["run", "--out", str(tmp_path), "--scenario", str(path)]) == 0
+
     peaks = []
     for n in (5000, 10000):
-        tracemalloc.start()
-        try:
-            assert main(argv + [str(n)]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        path = tmp_path / f"{n}.json"
+        write_scenario(generate(GeneratorSpec(n_tasks=n)), path)
+        peaks.append(_traced_peak(run, path))
     assert peaks[1] / peaks[0] <= 2.1
     assert peaks[1] / 10000 <= 500
+
+    # The load holds little more than the parsed document does: each list
+    # of objects goes once its columns are read, before the rows are built.
+    # With the text held by the caller, the load's peak read 1.13 times
+    # that of json.loads (1.11 on 3.10), and 1.39 (1.33) with the objects
+    # kept until the rows were built.
+    text = (tmp_path / "10000.json").read_text()
+    assert (_traced_peak(load_scenario, text)
+            / _traced_peak(json.loads, text)) <= 1.25
 
 
 # ---------------------------------------------------------------------------

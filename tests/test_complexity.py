@@ -6,14 +6,16 @@ counts are deterministic, so the gate needs no wall clock. Work done
 inside C calls (`sorted`, `list.remove`) is not counted.
 """
 
+import io
 import json
 import sys
 
 import pytest
 
+import cloudsched.cli
 from cloudsched import (Cloudlet, Datacenter, Host, Scenario, ScenarioFormatError,
                         Vm, load_scenario, provision_vms, save_scenario)
-from cloudsched.cli import _render
+from cloudsched.cli import _chunks, _render
 from cloudsched.engine import ps_finish_times
 from cloudsched.workload import _unconvertible_int_at
 from conftest import make_scenario
@@ -166,3 +168,14 @@ def test_the_overflow_scan_of_a_column_whose_sum_overflows_is_linear():
         return "t", ["x"], [(("%.2f",), ([9e307] * n,))]
 
     assert _ratio(lambda table: _render(table, ","), table) <= 2.1
+
+
+def test_writing_a_table_longer_than_two_chunks_is_linear(monkeypatch):
+    # At 16 rows to a chunk, M rows are 13 chunks and 2M rows 25.
+    monkeypatch.setattr(cloudsched.cli, "_CHUNK_ROWS", 16)
+
+    def table(n):
+        return "t", ["id", "x"], [(("%s", "%.2f"), (range(n), [0.5] * n))]
+
+    assert _ratio(lambda table: io.StringIO().writelines(_chunks(table, ",")),
+                  table) <= 2.1
