@@ -9,7 +9,9 @@ config + seed, as is TSV; "pretty" prints the same cells padded. Formats:
 times %.2f, utilization %.3f, improvement %.1f, wall-clock %.3f. Tables
 are columns, and each block of a table becomes text by one `%` per chunk
 of at most `_CHUNK_ROWS` rows, written as it is made, so no output is
-ever one string; `run` renders a result's own columns as they are.
+ever one string; a column listed twice under one float format is
+formatted once per chunk. `run` renders a result's own columns, but a
+cell that cannot vary is a fixed cell of the row template.
 Nothing is printed or written until every output has passed the
 overflow check. A sweep runs its counts on the usable CPUs; the children
 it forks write only to a pipe back to this process.
@@ -31,7 +33,8 @@ from functools import cache
 from pathlib import Path
 
 from .engine import execute_plan
-from .model import POLICIES, Scenario, SimulationResult, compare, summarize
+from .model import (POLICIES, ExecutionMode, Scenario, SimulationResult, compare,
+                    summarize)
 from .policies import assign
 from .workload import (
     BUILTIN_NAMES,
@@ -52,7 +55,8 @@ class UsageError(ValueError):
 # (name, header, blocks). A block is one `%` spec per column and a column
 # of raw values per spec that has a `%`, at least one; a spec without one
 # is a fixed cell. Every column is as long as the block has rows. Every
-# number becomes text in `_chunks` alone, by one `%` per chunk of a block.
+# number becomes text in `_chunks` alone, by one `%` per chunk of a block
+# (and one more per column object listed twice under one `%…f` spec).
 Table = tuple[str, Sequence[str], list[tuple[Sequence[str], Sequence[Sequence]]]]
 _DELIMITERS = {"csv": ",", "tsv": "\t", "dat": " "}
 # The most rows of a block that one `%` renders, and of an output's text
@@ -80,16 +84,34 @@ def _chunks(table: Table, delim: str) -> Iterator[str]:
     """The text of `table`, unchecked: the header, then each block's rows,
     at most `_CHUNK_ROWS` to a chunk. A chunk is the block's row template,
     once per row, applied by one `%` to its values row by row. One line
-    per row, cells joined by `delim`."""
+    per row, cells joined by `delim`.
+
+    A column object a block lists more than once under one `%…f` spec is
+    formatted once per chunk, one value to a line, and that text fills
+    each of its cells through `%s`: a float's text holds no line break."""
     yield delim.join(table[1]) + "\n"
     for specs, columns in table[2]:
-        line, k = delim.join(specs) + "\n", len(columns)
+        cells = [s for s in specs if "%" in s]
+        uses = {}  # (spec, column id) -> the cells that show the column by it
+        for j, (spec, column) in enumerate(zip(cells, columns)):
+            uses.setdefault((spec, id(column)), []).append(j)
+        repeats = [(cells[js[0]], js) for js in uses.values()
+                   if len(js) > 1 and cells[js[0]].endswith("f")]
+        for j in [j for _, js in repeats for j in js]:
+            cells[j] = "%s"
+        cells, k = iter(cells), len(columns)
+        line = delim.join(next(cells) if "%" in s else s for s in specs) + "\n"
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = [column[start:start + _CHUNK_ROWS] for column in columns]
-            values = [None] * (k * len(chunk[0]))
+            n = len(chunk[0])
+            for spec, js in repeats:
+                text = ((spec + "\n") * n % tuple(chunk[js[0]])).splitlines()
+                for j in js:
+                    chunk[j] = text
+            values = [None] * (k * n)
             for j, column in enumerate(chunk):
                 values[j::k] = column
-            yield line * len(chunk[0]) % tuple(values)
+            yield line * n % tuple(values)
 
 
 def _render(table: Table, delim: str) -> str:
@@ -146,7 +168,6 @@ def _simulate(scenario: Scenario) -> SimulationResult:
 
 
 _RUN_HEADER = ["cloudlet_id", "datacenter_id", "vm_id", "cpu_time", "start", "finish"]
-_RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +175,20 @@ _RUN_SPECS = ("%s", "%s", "%s", "%.2f", "%.2f", "%.2f")
 # --format) and its other files (named in full), and writes nothing
 
 def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
-    """Run each requested policy: one <policy> table per run."""
+    """Run each requested policy: one <policy> table per run. A cell that
+    cannot vary is a fixed cell: a time-shared start (0.0), and the
+    datacenter of a scenario with one, where first-fit places every VM."""
     tables = []
     for scenario in _resolve_jobs(args):
         r = _simulate(scenario)
+        dcs = scenario.datacenters
+        cells = (("%s", r.cloudlet_ids),
+                 ("%s" % dcs[0].id if len(dcs) == 1 else "%s", r.datacenter_ids),
+                 ("%s", r.vm_ids), ("%.2f", r.cpu_times),
+                 ("0.00" if r.mode is ExecutionMode.TIME_SHARED else "%.2f",
+                  r.start_times), ("%.2f", r.finish_times))
         tables.append((scenario.policy, _RUN_HEADER, [
-            (_RUN_SPECS, (r.cloudlet_ids, r.datacenter_ids, r.vm_ids,
-                          r.cpu_times, r.start_times, r.finish_times)),
+            ([s for s, _ in cells], [c for s, c in cells if "%" in s]),
             (("mean", "", "", "%.2f", "", ""), [(r.mean_cpu_time,)])]))
     return tables, []
 

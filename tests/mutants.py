@@ -6,8 +6,9 @@ text (which must occur exactly once in its file) with the new text, and
 runs `pytest -x -q` on the mutant's killing tests with `PYTHONPATH`
 pointing at the copy, under the `mutants` hypothesis profile (see
 `conftest.py`). A test failure or a timeout kills the mutant. The
-killing tests first run once on the unmutated copy and must pass there;
-then `WORKERS` mutants are tested at a time.
+killing tests first run once on the unmutated copy, in `WORKERS` shares
+at a time, and must pass there; then `WORKERS` mutants are tested at a
+time.
 Prints one line per mutant and exits 1 if any mutant survives or cannot
 be run.
 
@@ -32,6 +33,7 @@ WORKERS = 2
 
 _CLI = "tests/test_cli.py::"
 _ENGINE = "tests/test_engine.py::"
+_GOLDEN = "tests/test_golden.py::test_cli_output_bytes_match_their_digests"
 _METRICS = "tests/test_metrics.py::"
 _MODEL = "tests/test_model.py::"
 _POLICIES = "tests/test_policies.py::"
@@ -158,6 +160,19 @@ MUTANTS = [
     ("render-chunks-overlap", "cloudsched/cli.py",
      "column[start:start + _CHUNK_ROWS]", "column[start:start + _CHUNK_ROWS + 1]",
      [_CLI + "test_columns_render_the_bytes_of_the_row_wise_reference"]),
+    # A column under one float spec twice is formatted once; under two
+    # specs it is two texts.
+    ("render-repeat-key-without-spec", "cloudsched/cli.py",
+     "uses.setdefault((spec, id(column)), [])", "uses.setdefault(id(column), [])",
+     [_CLI + "test_one_column_under_two_specs_is_text_under_each"]),
+    # Only a time-shared start is always 0.0, and only a scenario with one
+    # datacenter has one datacenter id.
+    ("run-fixed-start-in-every-mode", "cloudsched/cli.py",
+     '"0.00" if r.mode is ExecutionMode.TIME_SHARED else "%.2f"', '"0.00"',
+     [_GOLDEN + "[run --builtin paper12-fcfs --policy fcfs --format csv,tsv]"]),
+    ("run-fixed-datacenter-with-several", "cloudsched/cli.py",
+     "if len(dcs) == 1 else", "if len(dcs) >= 1 else",
+     [_GOLDEN + "[run --builtin paper12-rr --policy rr --format csv,tsv]"]),
     ("cli-memory-error-unmapped", "cloudsched/cli.py",
      "except MemoryError:", "except ArithmeticError:",
      [_CLI + "test_running_out_of_memory_is_one_error_line_and_exit_2"]),
@@ -263,14 +278,16 @@ def main():
         pristine = Path(tmp) / "src"
         shutil.copytree(SRC, pristine)
         every_test = sorted({t for *_, tests in MUTANTS for t in tests})
-        code = _pytest(pristine, every_test)
-        if code != 0:
-            print(f"error: the killing tests fail on unmutated src/ "
-                  f"(pytest exit {code})")
-            return 1
-        # Each mutant has its own copy, so WORKERS of them run at once;
-        # verdicts print in list order.
         with ThreadPoolExecutor(WORKERS) as pool:
+            # The killing tests, split into WORKERS shares run at once.
+            codes = list(pool.map(lambda tests: _pytest(pristine, tests),
+                                  [every_test[i::WORKERS] for i in range(WORKERS)]))
+            if set(codes) != {0}:
+                print(f"error: the killing tests fail on unmutated src/ "
+                      f"(pytest exits {codes})")
+                return 1
+            # Each mutant has its own copy, so WORKERS of them run at once;
+            # verdicts print in list order.
             verdicts = pool.map(lambda mutant: _run_mutant(tmp, mutant), MUTANTS)
             for (name, *_), (verdict, failed) in zip(MUTANTS, verdicts):
                 print(verdict, flush=True)

@@ -261,6 +261,11 @@ def test_one_column_under_two_specs_is_text_under_each():
     column = (1.2345, 0.5, 1e300)
     _assert_renders_like_the_reference(
         ("t", ["a", "b"], [(("%.2f", "%.3f"), (column, column))]))
+    # Twice under one spec, with a column and a fixed cell between: the
+    # column is formatted once, and its text fills both cells.
+    _assert_renders_like_the_reference(
+        ("t", ["a", "b", "c", "d"],
+         [(("%.2f", "%s", "0.00", "%.2f"), (column, (1, 2, 3), column))]))
 
 
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 0.005, 2.675)

@@ -6,6 +6,7 @@ counts are deterministic, so the gate needs no wall clock. Work done
 inside C calls (`sorted`, `list.remove`) is not counted.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -15,7 +16,7 @@ import pytest
 import cloudsched.cli
 from cloudsched import (Cloudlet, Datacenter, Host, Scenario, ScenarioFormatError,
                         Vm, load_scenario, provision_vms, save_scenario)
-from cloudsched.cli import _chunks, _render
+from cloudsched.cli import _chunks, _render, cmd_run
 from cloudsched.engine import ps_finish_times
 from cloudsched.workload import _unconvertible_int_at
 from conftest import make_scenario
@@ -176,6 +177,23 @@ def test_writing_a_table_longer_than_two_chunks_is_linear(monkeypatch):
 
     def table(n):
         return "t", ["id", "x"], [(("%s", "%.2f"), (range(n), [0.5] * n))]
+
+    assert _ratio(lambda table: io.StringIO().writelines(_chunks(table, ",")),
+                  table) <= 2.1
+
+
+def test_writing_a_time_shared_run_table_longer_than_two_chunks_is_linear(
+        monkeypatch):
+    # rr's `run` table on a generated scenario: its datacenter and start
+    # are fixed cells, and its cpu_time column is its finish column.
+    monkeypatch.setattr(cloudsched.cli, "_CHUNK_ROWS", 16)
+
+    def table(n):
+        (table,), _ = cmd_run(argparse.Namespace(
+            builtin=(), scenario=None, generate=n, seed=1, policy=("rr",)))
+        columns = table[2][0][1]
+        assert len(columns) == 4 and columns[2] is columns[3]
+        return table
 
     assert _ratio(lambda table: io.StringIO().writelines(_chunks(table, ",")),
                   table) <= 2.1

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+import cloudsched.cli
 from cloudsched import GeneratorSpec, generate, save_scenario
 from cloudsched.cli import main
 
@@ -55,14 +56,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_cli_output_bytes_match_their_digests(argv, tmp_path):
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    written = {path.name for path in tmp_path.iterdir()}
+def _assert_writes_its_digests(argv, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    written = {path.name for path in out.iterdir()}
     expected = GOLDEN[argv]
     assert set(expected) <= written
-    assert {name: _sha256((tmp_path / name).read_bytes())
+    assert {name: _sha256((out / name).read_bytes())
             for name in expected} == expected
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_cli_output_bytes_match_their_digests(argv, tmp_path):
+    _assert_writes_its_digests(argv, tmp_path)
+
+
+# Both `run` table shapes: one datacenter, whose id is a fixed cell (and
+# rr's start too), and two, whose ids are a column. Chunks of 1, 7 and 499
+# rows put chunk boundaries inside every table, and the last chunk of a
+# 500-row table holds one row.
+@pytest.mark.parametrize("chunk_rows", [1, 7, 499])
+@pytest.mark.parametrize("argv", [
+    ("run", "--builtin", "paper12-rr", "--policy", "rr", "--format", "csv,tsv"),
+    ("run", "--generate", "500", "--seed", "3", "--format", "csv,tsv"),
+], ids=" ".join)
+def test_run_tables_in_short_chunks_match_their_digests(argv, chunk_rows,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.setattr(cloudsched.cli, "_CHUNK_ROWS", chunk_rows)
+    _assert_writes_its_digests(argv, tmp_path)
 
 
 # `--format pretty` writes its listing to stdout, not to a file.

@@ -21,7 +21,8 @@ def test_each_killing_test_exists():
     for name, _, _, _, tests in MUTANTS:
         assert tests, name
         for test_id in tests:
-            path, function = test_id.split("::")
+            # A parametrized test is named with its case's id in brackets.
+            path, function = test_id.split("[")[0].split("::")
             tree = ast.parse((ROOT / path).read_text())
             assert function in {node.name for node in tree.body
                                 if isinstance(node, ast.FunctionDef)}, \
