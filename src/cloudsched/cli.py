@@ -183,7 +183,8 @@ def cmd_run(args: argparse.Namespace) -> tuple[list[Table], list[Table]]:
         r = _simulate(scenario)
         dcs = scenario.datacenters
         cells = (("%s", r.cloudlet_ids),
-                 ("%s" % dcs[0].id if len(dcs) == 1 else "%s", r.datacenter_ids),
+                 ("%s" % dcs[0].id, ()) if len(dcs) == 1 else
+                 ("%s", list(map(scenario._datacenter_of.__getitem__, r.vm_ids))),
                  ("%s", r.vm_ids), ("%.2f", r.cpu_times),
                  ("0.00" if r.mode is ExecutionMode.TIME_SHARED else "%.2f",
                   r.start_times), ("%.2f", r.finish_times))

@@ -86,14 +86,13 @@ def execute_plan(scenario: Scenario, plan: Plan,
     """Run `plan` under `mode`; each VM serves its cloudlets in plan
     order, and the result's columns are in `scenario.cloudlets` order.
 
-    Expects a validated scenario (`load_scenario`, `generate` and
-    `builtin_scenario` return one); only the plan is checked here. A VM's
-    busy time is its last finish, 0.0 when nothing was assigned.
+    Expects a validated scenario (as loaded, generated or built in); only
+    the plan is checked here, and an unplaced scenario is placed or raises.
+    A VM's busy time is its last finish, 0.0 when nothing was assigned.
     """
     validate_plan(scenario, plan)
+    scenario._datacenter_of  # places the scenario, or raises
     vm_ids, cpu_times, starts, finishes, busy = _KERNELS[mode](
         *plan, scenario.vms, scenario._cloudlet_columns[1])
-    return SimulationResult(
-        mode, scenario._cloudlet_columns[0], vm_ids,
-        tuple(map(scenario._datacenter_of.__getitem__, vm_ids)),
-        cpu_times, starts, finishes, tuple(busy))
+    return SimulationResult(mode, scenario._cloudlet_columns[0], vm_ids,
+                            cpu_times, starts, finishes, tuple(busy))

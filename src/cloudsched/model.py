@@ -133,13 +133,12 @@ class SimulationResult:
     completion time; a result carries both. `policy` labels the run
     (`summarize`). The outcome is one column per field, in arrival order
     (times in seconds), and each VM's last finish in `Scenario.vms` order;
-    a time-shared `cpu_times` is its `finish_times`. Each scan of a column
-    runs once per result."""
+    a time-shared `cpu_times` is its `finish_times`; a VM's datacenter is
+    the scenario's placement. Each scan of a column runs once per result."""
 
     mode: ExecutionMode
     cloudlet_ids: tuple[int, ...]
     vm_ids: tuple[int, ...]
-    datacenter_ids: tuple[int, ...]
     cpu_times: tuple[float, ...]
     start_times: tuple[float, ...]
     finish_times: tuple[float, ...]

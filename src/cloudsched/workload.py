@@ -11,7 +11,7 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -189,7 +189,7 @@ def _json_list(template: str, rows, depth: int) -> str:
     return "[" + ",".join(map(template.__mod__, rows)) + "\n" + "  " * depth + "]"
 
 
-def _plain(numbers: list, kind: type) -> bool:
+def _plain(numbers, kind: type) -> bool:
     """Whether `numbers` fit a document field of type `kind`, each written
     by json.dumps as its repr: exact ints for `int`; for `float`, exact
     ints or floats whose sum is finite, so none is NaN, infinite or past
@@ -203,36 +203,36 @@ def _plain(numbers: list, kind: type) -> bool:
         return False
 
 
+def _check_rows(cls, rows, where: str) -> None:
+    """Raise the loader's located message for the first number of the rows
+    of type `cls` at `where` that `load_scenario` would refuse: each column
+    is one `_plain` pass, and a list that fails is read object by object."""
+    if not all(map(_plain, zip(*rows), cls.__annotations__.values())):
+        _rows(cls, list(map(cls._asdict, rows)), where)
+
+
 def save_scenario(scenario: Scenario) -> str:
     """Scenario as a JSON document; fixed key order, diff-friendly.
 
-    The text is json.dumps(indent=2) of the document, byte for byte. When
-    every number is an exact int or a finite float, as in any loaded or
-    generated scenario, each host, VM and cloudlet is written from one `%`
-    template; otherwise json.dumps writes the whole document.
-    """
-    numbers = [dc.id for dc in scenario.datacenters]
-    for rows in (*(dc.hosts for dc in scenario.datacenters), scenario.vms,
-                 scenario.cloudlets):
-        numbers += chain.from_iterable(rows)
-    if type(scenario.policy) is str and _plain(numbers, float):
-        datacenters = [(dc.id, _json_list(_HOST, dc.hosts, 3))
-                       for dc in scenario.datacenters]
-        return ('{\n  "policy": ' + json.dumps(scenario.policy)
-                + ',\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
-                + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
-                + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
-                + "\n}\n")
-    # A bool, a non-finite float, an int past float range or a non-number.
-    # Validation admits a bool in any number field; the document then holds
-    # `true` there, which load_scenario refuses.
-    return json.dumps({
-        "policy": scenario.policy,
-        "datacenters": [{"id": dc.id, "hosts": list(map(Host._asdict, dc.hosts))}
-                        for dc in scenario.datacenters],
-        "vms": list(map(Vm._asdict, scenario.vms)),
-        "cloudlets": list(map(Cloudlet._asdict, scenario.cloudlets)),
-    }, indent=2) + "\n"
+    The text is json.dumps(indent=2) of the document, byte for byte, each
+    host, VM and cloudlet written from one `%` template. A scenario that
+    saves, loads: the loader's own readers first check its policy and
+    numbers in the loader's order, and raise its ScenarioFormatError and
+    located message for the first value `load_scenario` would refuse."""
+    policy = json.dumps(_exact({"policy": scenario.policy}, "document",
+                               "policy", str))
+    datacenters = []
+    for i, dc in enumerate(scenario.datacenters):
+        _exact(dc._asdict(), f"datacenters[{i}]", "id")
+        _check_rows(Host, dc.hosts, f"datacenters[{i}].hosts")
+        datacenters.append((dc.id, _json_list(_HOST, dc.hosts, 3)))
+    _check_rows(Vm, scenario.vms, "vms")
+    _check_rows(Cloudlet, scenario.cloudlets, "cloudlets")
+    return ('{\n  "policy": ' + policy
+            + ',\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
+            + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
+            + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
+            + "\n}\n")
 
 
 def write_scenario(scenario: Scenario, path) -> None:
@@ -312,10 +312,14 @@ def _check_keys(obj, where: str, keys: tuple[str, ...]) -> None:
     raise ScenarioFormatError(f"{where}: missing key {key!r}")
 
 
-def _int(obj: dict, where: str, key: str) -> int:
+_KIND_WORDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _exact(obj: dict, where: str, key: str, kind: type = int):
+    """`obj[key]`, which must be exactly of type `kind`."""
     value = obj[key]
-    if type(value) is not int:
-        raise ScenarioFormatError(f"{where}.{key}: expected an integer")
+    if type(value) is not kind:
+        raise ScenarioFormatError(f"{where}.{key}: expected {_KIND_WORDS[kind]}")
     return value
 
 
@@ -371,27 +375,23 @@ def _rows(cls, docs: list, where: str) -> list:
         at = f"{where}[{i}]"
         _check_keys(obj, at, cls._fields)
         rows.append(tuple.__new__(cls, [
-            (_number if kind is float else _int)(obj, at, key)
+            (_number if kind is float else _exact)(obj, at, key)
             for key, kind in cls.__annotations__.items()]))
     return rows
 
 
 def _scenario_from_doc(doc) -> Scenario:
     _check_keys(doc, "document", ("policy", "datacenters", "vms", "cloudlets"))
-    if type(doc["policy"]) is not str:
-        raise ScenarioFormatError("document.policy: expected a string")
-
-    for key in ("datacenters", "vms", "cloudlets"):
-        if type(doc[key]) is not list:
-            raise ScenarioFormatError(f"document.{key}: expected a list")
+    for key, kind in (("policy", str), ("datacenters", list), ("vms", list),
+                      ("cloudlets", list)):
+        _exact(doc, "document", key, kind)
 
     datacenters = []
     for i, dc_doc in enumerate(doc["datacenters"]):
         where = f"datacenters[{i}]"
         _check_keys(dc_doc, where, ("id", "hosts"))
-        dc_id = _int(dc_doc, where, "id")
-        if type(dc_doc["hosts"]) is not list:
-            raise ScenarioFormatError(f"{where}.hosts: expected a list")
+        dc_id = _exact(dc_doc, where, "id")
+        _exact(dc_doc, where, "hosts", list)
         # A host's datacenter_id defaults to the datacenter that lists it.
         hosts = [{"datacenter_id": dc_id, **host} if type(host) is dict else host
                  for host in dc_doc["hosts"]]

@@ -81,7 +81,6 @@ class Row(NamedTuple):
 
     cloudlet_id: int
     vm_id: int
-    datacenter_id: int
     cpu_time: float
     start_time: float
     finish_time: float
@@ -91,8 +90,8 @@ def result_rows(result):
     """A result's columns zipped into one `Row` per cloudlet, in arrival
     order; a column of another length is an error, not a shorter list."""
     return [Row(*row) for row in zip(
-        result.cloudlet_ids, result.vm_ids, result.datacenter_ids,
-        result.cpu_times, result.start_times, result.finish_times, strict=True)]
+        result.cloudlet_ids, result.vm_ids, result.cpu_times,
+        result.start_times, result.finish_times, strict=True)]
 
 
 def busy_of(scenario, result):

@@ -184,10 +184,16 @@ MUTANTS = [
      "gc.enable()", "pass",
      [_CLI + "test_only_help_leaves_through_system_exit",
       _CLI + "test_an_unexpected_exception_leaves_the_collector_on"]),
+    # save_scenario checks each column with the loader's number rule, and
+    # each field against its own type.
     ("save-fast-path-guard-dropped", "cloudsched/workload.py",
-     "if type(scenario.policy) is str and _plain(numbers, float):",
-     "if True:",
-     [_WORKLOAD + "test_save_writes_json_dumps_of_an_unvalidated_scenario"]),
+     "if not all(map(_plain, zip(*rows), cls.__annotations__.values())):",
+     "if False:",
+     [_WORKLOAD + "test_save_refuses_what_the_loader_refuses_and_else_"
+      "writes_json_dumps"]),
+    ("save-int-field-takes-float", "cloudsched/workload.py",
+     "zip(*rows), cls.__annotations__.values()", "zip(*rows), repeat(float)",
+     [_WORKLOAD + "test_save_raises_the_loaders_located_message"]),
     ("validate-vm-id-sign-check-dropped", "cloudsched/model.py",
      'Vm: ("vm", True,', 'Vm: ("vm", False,',
      [_MODEL + "test_a_non_positive_vm_id_is_flagged"]),

@@ -928,7 +928,8 @@ def test_run_peak_memory_is_linear_and_at_most_450_bytes_per_cloudlet(tmp_path):
     # The peak for a whole `run` of N generated cloudlets, its three tables
     # written. It read 455 B per cloudlet at N = 5,000 and 438 B at 10,000
     # on CPython 3.11, 3.12 and 3.13, and 452 and 435 B on 3.10. Before
-    # tables were written in chunks it read 466 B at 10,000.
+    # tables were written in chunks it read 466 B at 10,000. Since a
+    # result holds no datacenter column it reads 440 and 422 B on 3.11.
     def run(n):
         assert main(["run", "--out", str(tmp_path), "--generate", str(n)]) == 0
 
@@ -943,7 +944,8 @@ def test_run_scenario_peak_memory_is_linear_and_at_most_500_bytes_per_cloudlet(
     # B per cloudlet at N = 5,000 and 464 B at 10,000 on CPython 3.11, 3.12
     # and 3.13, and 479 and 460 B on 3.10. While the loader held the file's
     # bytes, its text, the parsed document and the rows at once, it read
-    # 647 B at 10,000 (694 B on 3.10).
+    # 647 B at 10,000 (694 B on 3.10). Since a result holds no datacenter
+    # column it reads 466 and 448 B on 3.11.
     def run(path):
         assert main(["run", "--out", str(tmp_path), "--scenario", str(path)]) == 0
 

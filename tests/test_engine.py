@@ -169,8 +169,8 @@ def test_validation_and_provisioning_agree(scenario):
         result = execute_plan(bound, *assign(bound))
         rows = result_rows(result)
         assert [r.cloudlet_id for r in rows] == [cl.id for cl in bound.cloudlets]
-        assert [r.datacenter_id for r in rows] == \
-            [datacenter_of[binding[r.vm_id]] for r in rows]
+        assert bound._datacenter_of == \
+            {vm.id: datacenter_of[binding[vm.id]] for vm in bound.vms}
 
 
 # Whole-valued demands leave hosts at exactly the smallest VM's MIPS or RAM;
@@ -359,11 +359,8 @@ def test_space_shared_vm_usage_accounts_queue_time(fcfs_scenario):
         {1: 240.0, 2: 30.0, 3: 160.0, 4: 40.0, 5: 80.0}
 
 
-def test_space_shared_datacenter_ids_follow_provisioning(fcfs_scenario):
-    plan = id_plan(fcfs_scenario, tuple((k + 1, (k % 5) + 1) for k in range(12)))
-    result = execute_plan(fcfs_scenario, plan, ExecutionMode.SPACE_SHARED)
-    dc_of_vm = dict(zip(result.vm_ids, result.datacenter_ids, strict=True))
-    assert dc_of_vm == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
+def test_datacenters_follow_provisioning(fcfs_scenario):
+    assert fcfs_scenario._datacenter_of == {1: 2, 2: 2, 3: 2, 4: 3, 5: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +597,6 @@ def _two_datacenters(first_host_mips):
                                          ram_mb=4096, storage_mb=1000),)))
 
 
-def _datacenter_ids(scenario, plan):
-    """vm id -> datacenter id in the result, one map per mode."""
-    return [dict(zip(result.vm_ids, result.datacenter_ids, strict=True))
-            for result in (execute_plan(scenario, plan, mode)
-                           for mode in ExecutionMode)]
-
-
 def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     calls = []
 
@@ -642,7 +632,9 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     placed = []
     for scenario in (a, b_direct, a, b_replaced, a, a_equal):
         before = len(calls)
-        assert _datacenter_ids(scenario, plan) == [own_placement(scenario)] * 2
+        for mode in ExecutionMode:
+            execute_plan(scenario, plan, mode)
+        assert scenario._datacenter_of == own_placement(scenario)
         # Each scenario object is placed on its first run, and only then.
         new = [] if any(s is scenario for s in placed) else [scenario]
         assert list(map(id, calls[before:])) == list(map(id, new))
@@ -652,7 +644,8 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
     # A copy bound to another policy shares the placement: no new call.
     copy = a_equal.with_policy("rr")
     assert copy._datacenter_of is a_equal._datacenter_of
-    assert _datacenter_ids(copy, plan) == [own_placement(a)] * 2
+    execute_plan(copy, plan, ExecutionMode.TIME_SHARED)
+    assert copy._datacenter_of == own_placement(a)
     assert len(calls) == 4
 
 
@@ -685,7 +678,7 @@ def test_a_scenario_keeps_its_columns_and_a_replace_copy_builds_its_own():
 @pytest.mark.parametrize("mode", list(ExecutionMode))
 def test_every_column_is_a_tuple_of_one_value_per_cloudlet(fcfs_scenario, mode):
     result = execute_plan(fcfs_scenario, assign(fcfs_scenario)[0], mode)
-    columns = (result.cloudlet_ids, result.vm_ids, result.datacenter_ids,
-               result.cpu_times, result.start_times, result.finish_times)
-    assert [(type(c), len(c)) for c in columns] == [(tuple, 12)] * 6
+    columns = (result.cloudlet_ids, result.vm_ids, result.cpu_times,
+               result.start_times, result.finish_times)
+    assert [(type(c), len(c)) for c in columns] == [(tuple, 12)] * 5
     assert (type(result.busy_times), len(result.busy_times)) == (tuple, 5)

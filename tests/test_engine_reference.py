@@ -21,7 +21,6 @@ from cloudsched import (
     SimulationResult,
     Vm,
     execute_plan,
-    provision_vms,
     validate_scenario,
 )
 from cloudsched.engine import validate_plan
@@ -72,8 +71,6 @@ def per_vm_reference(scenario, plan, mode):
     """Run `plan` one VM at a time, as the engine used to."""
     validate_plan(scenario, plan)
     kernel = _REFERENCE_KERNELS[mode]
-    host_of = provision_vms(scenario)
-    datacenter_of = {h.id: h.datacenter_id for h in scenario.hosts()}
     slot_of = {cl.id: slot for slot, cl in enumerate(scenario.cloudlets)}
     length_of = {cl.id: cl.length for cl in scenario.cloudlets}
     queues = {vm.id: [] for vm in scenario.vms}
@@ -83,11 +80,10 @@ def per_vm_reference(scenario, plan, mode):
     busy_times = []
     for vm in scenario.vms:
         queue = queues[vm.id]
-        datacenter_id = datacenter_of[host_of[vm.id]]
         times = kernel([length_of[cid] for cid in queue], vm.mips)
         for cloudlet_id, (cpu_time, start, finish) in zip(queue, times):
             rows[slot_of[cloudlet_id]] = (
-                cloudlet_id, vm.id, datacenter_id, cpu_time, start, finish)
+                cloudlet_id, vm.id, cpu_time, start, finish)
         busy_times.append(max((t[2] for t in times), default=0.0))
     return SimulationResult(mode, *zip(*rows), busy_times=tuple(busy_times))
 

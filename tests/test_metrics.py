@@ -67,7 +67,7 @@ def test_headline_mean_tracks_the_execution_mode(gpa_scenario, rr_scenario):
 
 def test_summarize_rejects_empty_results():
     from cloudsched import SimulationResult
-    empty = SimulationResult(ExecutionMode.SPACE_SHARED, *[()] * 7)
+    empty = SimulationResult(ExecutionMode.SPACE_SHARED, *[()] * 6)
     with pytest.raises(ValueError, match="empty"):
         summarize(empty)
 
@@ -155,8 +155,8 @@ def test_total_work_is_conserved_across_policies(fcfs_scenario, rr_scenario,
 
 def test_makespan_ignores_record_order(fcfs_scenario):
     result = run_policy(fcfs_scenario)
-    columns = ("cloudlet_ids", "vm_ids", "datacenter_ids", "cpu_times",
-               "start_times", "finish_times")
+    columns = ("cloudlet_ids", "vm_ids", "cpu_times", "start_times",
+               "finish_times")
     reversed_result = dataclasses.replace(
         result, **{name: getattr(result, name)[::-1] for name in columns})
     assert result_rows(reversed_result) == result_rows(result)[::-1]

@@ -547,7 +547,8 @@ def test_the_column_pass_and_the_per_element_code_agree_on_edge_numbers(doc):
 
 
 # ---------------------------------------------------------------------------
-# property: save_scenario writes json.dumps(indent=2) of the document
+# property: save_scenario writes json.dumps(indent=2) of the document, and
+# refuses what load_scenario would refuse with the loader's message
 
 def _document(scenario):
     """The scenario document, built field by field."""
@@ -622,7 +623,39 @@ def test_save_writes_json_dumps_of_a_validated_scenario(scenario):
                                                  indent=2) + "\n"
 
 
+@given(scenario=_validated_scenarios())
+def test_a_validated_scenario_loads_as_it_saves(scenario):
+    assert load_scenario(save_scenario(scenario)) == scenario
+
+
 @given(scenario=_unvalidated_scenarios)
-def test_save_writes_json_dumps_of_an_unvalidated_scenario(scenario):
-    assert save_scenario(scenario) == json.dumps(_document(scenario),
-                                                 indent=2) + "\n"
+def test_save_refuses_what_the_loader_refuses_and_else_writes_json_dumps(
+        scenario):
+    text = json.dumps(_document(scenario), indent=2) + "\n"
+    try:
+        workload._scenario_from_doc(json.loads(text))
+    except ScenarioFormatError as err:
+        with pytest.raises(ScenarioFormatError) as raised:
+            save_scenario(scenario)
+        assert str(raised.value) == str(err)
+    else:
+        assert save_scenario(scenario) == text
+
+
+_HOST_A = Host(1, 1, 1000.0, 1024, 1000)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (Scenario((Datacenter(1, (_HOST_A,)),), (Vm(True, 500.0, 512),), (), "fcfs"),
+     "vms[0].id: expected an integer"),
+    (Scenario((Datacenter(1, (_HOST_A,)),), (Vm(1, 500.0, 512.0),), (), "fcfs"),
+     "vms[0].ram_mb: expected an integer"),
+    (Scenario((Datacenter("x", (Host("a", "x", 1000.0, 1024, 1000),)),),
+              (Vm(1, 500.0, 512),), (), "fcfs"),
+     "datacenters[0].id: expected an integer"),
+    (Scenario((), (Vm(True, 500.0, 512.0),), (), 1),
+     "document.policy: expected a string"),
+])
+def test_save_raises_the_loaders_located_message(scenario, message):
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        save_scenario(scenario)
