@@ -6,9 +6,10 @@ processor sharing, the quantum->0 limit of round-robin). All cloudlets
 arrive at t = 0; a run is a pure function of (scenario, plan, mode). A plan
 names cloudlets by arrival slot and VMs by position in `scenario.vms`, and
 VMs sit where the scenario placed them. Each mode's kernel takes the whole
-plan in one pass, indexing lists with no id lookup, and writes each field
-of a cloudlet's outcome into its own column at the cloudlet's arrival slot;
-`ps_finish_times` is the time-shared kernel's one-VM view.
+plan in one pass over the scenario's `lengths` column, indexing it with no
+id lookup, and writes each field of a cloudlet's outcome into its own
+column at the cloudlet's arrival slot; a result's ids column is the
+scenario's. `ps_finish_times` is the time-shared kernel's one-VM view.
 """
 
 from math import nan
@@ -84,7 +85,8 @@ _KERNELS = {
 def execute_plan(scenario: Scenario, plan: Plan,
                  mode: ExecutionMode) -> SimulationResult:
     """Run `plan` under `mode`; each VM serves its cloudlets in plan
-    order, and the result's columns are in `scenario.cloudlets` order.
+    order, and the result's columns are in arrival order, the order of
+    the scenario's columns.
 
     Expects a validated scenario (as loaded, generated or built in); only
     the plan is checked here, and an unplaced scenario is placed or raises.
@@ -93,6 +95,6 @@ def execute_plan(scenario: Scenario, plan: Plan,
     validate_plan(scenario, plan)
     scenario._datacenter_of  # places the scenario, or raises
     vm_ids, cpu_times, starts, finishes, busy = _KERNELS[mode](
-        *plan, scenario.vms, scenario._cloudlet_columns[1])
-    return SimulationResult(mode, scenario._cloudlet_columns[0], vm_ids,
+        *plan, scenario.vms, scenario.lengths)
+    return SimulationResult(mode, scenario.cloudlet_ids, vm_ids,
                             cpu_times, starts, finishes, tuple(busy))

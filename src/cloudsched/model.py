@@ -2,9 +2,11 @@
 
 Everything here is an immutable value object: scenarios are validated once
 and can then be shared freely between policies, engine runs and reports.
-A result carries its own summary numbers; `summarize` labels it and
-`compare` ranks results against the first. Nothing here rounds -
-formatting happens at output.
+A scenario is its columns: it holds its cloudlets' ids and lengths, in
+arrival order, and no object per cloudlet; `Cloudlet` is the schema of a
+document row. A result is columns too, and carries its own summary
+numbers; `summarize` labels it and `compare` ranks results against the
+first. Nothing here rounds - formatting happens at output.
 """
 
 import math
@@ -33,9 +35,11 @@ class ValidationError(ValueError):
 
 
 class Cloudlet(NamedTuple):
-    """One task: `length` is total work in MI (millions of instructions);
-    `arrival_index` is its 0-based place in arrival order, which in a
-    valid scenario is its position in `Scenario.cloudlets`."""
+    """One task as a scenario document lists it, and as the rows form of
+    `Scenario` takes it: `length` is total work in MI (millions of
+    instructions); `arrival_index` is its 0-based place in arrival order.
+    A scenario holds no `Cloudlet`: it holds their ids and lengths as
+    columns, in arrival order."""
 
     id: int
     length: float
@@ -77,24 +81,68 @@ ROW_RULES = {
 
 # Scenario and SimulationResult are dataclasses, not named tuples: their
 # cached properties live in an instance dict.
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Scenario:
     """A complete simulation input: infrastructure, workload and policy.
 
-    `vms` are in creation order and `cloudlets` in arrival order; a plan
-    names both by position, and cyclic dispatch follows both orders.
-    Validation requires `cloudlets[k].arrival_index == k`: the loader
-    orders a document's cloudlets by `arrival_index`, and an API-built
-    scenario must list them that way itself. It also requires that
-    first-fit places every VM (`provision_vms`). A scenario is placed
-    once, by validation or else on its first run, and keeps its placement.
-    The policy alone fixes the execution mode (`assign`).
+    The workload is two columns in arrival order, `cloudlet_ids` and
+    `lengths`: immutable sequences of one entry per cloudlet (a generated
+    scenario's ids are a `range`). `vms` are in creation order; a plan
+    names cloudlets and VMs by position, and cyclic dispatch follows both
+    orders. `Scenario(datacenters, vms, cloudlets, policy)` takes the
+    workload as `Cloudlet` rows instead, and unzips them once into the
+    columns; rows given to `dataclasses.replace` replace the columns.
+    Rows whose arrival indices are not 0..n-1 in order keep their indices
+    in `arrival_indices`, which validation rejects; it is None otherwise.
+    Two scenarios are equal when their columns hold equal values, whatever
+    sequence type holds them. With distinct lengths, a generated scenario
+    holds 32 B per cloudlet and a loaded one 68 B (CPython 3.11).
+
+    Validation also requires that first-fit places every VM
+    (`provision_vms`). A scenario is placed once, by validation or else
+    on its first run, and keeps its placement. The policy alone fixes the
+    execution mode (`assign`).
     """
 
     datacenters: tuple[Datacenter, ...]
     vms: tuple[Vm, ...]
-    cloudlets: tuple[Cloudlet, ...]
+    cloudlet_ids: Sequence[int]
+    lengths: Sequence[float]
     policy: str
+    arrival_indices: Optional[Sequence[int]] = None
+
+    def __init__(self, datacenters, vms, cloudlets=None, policy="", *,
+                 cloudlet_ids=(), lengths=(), arrival_indices=None):
+        if cloudlets is not None:
+            cloudlet_ids, lengths, arrival_indices = (
+                tuple(zip(*cloudlets)) or ((), (), ()))
+        if len(cloudlet_ids) != len(lengths):
+            raise ValueError(f"{len(cloudlet_ids)} cloudlet ids "
+                             f"for {len(lengths)} lengths")
+        if arrival_indices is not None and (
+                list(arrival_indices) == list(range(len(arrival_indices)))):
+            arrival_indices = None
+        vars(self).update(datacenters=datacenters, vms=vms,
+                          cloudlet_ids=cloudlet_ids, lengths=lengths,
+                          policy=policy, arrival_indices=arrival_indices)
+
+    def _key(self) -> tuple:
+        return (self.datacenters, self.vms, tuple(self.cloudlet_ids),
+                tuple(self.lengths), self.policy, self.arrival_indices)
+
+    def __eq__(self, other):
+        return type(other) is Scenario and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def cloudlets(self) -> tuple[Cloudlet, ...]:
+        """The workload as `Cloudlet` rows, built on each access."""
+        arrival = self.arrival_indices
+        return tuple(map(Cloudlet._make, zip(
+            self.cloudlet_ids, self.lengths,
+            range(len(self.lengths)) if arrival is None else arrival)))
 
     def hosts(self) -> tuple[Host, ...]:
         """All hosts, in datacenter order then host order."""
@@ -114,11 +162,6 @@ class Scenario:
         host_dc = {h.id: h.datacenter_id for h in self.hosts()}
         return {vm: host_dc[host] for vm, host in provision_vms(self).items()}
 
-    @cached_property
-    def _cloudlet_columns(self) -> tuple[tuple, ...]:
-        """The cloudlets' ids, lengths and arrival indices."""
-        return tuple(zip(*self.cloudlets)) or ((), (), ())
-
 
 # What a policy hands the engine: `(order, vm_at)`, the arrival slots in
 # plan order and, for each plan position, the index of its VM in
@@ -133,11 +176,12 @@ class SimulationResult:
     completion time; a result carries both. `policy` labels the run
     (`summarize`). The outcome is one column per field, in arrival order
     (times in seconds), and each VM's last finish in `Scenario.vms` order;
-    a time-shared `cpu_times` is its `finish_times`; a VM's datacenter is
-    the scenario's placement. Each scan of a column runs once per result."""
+    a time-shared `cpu_times` is its `finish_times`; `cloudlet_ids` is the
+    scenario's column itself; a VM's datacenter is the scenario's
+    placement. Each scan of a column runs once per result."""
 
     mode: ExecutionMode
-    cloudlet_ids: tuple[int, ...]
+    cloudlet_ids: Sequence[int]
     vm_ids: tuple[int, ...]
     cpu_times: tuple[float, ...]
     start_times: tuple[float, ...]
@@ -251,7 +295,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     """
     problems: list[str] = []
 
-    if not scenario.cloudlets:
+    if not scenario.cloudlet_ids:
         problems.append("empty cloudlet set")
     if not scenario.vms:
         problems.append("empty vm set")
@@ -273,14 +317,13 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             problems.append(f"datacenter {dc.id} has no hosts")
         problems += _row_problems(Host, tuple(zip(*dc.hosts)), seen_host, dc.id)
     problems += _row_problems(Vm, tuple(zip(*scenario.vms)), set())
-    columns = scenario._cloudlet_columns
-    problems += _row_problems(Cloudlet, columns, set())
+    problems += _row_problems(
+        Cloudlet, (scenario.cloudlet_ids, scenario.lengths), set())
 
-    indices = list(columns[2])
-    slots = list(range(len(indices)))
-    if indices != slots:
+    indices = scenario.arrival_indices  # None when 0..n-1 in order
+    if indices is not None:
         try:
-            permuted = sorted(indices) == slots
+            permuted = sorted(indices) == list(range(len(indices)))
         except TypeError:  # an index that is not a number
             permuted = False
         if permuted:
@@ -361,7 +404,8 @@ def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
                                "(arrival slots, vm indices)"]) from None
     if slots != vm_indices:
         raise ValidationError([f"plan has {slots} slots, {vm_indices} vm indices"])
-    n, m = len(scenario.cloudlets), len(scenario.vms)
+    ids = scenario.cloudlet_ids
+    n, m = len(ids), len(scenario.vms)
     # A range holds only ints.
     ordered = type(order) is range and order == range(n) or (
         slots == n and set(map(type, order)) <= {int} and len(set(order)) == n
@@ -369,7 +413,6 @@ def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
     if (ordered and set(map(type, vm_at)) <= {int}
             and set(vm_at) <= set(range(m))):
         return plan
-    ids = scenario._cloudlet_columns[0]
     problems, seen = [], set()
     for p, (slot, v) in enumerate(zip(order, vm_at)):
         where = f"plan position {p}"

@@ -22,7 +22,7 @@ def _cyclic_plan(scenario: Scenario) -> Plan:
     fcfs and rr share this plan; the declared VM order is rr's ring, so
     reorder the VMs in the scenario to change the ring.
     """
-    n = len(scenario.cloudlets)
+    n = len(scenario.cloudlet_ids)
     return range(n), tuple(islice(cycle(range(len(scenario.vms))), n))
 
 
@@ -54,7 +54,7 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     list moves of up to the class's size per cloudlet, done in C; no tuple
     is built per move, and the plan is the scan's.
     """
-    lengths = scenario._cloudlet_columns[1]
+    lengths = scenario.lengths
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
 
     vms = scenario.vms
@@ -119,8 +119,8 @@ def assign(scenario: Scenario) -> tuple[Plan, ExecutionMode]:
     mode.
 
     Expects a validated scenario (`load_scenario`, `generate` and
-    `builtin_scenario` return one): cloudlets are taken in tuple order,
-    which is not re-checked to be arrival order.
+    `builtin_scenario` return one): the scenario's columns are in arrival
+    order, which is not re-checked.
     """
     try:
         build_plan, mode = _POLICIES[scenario.policy]

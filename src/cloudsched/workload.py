@@ -1,18 +1,19 @@
 """Scenario files, built-in scenarios and the seeded workload generator.
 
 The scenario document is a single JSON object with exactly the keys
-`policy`, `datacenters`, `vms` and `cloudlets`, the fields of `Scenario`;
-ids are explicit and each host, VM and cloudlet holds only its domain
-type's fields. Any other key is rejected with its location, so fixture
-typos fail loudly.
+`policy`, `datacenters`, `vms` and `cloudlets`; ids are explicit and each
+host, VM and cloudlet holds only its domain type's fields (a cloudlet's
+are `Cloudlet`'s). Any other key is rejected with its location, so
+fixture typos fail loudly. A scenario holds its cloudlets as columns, and
+the loader and the generator build no row per cloudlet.
 """
 
 import json
 import math
 import re
 from collections.abc import Iterator
-from itertools import count, islice, repeat
-from operator import attrgetter, itemgetter
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -87,8 +88,8 @@ def _scenario(hosts, vm_mips, lengths, policy: str) -> Scenario:
                           for h in hosts),
         vms=tuple(Vm(id=i + 1, mips=m, ram_mb=VM_RAM_MB)
                   for i, m in enumerate(vm_mips)),
-        cloudlets=tuple(map(tuple.__new__, repeat(Cloudlet),
-                            zip(count(1), lengths, count()))),
+        cloudlet_ids=range(1, len(lengths) + 1),
+        lengths=tuple(lengths),
         policy=policy,
     ))
 
@@ -182,11 +183,10 @@ _DATACENTER = '\n    {\n      "id": %r,\n      "hosts": %s\n    }'
 
 
 def _json_list(template: str, rows, depth: int) -> str:
-    """The list of `rows`, each formatted by `template`, as json.dumps(
-    indent=2) writes it `depth` levels deep."""
-    if not rows:
-        return "[]"
-    return "[" + ",".join(map(template.__mod__, rows)) + "\n" + "  " * depth + "]"
+    """The list of `rows` (any iterable of tuples), each formatted by
+    `template`, as json.dumps(indent=2) writes it `depth` levels deep."""
+    body = ",".join(map(template.__mod__, rows))
+    return "[" + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
 def _plain(numbers, kind: type) -> bool:
@@ -203,12 +203,14 @@ def _plain(numbers, kind: type) -> bool:
         return False
 
 
-def _check_rows(cls, rows, where: str) -> None:
+def _check_columns(cls, columns, where: str) -> None:
     """Raise the loader's located message for the first number of the rows
-    of type `cls` at `where` that `load_scenario` would refuse: each column
-    is one `_plain` pass, and a list that fails is read object by object."""
-    if not all(map(_plain, zip(*rows), cls.__annotations__.values())):
-        _rows(cls, list(map(cls._asdict, rows)), where)
+    of type `cls` at `where`, whose fields are `columns`, that
+    `load_scenario` would refuse: each column is one `_plain` pass, and a
+    list that fails is read object by object."""
+    if not all(map(_plain, columns, cls.__annotations__.values())):
+        _read(cls, [dict(zip(cls._fields, row)) for row in zip(*columns)],
+              where)
 
 
 def save_scenario(scenario: Scenario) -> str:
@@ -224,14 +226,17 @@ def save_scenario(scenario: Scenario) -> str:
     datacenters = []
     for i, dc in enumerate(scenario.datacenters):
         _exact(dc._asdict(), f"datacenters[{i}]", "id")
-        _check_rows(Host, dc.hosts, f"datacenters[{i}].hosts")
+        _check_columns(Host, tuple(zip(*dc.hosts)), f"datacenters[{i}].hosts")
         datacenters.append((dc.id, _json_list(_HOST, dc.hosts, 3)))
-    _check_rows(Vm, scenario.vms, "vms")
-    _check_rows(Cloudlet, scenario.cloudlets, "cloudlets")
+    _check_columns(Vm, tuple(zip(*scenario.vms)), "vms")
+    arrival = scenario.arrival_indices
+    cloudlets = (scenario.cloudlet_ids, scenario.lengths,
+                 range(len(scenario.lengths)) if arrival is None else arrival)
+    _check_columns(Cloudlet, cloudlets, "cloudlets")
     return ('{\n  "policy": ' + policy
             + ',\n  "datacenters": ' + _json_list(_DATACENTER, datacenters, 1)
             + ',\n  "vms": ' + _json_list(_VM, scenario.vms, 1)
-            + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, scenario.cloudlets, 1)
+            + ',\n  "cloudlets": ' + _json_list(_CLOUDLET, zip(*cloudlets), 1)
             + "\n}\n")
 
 
@@ -243,9 +248,11 @@ def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from JSON text or a file.
 
     A `str` is always the document text itself; an `os.PathLike` (such as
-    a `pathlib.Path`) is the path of a UTF-8 file holding it. The scenario
-    lists its cloudlets in arrival order, whatever order the document has
-    them in.
+    a `pathlib.Path`) is the path of a UTF-8 file holding it. The
+    scenario's cloudlet columns are in arrival order, whatever order the
+    document lists its cloudlets in: they are reordered once by
+    `arrival_index`, unless the indices already read 0..n-1, as
+    `save_scenario` writes them. No `Cloudlet` is built.
 
     A well-formed list of hosts, VMs or cloudlets is checked column by
     column, at C speed. A list those checks do not accept is read element by
@@ -254,7 +261,7 @@ def load_scenario(source) -> Scenario:
 
     Each form of the data lives only until the next is made from it: the
     bytes until decoded, the text until parsed (or its error located), and
-    each parsed list of objects until its rows are read.
+    each parsed list of objects until its columns are read.
     """
     text = source if isinstance(source, str) else Path(source).read_bytes()
     try:
@@ -344,7 +351,7 @@ def _columns(docs: list, cls) -> Optional[list[list]]:
     order, each `float` field's as floats, when every element is an object
     with exactly those keys and each column is `_plain` for its field's
     type; else None. Each check is one C-level pass over the list or a
-    column. It only accepts: on None `_rows` reads element by element,
+    column. It only accepts: on None `_read` reads element by element,
     which finds the first offender."""
     # Exactly the fields as keys: as many keys as fields, and each present.
     if set(map(type, docs)) != {dict} or set(map(len, docs)) != {len(cls._fields)}:
@@ -361,23 +368,27 @@ def _columns(docs: list, cls) -> Optional[list[list]]:
     return columns
 
 
-def _rows(cls, docs: list, where: str) -> list:
-    """The rows of type `cls` that the objects `docs` at `where` describe,
-    read by `_columns`, which empties `docs` once it has their columns,
-    else object by object, which raises the located message of the first
-    offender."""
+def _read(cls, docs: list, where: str) -> list[list]:
+    """The columns of the rows of type `cls` that the objects `docs` at
+    `where` describe, one list per field: read by `_columns`, which
+    empties `docs` once it has them, else object by object, which raises
+    the located message of the first offender."""
     columns = _columns(docs, cls)
     if columns is not None:
-        docs.clear()  # the objects go before the rows are built
-        return list(map(tuple.__new__, repeat(cls), zip(*columns)))
-    rows = []
+        docs.clear()  # the objects go before anything else is built
+        return columns
+    columns = [[] for _ in cls._fields]
     for i, obj in enumerate(docs):
         at = f"{where}[{i}]"
         _check_keys(obj, at, cls._fields)
-        rows.append(tuple.__new__(cls, [
-            (_number if kind is float else _exact)(obj, at, key)
-            for key, kind in cls.__annotations__.items()]))
-    return rows
+        for column, (key, kind) in zip(columns, cls.__annotations__.items()):
+            column.append((_number if kind is float else _exact)(obj, at, key))
+    return columns
+
+
+def _rows(cls, docs: list, where: str) -> tuple:
+    """The rows of type `cls` that `_read` reads from `docs`."""
+    return tuple(map(tuple.__new__, repeat(cls), zip(*_read(cls, docs, where))))
 
 
 def _scenario_from_doc(doc) -> Scenario:
@@ -395,16 +406,24 @@ def _scenario_from_doc(doc) -> Scenario:
         # A host's datacenter_id defaults to the datacenter that lists it.
         hosts = [{"datacenter_id": dc_id, **host} if type(host) is dict else host
                  for host in dc_doc["hosts"]]
-        datacenters.append(Datacenter(dc_id, tuple(
-            _rows(Host, hosts, f"{where}.hosts"))))
+        datacenters.append(Datacenter(dc_id, _rows(Host, hosts, f"{where}.hosts")))
     vms = _rows(Vm, doc["vms"], "vms")
-    cloudlets = _rows(Cloudlet, doc["cloudlets"], "cloudlets")
-    # Every later stage reads tuple order as arrival order.
-    cloudlets.sort(key=attrgetter("arrival_index"))
+    ids, lengths, arrival = _read(Cloudlet, doc["cloudlets"], "cloudlets")
+    # Every later stage reads column order as arrival order. Sorted, a
+    # permutation of 0..n-1 is 0..n-1, which the scenario does not keep;
+    # any other indices stay for validation to report.
+    if arrival == list(range(len(arrival))):
+        arrival = None
+    else:
+        order = sorted(range(len(arrival)), key=arrival.__getitem__)
+        ids, lengths, arrival = [tuple(map(column.__getitem__, order))
+                                 for column in (ids, lengths, arrival)]
 
     return Scenario(
         datacenters=tuple(datacenters),
-        vms=tuple(vms),
-        cloudlets=tuple(cloudlets),
+        vms=vms,
+        cloudlet_ids=tuple(ids),
+        lengths=tuple(lengths),
+        arrival_indices=arrival,
         policy=doc["policy"],
     )

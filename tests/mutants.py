@@ -109,9 +109,19 @@ MUTANTS = [
      "if room[0] < least_mips or room[1] < least_ram:",
      "if room[0] <= least_mips or room[1] <= least_ram:",
      [_ENGINE + "test_first_fit_binds_as_the_linear_scan"]),
+    # A scenario keeps its arrival indices only when they are not 0..n-1
+    # in order, and validation reports only the ones it keeps.
     ("arrival-order-check-dropped", "cloudsched/model.py",
-     "if indices != slots:", "if False:",
+     "list(arrival_indices) == list(range(len(arrival_indices)))", "True",
      [_MODEL + "test_arrival_indices_must_be_contiguous"]),
+    ("scenario-columns-of-unequal-length-accepted", "cloudsched/model.py",
+     "if len(cloudlet_ids) != len(lengths):", "if False:",
+     [_MODEL + "test_cloudlet_columns_of_unequal_length_are_refused"]),
+    ("loader-keeps-the-list-order", "cloudsched/workload.py",
+     "order = sorted(range(len(arrival)), key=arrival.__getitem__)",
+     "order = range(len(arrival))",
+     [_WORKLOAD
+      + "test_cloudlet_list_order_does_not_change_the_loaded_scenario"]),
     ("space-shared-column-at-plan-position", "cloudsched/engine.py",
      "for slot, v in zip(order, vm_at):\n        vm_ids[slot]",
      "for slot, v in enumerate(vm_at):\n        vm_ids[slot]",
@@ -179,7 +189,7 @@ MUTANTS = [
     ("loader-objects-kept-while-rows-built", "cloudsched/workload.py",
      "docs.clear()", "pass",
      [_CLI + "test_run_scenario_peak_memory_is_linear_and_at_most_"
-      "500_bytes_per_cloudlet"]),
+      "400_bytes_per_cloudlet"]),
     ("cli-gc-left-disabled", "cloudsched/cli.py",
      "gc.enable()", "pass",
      [_CLI + "test_only_help_leaves_through_system_exit",
@@ -187,12 +197,13 @@ MUTANTS = [
     # save_scenario checks each column with the loader's number rule, and
     # each field against its own type.
     ("save-fast-path-guard-dropped", "cloudsched/workload.py",
-     "if not all(map(_plain, zip(*rows), cls.__annotations__.values())):",
+     "if not all(map(_plain, columns, cls.__annotations__.values())):",
      "if False:",
      [_WORKLOAD + "test_save_refuses_what_the_loader_refuses_and_else_"
       "writes_json_dumps"]),
     ("save-int-field-takes-float", "cloudsched/workload.py",
-     "zip(*rows), cls.__annotations__.values()", "zip(*rows), repeat(float)",
+     "_plain, columns, cls.__annotations__.values()",
+     "_plain, columns, repeat(float)",
      [_WORKLOAD + "test_save_raises_the_loaders_located_message"]),
     ("validate-vm-id-sign-check-dropped", "cloudsched/model.py",
      'Vm: ("vm", True,', 'Vm: ("vm", False,',

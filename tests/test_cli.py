@@ -924,28 +924,31 @@ def _traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_run_peak_memory_is_linear_and_at_most_450_bytes_per_cloudlet(tmp_path):
+def test_run_peak_memory_is_linear_and_at_most_300_bytes_per_cloudlet(tmp_path):
     # The peak for a whole `run` of N generated cloudlets, its three tables
     # written. It read 455 B per cloudlet at N = 5,000 and 438 B at 10,000
     # on CPython 3.11, 3.12 and 3.13, and 452 and 435 B on 3.10. Before
     # tables were written in chunks it read 466 B at 10,000. Since a
-    # result holds no datacenter column it reads 440 and 422 B on 3.11.
+    # result holds no datacenter column it read 440 and 422 B on 3.11.
+    # Since a scenario holds columns, not a Cloudlet per cloudlet, it
+    # reads 290 and 272 B on 3.11.
     def run(n):
         assert main(["run", "--out", str(tmp_path), "--generate", str(n)]) == 0
 
     peaks = [_traced_peak(run, n) for n in (5000, 10000)]
     assert peaks[1] / peaks[0] <= 2.1
-    assert peaks[1] / 10000 <= 450
+    assert peaks[1] / 10000 <= 300
 
 
-def test_run_scenario_peak_memory_is_linear_and_at_most_500_bytes_per_cloudlet(
+def test_run_scenario_peak_memory_is_linear_and_at_most_400_bytes_per_cloudlet(
         tmp_path):
     # The same for `run --scenario` on a saved generated file. It read 482
     # B per cloudlet at N = 5,000 and 464 B at 10,000 on CPython 3.11, 3.12
     # and 3.13, and 479 and 460 B on 3.10. While the loader held the file's
     # bytes, its text, the parsed document and the rows at once, it read
     # 647 B at 10,000 (694 B on 3.10). Since a result holds no datacenter
-    # column it reads 466 and 448 B on 3.11.
+    # column it read 466 and 448 B on 3.11. Since the loader reads columns
+    # and builds no Cloudlet, it reads 352 and 354 B on 3.11.
     def run(path):
         assert main(["run", "--out", str(tmp_path), "--scenario", str(path)]) == 0
 
@@ -955,16 +958,33 @@ def test_run_scenario_peak_memory_is_linear_and_at_most_500_bytes_per_cloudlet(
         write_scenario(generate(GeneratorSpec(n_tasks=n)), path)
         peaks.append(_traced_peak(run, path))
     assert peaks[1] / peaks[0] <= 2.1
-    assert peaks[1] / 10000 <= 500
+    assert peaks[1] / 10000 <= 400
 
     # The load holds little more than the parsed document does: each list
-    # of objects goes once its columns are read, before the rows are built.
-    # With the text held by the caller, the load's peak read 1.13 times
-    # that of json.loads (1.11 on 3.10), and 1.39 (1.33) with the objects
-    # kept until the rows were built.
+    # of objects goes once its columns are read, before anything else is
+    # built. With the text held by the caller, the load's peak read 1.13
+    # times that of json.loads (1.11 on 3.10), and 1.39 (1.33) with the
+    # objects kept until the rows were built. It still reads 1.13.
     text = (tmp_path / "10000.json").read_text()
     assert (_traced_peak(load_scenario, text)
             / _traced_peak(json.loads, text)) <= 1.25
+
+
+def test_no_command_reads_a_scenario_as_rows(tmp_path):
+    # A scenario is its columns: loading, generating, validating, planning,
+    # running and rendering never ask for its `Cloudlet` rows.
+    path = tmp_path / "scenario.json"
+    write_scenario(generate(GeneratorSpec(n_tasks=50, seed=4)), path)
+
+    def refuse(scenario):
+        raise AssertionError("a scenario was read as rows")
+
+    with mock.patch.object(cloudsched.model.Scenario, "cloudlets",
+                           property(refuse)):
+        for argv in (["run", "--generate", "50"], ["run", "--scenario", str(path)],
+                     ["compare", "--builtin", ",".join(BUILTIN_NAMES)],
+                     ["sweep", "--counts", "10,20,30"]):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
 
 
 # ---------------------------------------------------------------------------

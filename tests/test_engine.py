@@ -651,26 +651,26 @@ def test_placement_is_reused_only_for_the_same_infrastructure(monkeypatch):
 
 def test_a_scenario_keeps_its_columns_and_a_replace_copy_builds_its_own():
     scenario = make_scenario([250, 500], [1000, 2000, 3000], check=False)
-    assert "_cloudlet_columns" not in vars(scenario)
+    ids, lengths = scenario.cloudlet_ids, scenario.lengths
+    assert (ids, lengths, scenario.arrival_indices) == \
+        ((1, 2, 3), (1000.0, 2000.0, 3000.0), None)
     validate_scenario(scenario)
-    columns = vars(scenario)["_cloudlet_columns"]
-    assert columns == ((1, 2, 3), (1000.0, 2000.0, 3000.0), (0, 1, 2))
     # Runs, and copies bound to another policy, read the one set of columns.
     copy = scenario.with_policy("gpa")
     for rebound in (scenario, copy):
-        execute_plan(rebound, *assign(rebound))
-    assert scenario._cloudlet_columns is columns and copy._cloudlet_columns is columns
+        assert execute_plan(rebound, *assign(rebound)).cloudlet_ids is ids
+        assert rebound.cloudlet_ids is ids and rebound.lengths is lengths
 
     # A copy with other cloudlets builds its columns from them, not from
     # `scenario`.
     moved = replace(scenario, cloudlets=(Cloudlet(7, 500.0, 0),
                                          Cloudlet(5, 4000.0, 1)))
-    assert "_cloudlet_columns" not in vars(moved)
     result = execute_plan(moved, id_plan(moved, ((5, 1), (7, 2))),
                           ExecutionMode.SPACE_SHARED)
     assert list(zip(result.cloudlet_ids, result.cpu_times)) == \
         [(7, 1.0), (5, 16.0)]
-    assert moved._cloudlet_columns == ((7, 5), (500.0, 4000.0), (0, 1))
+    assert (moved.cloudlet_ids, moved.lengths, moved.arrival_indices) == \
+        ((7, 5), (500.0, 4000.0), None)
     with pytest.raises(ValidationError, match="plan position 2: slot 2 "):
         execute_plan(moved, assign(scenario)[0], ExecutionMode.SPACE_SHARED)
 
@@ -678,7 +678,9 @@ def test_a_scenario_keeps_its_columns_and_a_replace_copy_builds_its_own():
 @pytest.mark.parametrize("mode", list(ExecutionMode))
 def test_every_column_is_a_tuple_of_one_value_per_cloudlet(fcfs_scenario, mode):
     result = execute_plan(fcfs_scenario, assign(fcfs_scenario)[0], mode)
-    columns = (result.cloudlet_ids, result.vm_ids, result.cpu_times,
+    # The ids column is the scenario's own, a range for a builtin.
+    assert result.cloudlet_ids is fcfs_scenario.cloudlet_ids
+    columns = (tuple(result.cloudlet_ids), result.vm_ids, result.cpu_times,
                result.start_times, result.finish_times)
     assert [(type(c), len(c)) for c in columns] == [(tuple, 12)] * 5
     assert (type(result.busy_times), len(result.busy_times)) == (tuple, 5)

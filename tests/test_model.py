@@ -348,6 +348,36 @@ def test_arrival_indices_must_be_contiguous():
         ["cloudlets are not listed in arrival order"]
 
 
+def test_cloudlet_columns_of_unequal_length_are_refused():
+    base = make_scenario([250], [1000, 2000])
+    with pytest.raises(ValueError, match="^2 cloudlet ids for 1 lengths$"):
+        replace(base, lengths=(1000.0,))
+    with pytest.raises(ValueError, match="^0 cloudlet ids for 2 lengths$"):
+        Scenario(base.datacenters, base.vms, policy="fcfs",
+                 lengths=base.lengths)
+
+
+def test_the_rows_and_the_columns_make_one_scenario():
+    rows = make_scenario([250, 500], [1000, 2000, 3000])
+    columns = Scenario(rows.datacenters, rows.vms, policy="fcfs",
+                       cloudlet_ids=range(1, 4), lengths=[1000.0, 2000.0, 3000.0],
+                       arrival_indices=(0, 1, 2))
+    # Equal values in a range, a list or a tuple are one scenario; indices
+    # 0..n-1 in order are not kept.
+    assert columns.arrival_indices is None
+    assert columns == rows and hash(columns) == hash(rows)
+    assert columns.cloudlets == rows.cloudlets == (
+        Cloudlet(1, 1000.0, 0), Cloudlet(2, 2000.0, 1), Cloudlet(3, 3000.0, 2))
+    assert replace(rows, lengths=(1000.0, 2000.0, 3001.0)) != rows
+    assert replace(rows, cloudlet_ids=range(2, 5)) != rows
+    # Rows out of arrival order keep their indices, and give them back.
+    swapped = replace(rows, cloudlets=(Cloudlet(1, 1000.0, 1),
+                                       Cloudlet(2, 2000.0, 0)))
+    assert swapped.arrival_indices == (1, 0)
+    assert swapped.cloudlets == (Cloudlet(1, 1000.0, 1), Cloudlet(2, 2000.0, 0))
+    assert swapped != replace(swapped, cloudlets=swapped.cloudlets[::-1])
+
+
 def test_validation_error_carries_every_violation():
     scenario = make_scenario([-5], [0], policy="nope", check=False)
     with pytest.raises(ValidationError) as err:
