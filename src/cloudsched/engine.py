@@ -9,7 +9,10 @@ VMs sit where the scenario placed them. Each mode's kernel takes the whole
 plan in one pass over the scenario's `lengths` column, indexing it with no
 id lookup, and writes each field of a cloudlet's outcome into its own
 column at the cloudlet's arrival slot; a result's ids column is the
-scenario's. `ps_finish_times` is the time-shared kernel's one-VM view.
+scenario's. The time-shared kernel takes its shortest-first order from
+the scenario's longest-first slots, which the scenario sorts once for
+itself and its `with_policy` copies; a space-shared run never sorts.
+`ps_finish_times` is the time-shared kernel's one-VM view.
 """
 
 from math import nan
@@ -24,14 +27,18 @@ def ps_finish_times(lengths: list[float], mips: float) -> list[float]:
     time-shared kernel run on a one-VM plan. Output order matches input
     order; n equal jobs of length L all finish at exactly n*L/mips."""
     n = len(lengths)
-    return list(_time_shared(range(n), (0,) * n, (Vm(0, mips, 0),), lengths)[1])
+    one_vm = Scenario((), (Vm(0, mips, 0),), cloudlet_ids=range(n),
+                      lengths=lengths)
+    return list(_time_shared(range(n), (0,) * n, one_vm)[1])
 
 
-# A kernel runs a plan's two columns on the lengths by arrival slot: it
-# returns the vm id, cpu time, start and finish columns, and VM busy times.
+# A kernel runs a plan's two columns on the scenario's lengths by arrival
+# slot: it returns the vm id, cpu time, start and finish columns, and VM
+# busy times.
 
-def _space_shared(order, vm_at, vms, lengths):
+def _space_shared(order, vm_at, scenario):
     """Each VM runs its jobs one at a time, in plan order."""
+    vms, lengths = scenario.vms, scenario.lengths
     n = len(order)
     vm_ids, cpu_times, starts, finishes = [0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     ids = [vm.id for vm in vms]
@@ -45,22 +52,28 @@ def _space_shared(order, vm_at, vms, lengths):
     return tuple(vm_ids), tuple(cpu_times), tuple(starts), tuple(finishes), clock
 
 
-def _time_shared(order, vm_at, vms, lengths):
+def _time_shared(order, vm_at, scenario):
     """Every job active from t = 0; cpu_time is the completion time.
 
-    Each VM's queue, its slots in plan order, is sorted by length (stable:
-    ties in plan order). Then, per VM: jump to the next completion, raise
-    the per-job service watermark to the finished job's length, retire
-    every job at the watermark, repeat. A VM's busy time is its last clock.
+    Each VM's queue holds its slots shortest first: the scenario's
+    longest-first slots, walked backwards, are dealt to their VMs. Equal
+    lengths on one VM retire at one event, so their order (reverse
+    arrival) moves no finish. Then, per VM: jump to the next completion,
+    raise the per-job service watermark to the finished job's length,
+    retire every job at the watermark, repeat. A VM's busy time is its
+    last clock.
     """
+    vms, lengths = scenario.vms, scenario.lengths
     n = len(order)
-    queues: list[list[int]] = [[] for _ in vms]
+    vm_of = [0] * n  # arrival slot -> VM index
     for slot, v in zip(order, vm_at):
-        queues[v].append(slot)
+        vm_of[slot] = v
+    queues: list[list[int]] = [[] for _ in vms]
+    for slot in reversed(scenario._longest_first):
+        queues[vm_of[slot]].append(slot)
     vm_ids, finishes = [0] * n, [0.0] * n
     busy = []
     for (vm_id, mips, _), queue in zip(vms, queues):
-        queue.sort(key=lengths.__getitem__)
         k = len(queue)
         clock = served = 0.0  # served: MI every still-active job has had
         target = nan  # equal to no length, so the first job is an event
@@ -94,7 +107,6 @@ def execute_plan(scenario: Scenario, plan: Plan,
     """
     validate_plan(scenario, plan)
     scenario._datacenter_of  # places the scenario, or raises
-    vm_ids, cpu_times, starts, finishes, busy = _KERNELS[mode](
-        *plan, scenario.vms, scenario.lengths)
+    vm_ids, cpu_times, starts, finishes, busy = _KERNELS[mode](*plan, scenario)
     return SimulationResult(mode, scenario.cloudlet_ids, vm_ids,
                             cpu_times, starts, finishes, tuple(busy))

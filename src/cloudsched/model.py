@@ -4,9 +4,13 @@ Everything here is an immutable value object: scenarios are validated once
 and can then be shared freely between policies, engine runs and reports.
 A scenario is its columns: it holds its cloudlets' ids and lengths, in
 arrival order, and no object per cloudlet; `Cloudlet` is the schema of a
-document row. A result is columns too, and carries its own summary
-numbers; `summarize` labels it and `compare` ranks results against the
-first. Nothing here rounds - formatting happens at output.
+document row. What a scenario computes once - its placement, and its
+arrival slots longest first - it keeps in a store that its `with_policy`
+copies share. A plan `assign` built carries the cloudlet and VM counts it
+was built for, and `validate_plan` accepts it on those counts alone. A
+result is columns too, and carries its own summary numbers; `summarize`
+labels it and `compare` ranks results against the first. Nothing here
+rounds - formatting happens at output.
 """
 
 import math
@@ -79,8 +83,23 @@ ROW_RULES = {
 }
 
 
-# Scenario and SimulationResult are dataclasses, not named tuples: their
-# cached properties live in an instance dict.
+def _shared_once(compute):
+    """A property of a scenario that `compute` works out on first access
+    and keeps in the store the scenario shares with its `with_policy`
+    copies. A raise is not kept, so it recurs on every access."""
+    name = compute.__name__
+
+    def get(scenario):
+        shared = scenario._shared
+        if name not in shared:
+            shared[name] = compute(scenario)
+        return shared[name]
+    return property(get, doc=compute.__doc__)
+
+
+# Scenario and SimulationResult are dataclasses, not named tuples: a
+# scenario's store and a result's cached properties live in an instance
+# dict.
 @dataclass(frozen=True, init=False, eq=False)
 class Scenario:
     """A complete simulation input: infrastructure, workload and policy.
@@ -100,8 +119,10 @@ class Scenario:
 
     Validation also requires that first-fit places every VM
     (`provision_vms`). A scenario is placed once, by validation or else
-    on its first run, and keeps its placement. The policy alone fixes the
-    execution mode (`assign`).
+    on its first run, and keeps its placement; it sorts its arrival slots
+    longest first once, when a plan or a run first needs them. Its
+    `with_policy` copies share both: one store holds them for all. The
+    policy alone fixes the execution mode (`assign`).
     """
 
     datacenters: tuple[Datacenter, ...]
@@ -124,7 +145,8 @@ class Scenario:
             arrival_indices = None
         vars(self).update(datacenters=datacenters, vms=vms,
                           cloudlet_ids=cloudlet_ids, lengths=lengths,
-                          policy=policy, arrival_indices=arrival_indices)
+                          policy=policy, arrival_indices=arrival_indices,
+                          _shared={})
 
     def _key(self) -> tuple:
         return (self.datacenters, self.vms, tuple(self.cloudlet_ids),
@@ -149,24 +171,48 @@ class Scenario:
         return tuple(h for dc in self.datacenters for h in dc.hosts)
 
     def with_policy(self, policy: str) -> "Scenario":
-        """This scenario under `policy`, sharing its placement and columns."""
+        """This scenario under `policy`, sharing its columns and its store."""
         copy = replace(self, policy=policy)
-        for name in vars(self).keys() - vars(copy).keys():
-            vars(copy)[name] = vars(self)[name]
+        vars(copy)["_shared"] = self._shared
         return copy
 
-    @cached_property
+    @_shared_once
     def _datacenter_of(self) -> dict[int, int]:
         """vm id -> datacenter id under first-fit. A scenario that cannot
-        be placed raises on every access: a raise is not cached."""
+        be placed raises on every access."""
         host_dc = {h.id: h.datacenter_id for h in self.hosts()}
         return {vm: host_dc[host] for vm, host in provision_vms(self).items()}
+
+    @_shared_once
+    def _longest_first(self) -> tuple[int, ...]:
+        """The arrival slots, longest cloudlet first and equal lengths in
+        arrival order (one stable sort); walked backwards, shortest first
+        and equal lengths in reverse arrival order."""
+        lengths = self.lengths
+        return tuple(sorted(range(len(lengths)), key=lengths.__getitem__,
+                            reverse=True))
 
 
 # What a policy hands the engine: `(order, vm_at)`, the arrival slots in
 # plan order and, for each plan position, the index of its VM in
 # `Scenario.vms`. Each VM serves its cloudlets in plan order.
 Plan = tuple[Sequence[int], Sequence[int]]
+
+
+class _AssignedPlan(tuple):
+    """A plan as `assign` builds it: two immutable columns, `order` a
+    permutation of range(n_cloudlets) and `vm_at` ints in range(n_vms),
+    and `built_for`, those two counts. Whether such a plan runs on a
+    scenario depends on the scenario's counts alone."""
+
+    def __new__(cls, order: Sequence[int], vm_at: Sequence[int],
+                n_cloudlets: int, n_vms: int):
+        plan = super().__new__(cls, (order, tuple(vm_at)))
+        plan.built_for = (n_cloudlets, n_vms)
+        return plan
+
+    def __getnewargs__(self):  # what `copy` and `pickle` rebuild it from
+        return (*self, *self.built_for)
 
 
 @dataclass(frozen=True)
@@ -316,9 +362,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if not dc.hosts:
             problems.append(f"datacenter {dc.id} has no hosts")
         problems += _row_problems(Host, tuple(zip(*dc.hosts)), seen_host, dc.id)
-    problems += _row_problems(Vm, tuple(zip(*scenario.vms)), set())
-    problems += _row_problems(
-        Cloudlet, (scenario.cloudlet_ids, scenario.lengths), set())
+    problems += _row_problems(Vm, tuple(zip(*scenario.vms)))
+    problems += _row_problems(Cloudlet, (scenario.cloudlet_ids, scenario.lengths))
 
     indices = scenario.arrival_indices  # None when 0..n-1 in order
     if indices is not None:
@@ -337,13 +382,15 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def _row_problems(cls, columns, seen: set[int],
+def _row_problems(cls, columns, seen: Optional[set[int]] = None,
                   dc_id: Optional[int] = None) -> list[str]:
     """The `ROW_RULES` offences of the rows of type `cls` whose fields are
-    `columns`, plus an id already in `seen` (which gains each id) and a
-    host outside datacenter `dc_id`, in row order. C-level passes over the
-    columns accept the common case; only when one fails or raises a
-    TypeError are rows walked, naming each value that is not a number."""
+    `columns`, plus a repeated id (one already in `seen` too, if given,
+    which gains each id) and a host outside datacenter `dc_id`, in row
+    order. C-level passes over the columns accept the common case, and an
+    ids `range` of step 1 from 1 up needs none; only when one fails or
+    raises a TypeError are rows walked, naming each value that is not a
+    number."""
     if not columns:  # no rows
         return []
     name, positive_id, positive = ROW_RULES[cls]
@@ -351,18 +398,23 @@ def _row_problems(cls, columns, seen: set[int],
     checked = [(columns[cls._fields.index(field)], word,
                 cls.__annotations__[field] is float)
                for field, word in positive.items()]
+    # Distinct ints, the least of them its start.
+    counted = type(ids) is range and ids.step == 1 and ids.start >= 1
     try:
-        distinct = set(ids)
-        if (len(distinct) == len(ids) and seen.isdisjoint(distinct)
-                and (not positive_id or min(ids, default=1) > 0)
+        distinct = ids if counted else set(ids)
+        if (len(distinct) == len(ids)
+                and (seen is None or seen.isdisjoint(distinct))
+                and (counted or not positive_id or min(ids, default=1) > 0)
                 and (dc_id is None or set(columns[1]) <= {dc_id})
                 and all((not finite or math.isfinite(sum(column, 0.0)))
                         and min(column, default=1) > 0
                         for column, _, finite in checked)):
-            seen |= distinct
+            if seen is not None:
+                seen.update(distinct)
             return []
     except (OverflowError, TypeError):  # what the walk names
         pass
+    seen = set() if seen is None else seen
     problems = []
     for i, row_id in enumerate(ids):
         try:
@@ -392,10 +444,15 @@ def _row_problems(cls, columns, seen: set[int],
 def validate_plan(scenario: Scenario, plan: Plan) -> Plan:
     """Return `plan` if its two columns hold one int per cloudlet: `order`
     a permutation of the arrival slots, `vm_at` positions in `scenario.vms`.
-    An `order` that is `range(n)` itself takes one comparison; any other
-    (a reversed range too) and `vm_at` take a few C-level passes. Only a
-    plan that fails them is walked, and a ValidationError names each bad
-    plan position (and its cloudlet) and each cloudlet left out."""
+    A plan `assign` built for the scenario's cloudlet and VM counts takes
+    one comparison of those counts, and so does an `order` that is
+    `range(n)` itself; any other (a reversed range too) and `vm_at` take a
+    few C-level passes. Only a plan that fails them is walked, and a
+    ValidationError names each bad plan position (and its cloudlet) and
+    each cloudlet left out."""
+    if type(plan) is _AssignedPlan and plan.built_for == (
+            len(scenario.cloudlet_ids), len(scenario.vms)):
+        return plan
     try:
         order, vm_at = plan
         slots, vm_indices = len(order), len(vm_at)

@@ -8,12 +8,15 @@ Three policies, each a pure function of the scenario:
          finish, run space-shared.
 
 All tie-breaks are total and documented, so each plan is deterministic.
+`assign` hands the engine each plan as immutable columns that record the
+cloudlet and VM counts they were built for, so `engine.execute_plan`
+checks such a plan by those counts alone.
 """
 
 from bisect import bisect, bisect_left
 from itertools import cycle, islice
 
-from .model import POLICIES, ExecutionMode, Plan, Scenario
+from .model import POLICIES, ExecutionMode, Plan, Scenario, _AssignedPlan
 
 
 def _cyclic_plan(scenario: Scenario) -> Plan:
@@ -30,11 +33,11 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     """Greedy list scheduling: longest cloudlet to earliest estimated finish.
 
     Cloudlets are processed longest-first, equal lengths in arrival order
-    (one stable sort of the arrival slots by length); each goes to the VM
-    minimizing (already assigned work + length) / mips, ties broken by
-    higher MIPS then lower VM id, and the chosen VM's assigned work is
-    updated. With every VM empty this sends the first cloudlet to the
-    fastest VM.
+    (the scenario's `_longest_first`, sorted once for it and its
+    `with_policy` copies); each goes to the VM minimizing (already
+    assigned work + length) / mips, ties broken by higher MIPS then lower
+    VM id, and the chosen VM's assigned work is updated. With every VM
+    empty this sends the first cloudlet to the fastest VM.
 
     The search looks at one candidate per distinct MIPS value, not at
     every VM. Each MIPS class is two parallel lists: its works, ascending
@@ -55,7 +58,7 @@ def _gpa_plan(scenario: Scenario) -> Plan:
     is built per move, and the plan is the scan's.
     """
     lengths = scenario.lengths
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    order = scenario._longest_first
 
     vms = scenario.vms
     at_rank = sorted(range(len(vms)), key=lambda v: vms[v].id)
@@ -116,7 +119,9 @@ if _POLICIES.keys() != set(POLICIES):
 def assign(scenario: Scenario) -> tuple[Plan, ExecutionMode]:
     """`(plan, mode)`: the plan of the scenario's policy, and the execution
     mode that policy runs in. `engine.execute_plan` runs any plan in either
-    mode.
+    mode. The plan is two immutable columns, which record the scenario's
+    cloudlet and VM counts; `validate_plan` accepts it on any scenario
+    with those counts.
 
     Expects a validated scenario (`load_scenario`, `generate` and
     `builtin_scenario` return one): the scenario's columns are in arrival
@@ -126,4 +131,5 @@ def assign(scenario: Scenario) -> tuple[Plan, ExecutionMode]:
         build_plan, mode = _POLICIES[scenario.policy]
     except KeyError:
         raise ValueError(f"unknown policy {scenario.policy!r}") from None
-    return build_plan(scenario), mode
+    return _AssignedPlan(*build_plan(scenario), len(scenario.cloudlet_ids),
+                         len(scenario.vms)), mode

@@ -81,11 +81,15 @@ MUTANTS = [
      "len(distinct) == len(ids)", "True",
      [_MODEL + "test_duplicate_cloudlet_ids_are_flagged"]),
     ("validate-repeat-across-lists-dropped", "cloudsched/model.py",
-     "and seen.isdisjoint(distinct)", "",
+     "seen.isdisjoint(distinct)", "True",
      [_MODEL + "test_duplicate_datacenter_and_host_ids_are_flagged"]),
     ("validate-id-sign-check-dropped", "cloudsched/model.py",
-     "and (not positive_id or min(ids, default=1) > 0)", "",
+     "min(ids, default=1) > 0", "True",
      [_MODEL + "test_a_non_positive_cloudlet_id_is_flagged"]),
+    # Only a step-1 range from 1 up is known positive and distinct.
+    ("range-ids-start-unchecked", "cloudsched/model.py",
+     " and ids.start >= 1", "",
+     [_MODEL + "test_a_range_of_cloudlet_ids_is_checked_like_a_tuple"]),
     ("validate-datacenter-pass-dropped", "cloudsched/model.py",
      "and (dc_id is None or set(columns[1]) <= {dc_id})", "",
      [_MODEL + "test_host_datacenter_mismatch_is_flagged"]),
@@ -127,9 +131,19 @@ MUTANTS = [
      "for slot, v in enumerate(vm_at):\n        vm_ids[slot]",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
     ("time-shared-column-at-plan-position", "cloudsched/engine.py",
-     "for slot, v in zip(order, vm_at):\n        queues[v]",
-     "for slot, v in enumerate(vm_at):\n        queues[v]",
+     "for slot, v in zip(order, vm_at):\n        vm_of[slot]",
+     "for slot, v in enumerate(vm_at):\n        vm_of[slot]",
      [_ENGINE + "test_records_come_back_in_arrival_order_not_tuple_order"]),
+    # A time-shared queue runs shortest first; walked forwards it is
+    # longest first.
+    ("time-shared-queue-walked-forwards", "cloudsched/engine.py",
+     "reversed(scenario._longest_first)", "scenario._longest_first",
+     [_GOLDEN + "[run --generate 500 --seed 3 --format csv,tsv]"]),
+    # A plan `assign` built runs only where the scenario's counts are the
+    # ones it was built for.
+    ("assigned-plan-counts-unchecked", "cloudsched/model.py",
+     "plan.built_for == (", "True or (",
+     [_ENGINE + "test_an_assigned_plan_runs_only_on_its_counts"]),
     ("plan-shape-guard-misses-extra-columns", "cloudsched/model.py",
      "except (TypeError, ValueError):", "except TypeError:",
      [_ENGINE + "test_a_bad_plan_entry_is_a_located_validation_error"]),

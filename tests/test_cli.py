@@ -544,6 +544,26 @@ def test_a_repeated_list_entry_is_an_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [
+    ["--generate", "500", "--seed", "3"],  # two lengths: many ties
+    ["--scenario", "DISTINCT"],
+], ids=["ties", "distinct-lengths"])
+def test_rr_and_gpa_write_the_same_bytes_whichever_sorts_first(source, tmp_path):
+    # rr and gpa share one longest-first order per scenario, which the
+    # first of them to run sorts.
+    path = tmp_path / "distinct.json"
+    write_scenario(generate(GeneratorSpec(500, length_range=(1000, 10 ** 6),
+                                          seed=11)), path)
+    source = [str(path) if arg == "DISTINCT" else arg for arg in source]
+    written = {"rr": set(), "gpa": set()}
+    for policies in ("rr", "gpa", "gpa,rr", "rr,gpa"):
+        out = tmp_path / policies
+        assert main(["run", *source, "--policy", policies, "--out", str(out)]) == 0
+        for policy in policies.split(","):
+            written[policy].add((out / f"{policy}.csv").read_bytes())
+    assert [len(texts) for texts in written.values()] == [1, 1]
+
+
 @pytest.mark.parametrize("argv, placements", [
     (["compare", "--scenario", "SCENARIO", "--policy", "fcfs,rr,gpa"], 1),
     (["sweep", "--counts", "5,7"], 2),

@@ -1,7 +1,9 @@
 """Execution engine: provisioning, the PS kernel, both run modes."""
 
 import math
+import pickle
 import random
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -15,17 +17,19 @@ from cloudsched import (
     Cloudlet,
     Datacenter,
     ExecutionMode,
+    GeneratorSpec,
     Host,
     Scenario,
     ValidationError,
     Vm,
     assign,
     execute_plan,
+    generate,
     load_scenario,
     provision_vms,
     validate_scenario,
 )
-from cloudsched.engine import ps_finish_times
+from cloudsched.engine import ps_finish_times, validate_plan
 from conftest import (
     busy_of,
     id_plan,
@@ -524,6 +528,50 @@ def test_a_bad_plan_entry_is_a_located_validation_error(fcfs_scenario, case,
     with pytest.raises(ValidationError) as err:
         execute_plan(fcfs_scenario, plan, mode)
     assert err.value.violations == expected
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_an_assigned_plan_runs_only_on_its_counts(fcfs_scenario, policy):
+    plan, _ = assign(fcfs_scenario.with_policy(policy))
+    ids, lengths = fcfs_scenario.cloudlet_ids, fcfs_scenario.lengths
+    # Built for 12 cloudlets on 5 VMs: one fewer of either is refused, with
+    # the messages the same columns get as a plain tuple.
+    for other in (replace(fcfs_scenario, cloudlet_ids=ids[:11], lengths=lengths[:11]),
+                  replace(fcfs_scenario, vms=fcfs_scenario.vms[:4])):
+        for mode in ExecutionMode:
+            with pytest.raises(ValidationError) as assigned:
+                execute_plan(other, plan, mode)
+            with pytest.raises(ValidationError) as plain:
+                execute_plan(other, tuple(plan), mode)
+            assert assigned.value.violations == plain.value.violations
+    # Other lengths and ids, the same counts: the plan runs as it is.
+    other = replace(fcfs_scenario, cloudlet_ids=range(101, 113),
+                    lengths=lengths[::-1])
+    assert validate_plan(other, plan) is plan
+    for column in plan:
+        with pytest.raises((AttributeError, TypeError)):
+            column[0] = 0  # immutable
+    # A copy is the same plan, its counts included.
+    for copied in (deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+        assert copied == plan and validate_plan(other, copied) is copied
+
+
+def test_with_policy_copies_share_one_order_and_one_placement():
+    base = generate(GeneratorSpec(60, length_range=(1000, 10 ** 6), seed=5))
+    fcfs, rr, gpa = copies = [base.with_policy(policy) for policy in POLICIES]
+    execute_plan(fcfs, *assign(fcfs))
+    # A space-shared run never sorts the arrival slots.
+    assert "_longest_first" not in base._shared
+    execute_plan(rr, *assign(rr))
+    order = rr._longest_first
+    gpa_plan, mode = assign(gpa)
+    assert gpa_plan[0] is order
+    execute_plan(gpa, gpa_plan, mode)
+    later = base.with_policy("rr")
+    for scenario in (base, *copies, later):
+        assert scenario._longest_first is order
+        assert scenario._datacenter_of is base._datacenter_of
+    assert list(order) == sorted(range(60), key=lambda slot: -base.lengths[slot])
 
 
 def test_work_conservation_per_vm_both_modes():

@@ -167,6 +167,21 @@ def test_a_non_positive_cloudlet_id_is_flagged():
         "non-positive cloudlet id 0"]
 
 
+def test_a_range_of_cloudlet_ids_is_checked_like_a_tuple():
+    # A step-1 range from 1 up is known distinct and positive; any other
+    # range, one from 0 included, is checked as its values are.
+    base = make_scenario([250], [1000, 1000, 1000], check=False)
+
+    def with_ids(ids):
+        return replace(base, cloudlet_ids=ids)
+
+    assert violations(with_ids(range(0, 3))) == ["non-positive cloudlet id 0"]
+    for ids in (range(0, 3), range(-1, 2), range(1, 4), range(7, 10),
+                range(1, 6, 2), range(3, 0, -1), range(-3, 0)):
+        assert violations(with_ids(ids)) == violations(with_ids(tuple(ids)))
+    assert violations(with_ids(range(1, 4))) == []
+
+
 def test_an_int_past_float_range_in_a_number_field_is_flagged_not_raised():
     # No float holds these ints: summing or testing them as floats raises
     # OverflowError, which must not escape validation.
